@@ -2,121 +2,4 @@
 extensions, two automatic-feedback engines, unsupervised segmentation,
 dictionary-based cross-lingual search, and a graded-judgment evaluator."""
 
-from .corpus import (
-    CHARACTER_MODE,
-    TOKEN_MODE,
-    Document,
-    DocumentCollection,
-    Query,
-    QueryType,
-    TokenizerConfig,
-    Topic,
-    build_query,
-    load_documents,
-    load_stopwords,
-    load_topics,
-    split_sentences,
-    tokenize,
-)
-from .errors import (
-    CalibrationError,
-    DocumentNotFoundError,
-    DuplicateDocIdError,
-    EmptyCollectionError,
-    EmptyQueryError,
-    IndexLoadError,
-    ParseError,
-    ProbirError,
-    ZeroDocumentFrequencyError,
-)
-from .index import IN_TITLE, Index, TermStats, build_index, load_index
-from .scoring import (
-    QuerySetStats,
-    Ranking,
-    ScoringParamsA,
-    bm11_query_weight,
-    idf,
-    k_category,
-    k_location,
-    length_bonus,
-    query_rarity_factor,
-    rank,
-    score_bm11,
-    score_system_a,
-    tf_factor,
-)
-from .term_extraction import (
-    ALL_PATTERNS,
-    DOWN_WEIGHT,
-    LATTICE,
-    SHORTEST,
-    ExtractionConfig,
-    TermWeight,
-    all_term_patterns,
-    down_weighted_terms,
-    extract_terms,
-    lattice_best_path,
-    shortest_terms,
-    split_phrases,
-)
-from .segmentation import (
-    MiTable,
-    RatioTarget,
-    build_mi_table,
-    build_mi_table_from_sentences,
-    calibrate_kcmi,
-    hybrid_segment,
-    pmi,
-    segment,
-    segment_phase1,
-)
-from .feedback_a import (
-    FeedbackAParams,
-    afw,
-    binomial_tail,
-    expansion_terms,
-    feedback_idf,
-    run_feedback_a,
-    weighted_doc_ratios,
-)
-from .feedback_b import (
-    THETA_BY_P,
-    FeedbackBParams,
-    TopDocBag,
-    alpha,
-    auto_r,
-    feedback_weights,
-    relevance,
-    run_feedback_b,
-    select_terms,
-    word_prob,
-    word_var,
-)
-from .clir import (
-    BilingualDictionary,
-    KeywordPairRecord,
-    build_dictionary,
-    document_expansion,
-    load_dictionary,
-    translate,
-)
-from .evaluation import (
-    EvalReport,
-    average_precision,
-    evaluate_run,
-    load_qrels,
-    parse_run_file,
-    r_precision,
-)
-from .pipeline import (
-    clir_topic,
-    compile_bag,
-    compile_phrases,
-    format_run,
-    run_tag,
-    search_system_a,
-    search_system_b,
-    sweep_b,
-)
-
 __version__ = "0.1.0"

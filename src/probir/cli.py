@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .clir import (
@@ -30,7 +31,7 @@ from .corpus import (
     load_topics,
     split_sentences,
 )
-from .errors import EmptyQueryError, ParseError, ProbirError
+from .errors import EmptyQueryError, IndexLoadError, ParseError, ProbirError
 from .evaluation import evaluate_run, load_qrels, parse_run_file
 from .feedback_a import FeedbackAParams
 from .feedback_b import AUTO, THETA_BY_P, FeedbackBParams
@@ -42,7 +43,6 @@ from .pipeline import (
     search_system_a,
     search_system_b,
     sweep_b,
-    _map_topics,
 )
 from .scoring import RARITY_TITLE, ScoringParamsA
 from .segmentation import (
@@ -75,7 +75,6 @@ SEARCH_DEFAULTS = {
     "k_down": 0.2,
     "max_span": 6,
     "cutoff": 1000,
-    "jobs": 1,
     "tag": None,
     "feedback": False,
     # extended-scorer knobs
@@ -198,14 +197,25 @@ def _save_tokenizer(index_dir, config: TokenizerConfig):
     )
 
 
+@contextmanager
+def _sidecar(path: Path):
+    """Report bad JSON or a missing key in a sidecar as an IndexLoadError
+    naming the file."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IndexLoadError(f"{path}: malformed sidecar ({exc!r})") from exc
+
+
 def _load_tokenizer(index_dir) -> TokenizerConfig:
     path = _tokenizer_path(index_dir)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return TokenizerConfig(
-        mode=payload["mode"],
-        stopwords=frozenset(payload["stopwords"]),
-        stemming=payload["stemming"],
-    )
+    with _sidecar(path):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        return TokenizerConfig(
+            mode=payload["mode"],
+            stopwords=frozenset(payload["stopwords"]),
+            stemming=payload["stemming"],
+        )
 
 
 def _save_mi(index_dir, table: MiTable, k_cmi: float):
@@ -226,10 +236,11 @@ def _load_mi(index_dir) -> tuple[MiTable, float] | tuple[None, None]:
     path = _mi_path(index_dir)
     if not path.exists():
         return None, None
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    table = MiTable(payload["unigrams"], payload["bigrams"],
-                    payload["total_unigrams"], payload["total_bigrams"])
-    return table, payload["k_cmi"]
+    with _sidecar(path):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        table = MiTable(payload["unigrams"], payload["bigrams"],
+                        payload["total_unigrams"], payload["total_bigrams"])
+        return table, float(payload["k_cmi"])
 
 
 def _parse_ratio(text: str) -> RatioTarget:
@@ -285,8 +296,8 @@ def _feedback_b_params(cfg: dict) -> FeedbackBParams:
 
 def cmd_search(args) -> int:
     cfg = resolve_config(args, SEARCH_DEFAULTS)
-    index = load_index(args.index)
     tok_config = _load_tokenizer(args.index)
+    index = load_index(args.index, tok_config.mode)
     mi_table, stored_kcmi = _load_mi(args.index)
     k_cmi = cfg["k_cmi"] if cfg["k_cmi"] is not None else stored_kcmi
     topics = load_topics(args.topics)
@@ -301,12 +312,13 @@ def cmd_search(args) -> int:
         source_tok = tok_config
         source_mi, source_kcmi = mi_table, k_cmi
         if cfg["expand_source"]:
-            source_index = load_index(cfg["expand_source"])
             source_tok = _load_tokenizer(cfg["expand_source"])
+            source_index = load_index(cfg["expand_source"], source_tok.mode)
             source_mi, source_kcmi = _load_mi(cfg["expand_source"])
         theta = THETA_BY_P[0.10] if source_index is not None else None
 
-        def work(topic):
+        rankings = []
+        for topic in topics:
             try:
                 ranking = clir_topic(
                     topic, qtype, source_tok, dictionary, index,
@@ -316,16 +328,13 @@ def cmd_search(args) -> int:
                     passthrough=cfg["passthrough"], feedback=feedback,
                     cutoff=cutoff, mi_table=source_mi, k_cmi=source_kcmi,
                 )
-                return ranking, None
             except EmptyQueryError as exc:
-                return None, str(exc)
-
-        rankings = []
-        for ranking, message in _map_topics(work, topics, cfg["jobs"]):
-            if ranking is not None:
-                rankings.append(ranking)
+                warnings.append(str(exc))
+                continue
+            if ranking is None:
+                warnings.append(f"query {topic.query_id}: no usable terms; skipped")
             else:
-                warnings.append(message)
+                rankings.append(ranking)
     elif cfg["system"] == "a":
         extraction = ExtractionConfig(TERM_STRATEGIES[cfg["terms"]],
                                       cfg["k_down"], cfg["max_span"])
@@ -335,13 +344,12 @@ def cmd_search(args) -> int:
         rankings, warnings = search_system_a(
             index, topics, qtype, tok_config, extraction,
             _scoring_params(cfg), feedback, cutoff, mi_table, k_cmi,
-            cfg["jobs"],
         )
     else:
         feedback = _feedback_b_params(cfg) if cfg["feedback"] else None
         rankings, warnings = search_system_b(
             index, topics, qtype, tok_config, feedback, cutoff,
-            mi_table, k_cmi, cfg["jobs"],
+            mi_table, k_cmi,
         )
 
     echo = {k: cfg[k] for k in sorted(cfg) if k != "tag"}
@@ -363,8 +371,8 @@ def cmd_search(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args, SWEEP_DEFAULTS)
-    index = load_index(args.index)
     tok_config = _load_tokenizer(args.index)
+    index = load_index(args.index, tok_config.mode)
     mi_table, k_cmi = _load_mi(args.index)
     if cfg["k_cmi"] is not None:
         k_cmi = cfg["k_cmi"]
@@ -480,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     _sup(p_search, "--k-down", dest="k_down", type=float)
     _sup(p_search, "--max-span", dest="max_span", type=int)
     _sup(p_search, "--cutoff", type=int)
-    _sup(p_search, "--jobs", type=int)
     _sup(p_search, "--tag")
     _sup(p_search, "--feedback", action="store_true")
     _sup(p_search, "--kt", dest="k_t", type=float)

@@ -12,14 +12,16 @@ of a same-language retrieval are appended, which buys extra dictionary hits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError
 from .feedback_b import THETA_BY_P, TopDocBag
 from .index import Index
-from .scoring import Ranking, bm11_query_weight, idf, rank, score_bm11
+# rank and score_bm11 are not called here; perfbench/tracing.py wraps them by
+# this module's name, so they stay imported until its tracer is retargeted.
+from .scoring import bm11_retrieval, rank, score_bm11  # noqa: F401
 
 DEFAULT_EXPANSION_DOCS = 5
 DEFAULT_EXPANSION_THETA = THETA_BY_P[0.10]
@@ -139,17 +141,11 @@ def document_expansion(query_bag: Mapping[str, int], source_index: Index,
     """
     if n_docs <= 0:
         return dict(query_bag)
-    n = source_index.n_docs
-    weights = {}
-    for word, tf_q in query_bag.items():
-        df = source_index.term_stats(word).df
-        if df > 0:
-            weights[word] = bm11_query_weight(tf_q, idf(df, n), k_q)
-    if not weights:
+    first = bm11_retrieval(source_index, query_bag, n_docs, k_q=k_q)
+    if first is None:
         return dict(query_bag)
-    first = rank(source_index, lambda d: score_bm11(source_index, d, weights),
-                 n_docs)
-    top_docs = [doc_id for doc_id, score in first.items if score > 0]
+    _, ranking = first
+    top_docs = [doc_id for doc_id, score in ranking.items if score > 0]
     if not top_docs:
         return dict(query_bag)
     bag = TopDocBag(source_index, top_docs)

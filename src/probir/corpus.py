@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .errors import DuplicateDocIdError, EmptyQueryError, ParseError
+from .errors import DuplicateDocIdError, ParseError
 
 TOKEN_MODE = "token"
 CHARACTER_MODE = "character"
@@ -36,7 +36,6 @@ class Document:
     title: str
     body: str
     category: str | None = None
-    date: str | None = None
 
     def __post_init__(self):
         if not self.doc_id:
@@ -228,7 +227,6 @@ def load_documents(path) -> DocumentCollection:
                 title=str(record.get("title", "") or ""),
                 body=str(record.get("body", "") or ""),
                 category=record.get("category"),
-                date=record.get("date"),
             )
         except KeyError as exc:
             raise ParseError(path, line_no, f"missing field {exc.args[0]!r}") from exc
@@ -278,20 +276,6 @@ def load_stopwords(path) -> frozenset[str]:
     return frozenset(words)
 
 
-@dataclass(frozen=True)
-class Query:
-    """A compiled topic: token bag plus the raw part texts it came from.
-
-    The raw parts are kept because term-extraction strategies re-segment them
-    into phrases rather than consuming the flat token bag.
-    """
-
-    query_id: str
-    tokens: tuple[str, ...]
-    parts: tuple[str, ...]
-    qtype: QueryType
-
-
 def selected_parts(topic: Topic, qtype: QueryType) -> list[str]:
     if qtype == QueryType.VERY_SHORT:
         parts = [topic.title]
@@ -300,19 +284,3 @@ def selected_parts(topic: Topic, qtype: QueryType) -> list[str]:
     else:
         parts = [topic.title, topic.description, topic.narrative, topic.concepts]
     return [p for p in parts if p and p.strip()]
-
-
-def build_query(topic: Topic, qtype: QueryType, config: TokenizerConfig) -> Query:
-    """Compile a topic into a Query; raises EmptyQueryError if no part has text."""
-    parts = selected_parts(topic, qtype)
-    if not parts:
-        raise EmptyQueryError(
-            f"topic {topic.query_id!r}: no text in parts selected by {qtype.value}"
-        )
-    tokens = tokenize("\n".join(parts), config)
-    return Query(
-        query_id=topic.query_id,
-        tokens=tuple(tokens),
-        parts=tuple(parts),
-        qtype=qtype,
-    )

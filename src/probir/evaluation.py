@@ -10,6 +10,7 @@ that mode's macro average.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -73,8 +74,12 @@ def r_precision(ranked_docs: Sequence[str], relevant: set[str]) -> float | None:
 
 
 def parse_run_file(path) -> dict[str, list[str]]:
-    """TREC run lines -> query -> doc ids in rank order; comments skipped."""
+    """TREC run lines -> query -> doc ids in rank order; comments skipped.
+
+    A repeated (query, doc) pair or a score that is not finite is an error,
+    since either would be counted into the measures as if it were valid."""
     runs: dict[str, list[tuple[int, str]]] = {}
+    seen: set[tuple[str, str]] = set()
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -87,10 +92,17 @@ def parse_run_file(path) -> dict[str, list[str]]:
             query_id, _, doc_id, raw_rank, raw_score, _ = fields
             try:
                 rank_pos = int(raw_rank)
-                float(raw_score)
+                score = float(raw_score)
             except ValueError:
                 raise ParseError(str(path), line_no,
                                  "rank must be int, score numeric") from None
+            if not math.isfinite(score):
+                raise ParseError(str(path), line_no,
+                                 f"score {raw_score!r} is not finite")
+            if (query_id, doc_id) in seen:
+                raise ParseError(str(path), line_no,
+                                 f"doc {doc_id!r} repeated for query {query_id!r}")
+            seen.add((query_id, doc_id))
             runs.setdefault(query_id, []).append((rank_pos, doc_id))
     return {
         query_id: [doc_id for _, doc_id in sorted(entries, key=lambda e: e[0])]

@@ -68,20 +68,16 @@ def weighted_doc_count(term: str, top_docs: Sequence[str], index: Index,
 
 
 def weighted_doc_ratios(term: str, top_docs: Sequence[str], index: Index,
-                        k_afw: float) -> tuple[float, float]:
-    """(proportion of top docs containing the term, afw-weighted tf total),
-    both counted with the rank-decayed factor."""
+                        k_afw: float) -> float:
+    """Proportion of top docs containing the term, counted with the
+    rank-decayed factor."""
     k = len(top_docs)
     if k == 0:
-        return 0.0, 0.0
+        return 0.0
     containing = weighted_doc_count(term, top_docs, index, k_afw)
-    weighted_tf = sum(
-        afw(r, k, k_afw) * index.doc_tf(doc_id, term)
-        for r, doc_id in enumerate(top_docs, start=1)
-    )
     # Σ afw over all ranks is exactly k, but sum the terms for float fidelity.
     denom = sum(afw(r, k, k_afw) for r in range(1, k + 1))
-    return containing / denom, weighted_tf
+    return containing / denom
 
 
 def feedback_idf(in_query: bool, ratio_c: float, ratio_d: float, k_af: float,
@@ -155,8 +151,8 @@ def feedback_vector(query_vector: Mapping[str, tuple[float, int]],
         stats = index.term_stats(term)
         if stats.df == 0:
             continue
-        ratio_c, _ = weighted_doc_ratios(term, top_docs[:params.k_r], index,
-                                         params.k_afw)
+        ratio_c = weighted_doc_ratios(term, top_docs[:params.k_r], index,
+                                      params.k_afw)
         ratio_d = stats.df / n
         idf_map[term] = feedback_idf(term in originals, ratio_c, ratio_d,
                                      params.k_af, idf(stats.df, n))

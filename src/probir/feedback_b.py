@@ -82,10 +82,6 @@ class TopDocBag:
         return (pr_bag - pr_comp) / math.sqrt(var_sum)
 
 
-def relevance(word: str, bag: TopDocBag) -> float:
-    return bag.relevance(word)
-
-
 def select_terms(doc_terms: Mapping[str, int], bag: TopDocBag, theta: float,
                  as_set: bool = False) -> dict[str, int]:
     """F(D_i): the document's words with relevance >= theta, tf preserved

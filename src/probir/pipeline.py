@@ -16,14 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .clir import BilingualDictionary, document_expansion, translate
 from .corpus import (
     CHARACTER_MODE,
-    TOKEN_MODE,
     QueryType,
     Topic,
     TokenizerConfig,
@@ -39,14 +37,13 @@ from .scoring import (
     QuerySetStats,
     Ranking,
     ScoringParamsA,
-    bm11_query_weight,
+    bm11_retrieval,
     build_query_set_stats,
-    idf,
     k_category,
     length_bonus,
     prune_vector,
     rank,
-    score_bm11,
+    score_bm11,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
     score_system_a,
     system_a_term_contribution,
 )
@@ -239,55 +236,30 @@ def search_system_a(index: Index, topics: Sequence[Topic], qtype: QueryType,
                     feedback: FeedbackAParams | None = None,
                     cutoff: int = 1000,
                     mi_table: MiTable | None = None,
-                    k_cmi: float | None = None,
-                    jobs: int = 1) -> tuple[list[Ranking], list[str]]:
+                    k_cmi: float | None = None) -> tuple[list[Ranking], list[str]]:
     compiled = [CompiledTopicA(t, qtype, config, extraction, mi_table, k_cmi)
                 for t in topics]
     qstats = build_qstats_a(compiled)
-
-    def work(item: CompiledTopicA):
-        return search_topic_a(index, item, params, qstats, feedback, cutoff,
-                              mi_table, k_cmi)
-
-    results = _map_topics(work, compiled, jobs)
-    rankings = []
-    warnings = []
-    for item, ranking in zip(compiled, results):
-        if ranking is None:
-            warnings.append(f"query {item.query_id}: no usable terms; skipped")
-        else:
-            rankings.append(ranking)
-    return rankings, warnings
+    return _usable((item.query_id,
+                    search_topic_a(index, item, params, qstats, feedback,
+                                   cutoff, mi_table, k_cmi))
+                   for item in compiled)
 
 
 # -- parameter-light pipeline --------------------------------------------------
-
-
-def bm11_weights(index: Index, bag: Mapping[str, int],
-                 k_q: float = 1000.0) -> dict[str, float]:
-    """Query-side weights q(w|Q) for every bag word the collection knows."""
-    n = index.n_docs
-    weights = {}
-    for word, tf_q in bag.items():
-        df = index.term_stats(word).df
-        if df > 0:
-            weights[word] = bm11_query_weight(tf_q, idf(df, n), k_q)
-    return weights
 
 
 def search_topic_b(index: Index, query_id: str, bag: Mapping[str, int],
                    feedback: FeedbackBParams | None = None,
                    cutoff: int = 1000,
                    k_q: float = 1000.0) -> Ranking | None:
-    weights = bm11_weights(index, bag, k_q)
-    if not weights:
+    first = bm11_retrieval(index, bag, cutoff, query_id, k_q)
+    if first is None:
         return None
-    pruned = {w: bag[w] for w in weights}
-    first = rank(index, lambda d: score_bm11(index, d, weights), cutoff,
-                 query_id)
+    pruned, ranking = first
     if feedback is None:
-        return first
-    return run_feedback_b(pruned, first, index, feedback, cutoff)
+        return ranking
+    return run_feedback_b(pruned, ranking, index, feedback, cutoff)
 
 
 def search_system_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
@@ -295,15 +267,19 @@ def search_system_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
                     feedback: FeedbackBParams | None = None,
                     cutoff: int = 1000,
                     mi_table: MiTable | None = None,
-                    k_cmi: float | None = None,
-                    jobs: int = 1) -> tuple[list[Ranking], list[str]]:
-    def work(topic: Topic):
-        _, bag = compile_bag(topic, qtype, config, mi_table, k_cmi)
-        k_q = feedback.k_q if feedback is not None else 1000.0
-        return topic.query_id, search_topic_b(index, topic.query_id, bag,
-                                              feedback, cutoff, k_q)
+                    k_cmi: float | None = None) -> tuple[list[Ranking], list[str]]:
+    k_q = feedback.k_q if feedback is not None else 1000.0
 
-    results = _map_topics(work, topics, jobs)
+    def search(topic: Topic) -> Ranking | None:
+        _, bag = compile_bag(topic, qtype, config, mi_table, k_cmi)
+        return search_topic_b(index, topic.query_id, bag, feedback, cutoff, k_q)
+
+    return _usable((topic.query_id, search(topic)) for topic in topics)
+
+
+def _usable(results: Iterable[tuple[str, Ranking | None]]
+            ) -> tuple[list[Ranking], list[str]]:
+    """Rankings of the topics that had one, and a warning for each other."""
     rankings = []
     warnings = []
     for query_id, ranking in results:
@@ -341,16 +317,6 @@ def clir_topic(topic: Topic, qtype: QueryType, config: TokenizerConfig,
         )
     return search_topic_b(target_index, topic.query_id, Counter(translated),
                           feedback, cutoff)
-
-
-# -- shared plumbing -------------------------------------------------------------
-
-
-def _map_topics(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- parameter sweep -------------------------------------------------------------
@@ -397,13 +363,9 @@ def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
     prepared = []
     for topic in topics:
         _, bag = compile_bag(topic, qtype, config, mi_table, k_cmi)
-        weights = bm11_weights(index, bag)
-        if not weights:
-            continue
-        pruned = {w: bag[w] for w in weights}
-        first = rank(index, lambda d, w=weights: score_bm11(index, d, w),
-                     cutoff, topic.query_id)
-        prepared.append((topic.query_id, pruned, first))
+        first = bm11_retrieval(index, bag, cutoff, topic.query_id)
+        if first is not None:
+            prepared.append((topic.query_id, *first))
 
     rows = []
     for p_level in p_values:

@@ -10,6 +10,9 @@ Two scorers share the TF machinery:
                         K_cat(d) · [Σ_t TF·IDF·TF_q·K_loc(d,t)·rarity(t) · w_t
                         + length_bonus(d)].
 
+``bm11_retrieval`` is the one BM11 first retrieval that search, the feedback
+sweep and cross-lingual document expansion share.
+
 All logarithms are natural.  Terms unseen in the collection (df = 0)
 contribute nothing; ``prune_vector`` drops them up front.
 """
@@ -55,9 +58,6 @@ class ScoringParamsA:
             raise ValueError("k_loc2 must be in [0, 1)")
         if self.k_nq not in (RARITY_OFF, RARITY_ALL, RARITY_TITLE):
             raise ValueError(f"k_nq must be 0, 1, or {RARITY_TITLE!r}")
-
-
-STRONG_PARAMS_A = dict(k_loc1=1.3, k_loc2=0.15, k_cat=0.15)
 
 
 @dataclass(frozen=True)
@@ -263,3 +263,29 @@ def rank(index: Index, scorer: Callable[[str], float], cutoff: int,
     scored = [(doc_id, scorer(doc_id)) for doc_id in index.doc_ids()]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return Ranking(query_id, tuple(scored[:cutoff]))
+
+
+def bm11_weights(index: Index, bag: Mapping[str, int],
+                 k_q: float = 1000.0) -> dict[str, float]:
+    """Query-side weights q(w|Q) for every bag word the collection knows."""
+    n = index.n_docs
+    weights = {}
+    for word, tf_q in bag.items():
+        df = index.term_stats(word).df
+        if df > 0:
+            weights[word] = bm11_query_weight(tf_q, idf(df, n), k_q)
+    return weights
+
+
+def bm11_retrieval(index: Index, bag: Mapping[str, int], cutoff: int,
+                   query_id: str = "", k_q: float = 1000.0
+                   ) -> tuple[dict[str, int], Ranking] | None:
+    """The BM11 first retrieval shared by search, the feedback sweep and
+    document expansion: the bag pruned to the words the collection knows,
+    and its ranking.  None when the collection knows no word of the bag."""
+    weights = bm11_weights(index, bag, k_q)
+    if not weights:
+        return None
+    pruned = {word: bag[word] for word in weights}
+    return pruned, rank(index, lambda d: score_bm11(index, d, weights), cutoff,
+                        query_id)

@@ -110,19 +110,6 @@ class TestSearchCommand:
         b = search(workspace, "b.txt")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_do_not_change_rankings(self, workspace):
-        # the jobs count is echoed in the header and hashed into the tag,
-        # so compare the ranked rows minus the tag field
-        def rows(path):
-            return [line.rsplit(" ", 1)[0]
-                    for line in path.read_text(encoding="utf-8").splitlines()
-                    if not line.startswith("#")]
-
-        build(workspace)
-        serial = search(workspace, "serial.txt", "--jobs", "1")
-        threaded = search(workspace, "threaded.txt", "--jobs", "3")
-        assert rows(serial) == rows(threaded)
-
     def test_explicit_tag_is_used(self, workspace):
         build(workspace)
         out = search(workspace, "run.txt", "--tag", "mytag")
@@ -189,6 +176,48 @@ class TestSearchCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sidecar,text", [
+        ("tokenizer.json", '{"mode": "token", "stemming": false}'),
+        ("tokenizer.json", "{not json"),
+        ("mi.json", '{"unigrams": {}}'),
+        ("mi.json", '{"unigrams": {}, "bigrams": {}, "total_unigrams": 0, '
+                    '"total_bigrams": 0, "k_cmi": "x"}'),
+    ])
+    def test_malformed_sidecar_exits_2(self, workspace, capsys, sidecar, text):
+        index = build(workspace)
+        (index / sidecar).write_text(text, encoding="utf-8")
+        code = main(["search", "--index", str(index),
+                     "--topics", str(workspace / "topics.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert sidecar in err
+
+    def test_tokenizer_mode_must_match_index(self, workspace, capsys):
+        index = build(workspace)
+        payload = json.loads((index / "tokenizer.json").read_text(encoding="utf-8"))
+        payload["mode"] = "character"
+        (index / "tokenizer.json").write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["search", "--index", str(index),
+                     "--topics", str(workspace / "topics.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "index mode is 'token'" in err
+        assert "mi_table" not in err
+
+    def test_jobs_option_is_gone(self, workspace, capsys):
+        build(workspace)
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--index", str(workspace / "idx"),
+                  "--topics", str(workspace / "topics.jsonl"), "--jobs", "2"])
+        assert exc.value.code == 2
+        (workspace / "jobs.conf").write_text("jobs = 2\n", encoding="utf-8")
+        code = main(["search", "--index", str(workspace / "idx"),
+                     "--topics", str(workspace / "topics.jsonl"),
+                     "--config", str(workspace / "jobs.conf")])
+        assert code == 2
+        assert "unknown option 'jobs'" in capsys.readouterr().err
+
 
 class TestTranslationFlow:
     PAIRS = [
@@ -232,6 +261,22 @@ class TestTranslationFlow:
                      "--translate", str(workspace / "dict.tsv"))
         run = parse_run_file(out)
         assert "d1" in run["q1"]
+
+    def test_translation_unknown_to_target_warns(self, workspace, capsys):
+        write_jsonl(workspace / "pairs.jsonl",
+                    self.PAIRS + [{"id": "4", "source": ["mond"],
+                                   "target": ["lunar"]}])
+        main(["build-dict", "--pairs", str(workspace / "pairs.jsonl"),
+              "--out", str(workspace / "dict.tsv")])
+        write_jsonl(workspace / "topics.jsonl", [
+            {"query_id": "q1", "title": "sonne", "description": "sonne"},
+            {"query_id": "q2", "title": "mond", "description": "mond"}])
+        build(workspace)
+        out = search(workspace, "run.txt",
+                     "--translate", str(workspace / "dict.tsv"))
+        text = out.read_text(encoding="utf-8")
+        assert "# warning_0 = query q2: no usable terms; skipped" in text
+        assert "warning: query q2: no usable terms" in capsys.readouterr().err
 
     def test_bad_pairs_line_exits_2(self, workspace, capsys):
         (workspace / "pairs.jsonl").write_text("{oops\n", encoding="utf-8")

@@ -8,7 +8,6 @@ from probir.corpus import (
     QueryType,
     Topic,
     TokenizerConfig,
-    build_query,
     default_stem,
     load_documents,
     load_stopwords,
@@ -17,7 +16,7 @@ from probir.corpus import (
     split_sentences,
     tokenize,
 )
-from probir.errors import DuplicateDocIdError, EmptyQueryError, ParseError
+from probir.errors import DuplicateDocIdError, ParseError
 
 
 class TestTokenize:
@@ -133,18 +132,12 @@ class TestBuildQuery:
     topic = Topic("q1", "Alpha beta", "Gamma delta epsilon", "Zeta", "Eta")
 
     def test_very_short_uses_title(self):
-        q = build_query(self.topic, QueryType.VERY_SHORT, TokenizerConfig())
-        assert q.tokens == ("alpha", "beta")
+        assert selected_parts(self.topic, QueryType.VERY_SHORT) == ["Alpha beta"]
 
     def test_short_uses_description(self):
-        q = build_query(self.topic, QueryType.SHORT, TokenizerConfig())
-        assert q.tokens == ("gamma", "delta", "epsilon")
+        parts = selected_parts(self.topic, QueryType.SHORT)
+        assert parts == ["Gamma delta epsilon"]
 
     def test_long_concatenates_all_parts(self):
         parts = selected_parts(self.topic, QueryType.LONG)
         assert parts == ["Alpha beta", "Gamma delta epsilon", "Zeta", "Eta"]
-
-    def test_empty_selection_raises(self):
-        topic = Topic("q2", "Title only", "")
-        with pytest.raises(EmptyQueryError):
-            build_query(topic, QueryType.SHORT, TokenizerConfig())

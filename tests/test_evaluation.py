@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from probir.cli import main
 from probir.errors import ParseError
 from probir.evaluation import (
     NA,
@@ -135,6 +136,36 @@ class TestLoaders:
         with pytest.raises(ParseError) as err:
             parse_run_file(path)
         assert ":1:" in str(err.value)
+
+    @pytest.mark.parametrize("lines,line_no", [
+        ("q1 Q0 d1 1 nan t\nq1 Q0 d1 2 1 t\n", 1),
+        ("q1 Q0 d1 1 inf t\n", 1),
+        ("q1 Q0 d1 1 -inf t\n", 1),
+        ("q1 Q0 d1 1 0.9 t\nq2 Q0 d1 1 0.9 t\nq1 Q0 d1 2 0.5 t\n", 3),
+    ])
+    def test_run_file_rejects_non_finite_and_repeated(self, tmp_path, lines,
+                                                      line_no):
+        path = tmp_path / "run.txt"
+        path.write_text(lines)
+        with pytest.raises(ParseError) as err:
+            parse_run_file(path)
+        assert f":{line_no}:" in str(err.value)
+
+    @pytest.mark.parametrize("lines,line_no", [
+        ("q1 Q0 d1 1 nan t\nq1 Q0 d1 2 1 t\n", 1),
+        ("q1 Q0 d1 1 1 t\nq1 Q0 d1 2 1 t\n", 2),
+    ])
+    def test_eval_exits_2_instead_of_ap_above_one(self, tmp_path, capsys,
+                                                  lines, line_no):
+        (tmp_path / "qrels.txt").write_text("q1 0 d1 1\n")
+        (tmp_path / "run.txt").write_text(lines)
+        code = main(["eval", "--run", str(tmp_path / "run.txt"),
+                     "--qrels", str(tmp_path / "qrels.txt")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert f":{line_no}:" in captured.err
+        assert "ap_relax" not in captured.out
 
 
 class TestEvaluateRun:

@@ -12,7 +12,6 @@ from probir.feedback_b import (
     alpha,
     auto_r,
     feedback_weights,
-    relevance,
     run_feedback_b,
     select_terms,
     selected_vocabulary_size,
@@ -47,21 +46,21 @@ class TestRelevance:
         index = make_index([("a", "", "x y z"), ("b", "", "x y z")])
         bag = TopDocBag(index, ["a"])
         for word in ("x", "y", "z"):
-            assert relevance(word, bag) == 0.0
+            assert bag.relevance(word) == 0.0
 
     def test_concentrated_word_is_positive(self):
         index = make_index([("a", "", "gold gold gold dust"),
                             ("b", "", "plain filler text here"),
                             ("c", "", "plain filler text here")])
         bag = TopDocBag(index, ["a"])
-        assert relevance("gold", bag) > 0
+        assert bag.relevance("gold") > 0
 
     def test_absent_word_is_negative(self):
         index = make_index([("a", "", "gold dust"),
                             ("b", "", "plain plain plain filler"),
                             ("c", "", "plain plain plain filler")])
         bag = TopDocBag(index, ["a"])
-        assert relevance("plain", bag) < 0
+        assert bag.relevance("plain") < 0
 
     def test_matches_direct_formula(self):
         rng = random.Random(653)
@@ -87,7 +86,7 @@ class TestRelevance:
                 var = (pr_b * (1 - pr_b) / (size + 3)
                        + pr_c * (1 - pr_c) / (comp_size + 3))
                 want = (pr_b - pr_c) / math.sqrt(var)
-                assert relevance(word, bag) == pytest.approx(want, abs=1e-12)
+                assert bag.relevance(word) == pytest.approx(want, abs=1e-12)
 
 
 class TestTopDocBag:

@@ -10,7 +10,6 @@ from probir.errors import EmptyQueryError
 from probir.feedback_b import AUTO, FeedbackBParams
 from probir.pipeline import (
     CompiledTopicA,
-    bm11_weights,
     clir_topic,
     compile_bag,
     compile_phrases,
@@ -20,9 +19,8 @@ from probir.pipeline import (
     search_system_b,
     search_topic_b,
     sweep_b,
-    _map_topics,
 )
-from probir.scoring import Ranking, ScoringParamsA, rank, score_bm11
+from probir.scoring import Ranking, ScoringParamsA, bm11_weights, rank, score_bm11
 from probir.term_extraction import ALL_PATTERNS, LATTICE, SHORTEST, ExtractionConfig
 
 from conftest import make_index, random_token_rows, random_vocab
@@ -225,15 +223,6 @@ class TestClirTopic:
                              expansion_theta=float("-inf"), expansion_docs=1,
                              expand_all=True)
         assert "t1" in ranking.doc_ids()
-
-
-class TestMapTopics:
-    def test_serial(self):
-        assert _map_topics(lambda x: x * 2, [1, 2, 3], 1) == [2, 4, 6]
-
-    def test_threaded_preserves_order(self):
-        items = list(range(50))
-        assert _map_topics(lambda x: x * x, items, 4) == [x * x for x in items]
 
 
 class TestRunTag:

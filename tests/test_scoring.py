@@ -2,16 +2,20 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from probir.clir import document_expansion
+from probir.corpus import TokenizerConfig, tokenize
 from probir.errors import ZeroDocumentFrequencyError
 from probir.index import IN_TITLE
+from probir.pipeline import search_topic_b
 from probir.scoring import (
     RARITY_ALL,
     RARITY_TITLE,
     Ranking,
     ScoringParamsA,
     bm11_query_weight,
+    bm11_retrieval,
     build_query_set_stats,
     idf,
     k_category,
@@ -326,6 +330,65 @@ class TestRank:
         base = rank(index, lambda d: score_bm11(index, d, weights), 12)
         other = rank(index, lambda d: score_bm11(index, d, scaled), 12)
         assert base.doc_ids() == other.doc_ids()
+
+
+def oracle_bm11_ranking(rows, bag, k_q=1000.0):
+    """Every document scored as Σ tf/(tf + len/avg)·weight over the bag, in
+    bag order, sorted by (-score, doc_id); also each document's words."""
+    config = TokenizerConfig()
+    tokens = {r[0]: tokenize(r[1], config) + tokenize(r[2], config) for r in rows}
+    n = len(tokens)
+    avg = sum(len(t) for t in tokens.values()) / n
+    weights = {}
+    for word, tf_q in bag.items():
+        df = sum(1 for t in tokens.values() if word in t)
+        if df:
+            weights[word] = (k_q + 1.0) * tf_q / (k_q + tf_q) * math.log(n / df)
+    scored = []
+    for doc_id, toks in tokens.items():
+        score = 0.0
+        for word, weight in weights.items():
+            tf = toks.count(word)
+            if tf:
+                score += tf / (tf + len(toks) / avg) * weight
+        scored.append((doc_id, score))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return weights, scored, tokens
+
+
+class TestBm11Retrieval:
+    UNKNOWN = "qqqqqqqqqq"  # longer than any random_vocab word
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           cutoff=st.integers(min_value=1, max_value=15),
+           n_expand=st.integers(min_value=1, max_value=4))
+    def test_shared_first_retrieval_matches_oracle(self, seed, cutoff, n_expand):
+        rng = random.Random(seed)
+        vocab = random_vocab(rng, rng.randint(3, 12))
+        rows = random_token_rows(rng, rng.randint(1, 12), vocab, max_len=12)
+        index = make_index(rows)
+        words = rng.sample(vocab, rng.randint(0, min(4, len(vocab))))
+        words += [self.UNKNOWN] * rng.randint(0, 1)
+        bag = {word: rng.randint(1, 3) for word in words}
+        weights, oracle, tokens = oracle_bm11_ranking(rows, bag)
+
+        result = bm11_retrieval(index, bag, cutoff, "q")
+        if not weights:
+            assert result is None
+            assert search_topic_b(index, "q", bag, cutoff=cutoff) is None
+            assert document_expansion(bag, index, n_expand, expand_all=True) == bag
+            return
+        pruned, ranking = result
+        assert pruned == {word: bag[word] for word in weights}
+        assert ranking == Ranking("q", tuple(oracle[:cutoff]))
+        assert search_topic_b(index, "q", bag, feedback=None,
+                              cutoff=cutoff) == ranking
+
+        top = [doc_id for doc_id, score in oracle[:n_expand] if score > 0]
+        added = {word for doc_id in top for word in tokens[doc_id]} - set(bag)
+        expanded = document_expansion(bag, index, n_expand, expand_all=True)
+        assert expanded == {**bag, **{word: 1 for word in added}}
 
 
 class TestParamsValidation:

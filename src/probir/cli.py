@@ -211,11 +211,15 @@ def _load_tokenizer(index_dir) -> TokenizerConfig:
     path = _tokenizer_path(index_dir)
     with _sidecar(path):
         payload = json.loads(path.read_text(encoding="utf-8"))
-        return TokenizerConfig(
-            mode=payload["mode"],
-            stopwords=frozenset(payload["stopwords"]),
-            stemming=payload["stemming"],
-        )
+        mode, stopwords, stemming = (payload["mode"], payload["stopwords"],
+                                     payload["stemming"])
+        if not (isinstance(mode, str) and isinstance(stemming, bool)
+                and isinstance(stopwords, list)
+                and all(isinstance(word, str) for word in stopwords)):
+            raise TypeError("mode must be a string, stemming a boolean and "
+                            "stopwords a list of strings")
+        return TokenizerConfig(mode=mode, stopwords=frozenset(stopwords),
+                               stemming=stemming)
 
 
 def _save_mi(index_dir, table: MiTable, k_cmi: float):

@@ -22,6 +22,7 @@ from .scoring import (
     QuerySetStats,
     Ranking,
     ScoringParamsA,
+    category_factors,
     idf,
     rank,
     score_system_a,
@@ -175,10 +176,13 @@ def run_feedback_a(query_vector: Mapping[str, tuple[float, int]],
     vector, idf_map = feedback_vector(query_vector, top_docs, index, params,
                                       candidates)
     reference = category_reference if category_reference is not None else first_ranking
+    table = (category_factors(reference, index, scoring_params.k_cat)
+             if scoring_params.use_category else None)
     return rank(
         index,
         lambda doc_id: score_system_a(index, doc_id, vector, scoring_params,
-                                      qstats, reference, idf_map),
+                                      qstats, idf_map=idf_map,
+                                      category_table=table),
         cutoff,
         first_ranking.query_id,
     )

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .index import Index
-from .scoring import Ranking, bm11_query_weight, idf, rank, score_bm11
+from .scoring import Ranking, bm11_rank, bm11_word_weight
+# rank and score_bm11 are not called here; perfbench/tracing.py wraps them by
+# this module's name, so they stay imported until its tracer is retargeted.
+from .scoring import rank, score_bm11  # noqa: F401
 
 # Standard-normal upper-tail cutoffs for the supported significance levels.
 THETA_BY_P = {0.10: 1.281552, 0.05: 1.644854, 0.01: 2.326348}
@@ -159,20 +162,14 @@ def feedback_weights(query_bag: Mapping[str, int], top_docs: Sequence[str],
         alpha_value = params.alpha
     else:
         alpha_value = alpha(len(query_bag), union_size)
-    n = index.n_docs
-
-    def q_weight(tf_q: int, word: str) -> float:
-        df = index.term_stats(word).df
-        if df == 0:
-            return 0.0
-        return bm11_query_weight(tf_q, idf(df, n), params.k_q)
-
+    k_q = params.k_q
     weights: dict[str, float] = {}
     for word, tf_q in query_bag.items():
-        weights[word] = alpha_value * q_weight(tf_q, word)
+        weights[word] = alpha_value * bm11_word_weight(index, word, tf_q, k_q)
     for f in filtered:
         for word, tf in f.items():
-            weights[word] = weights.get(word, 0.0) + q_weight(tf, word) / r
+            weights[word] = (weights.get(word, 0.0)
+                             + bm11_word_weight(index, word, tf, k_q) / r)
     return weights
 
 
@@ -187,5 +184,4 @@ def run_feedback_b(query_bag: Mapping[str, int], first_ranking: Ranking,
         r = auto_r(first_ranking, index, theta, params.r_cap)
     top_docs = first_ranking.doc_ids()[:r]
     weights = feedback_weights(query_bag, top_docs, index, params)
-    return rank(index, lambda doc_id: score_bm11(index, doc_id, weights),
-                cutoff, first_ranking.query_id)
+    return bm11_rank(index, weights, cutoff, first_ranking.query_id)

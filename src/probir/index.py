@@ -68,12 +68,14 @@ def _sequence_starts(haystack: tuple[str, ...], needle: tuple[str, ...]) -> list
 
 
 class _TokenDoc:
-    __slots__ = ("title_tokens", "body_tokens", "category", "tf", "title_set", "_first_body")
+    __slots__ = ("title_tokens", "body_tokens", "category", "tf", "title_set",
+                 "_first_body", "length")
 
     def __init__(self, title_tokens, body_tokens, category):
         self.title_tokens = tuple(title_tokens)
         self.body_tokens = tuple(body_tokens)
         self.category = category
+        self.length = len(self.title_tokens) + len(self.body_tokens)
         self.tf = Counter(self.title_tokens)
         self.tf.update(self.body_tokens)
         self.title_set = frozenset(self.title_tokens)
@@ -81,16 +83,12 @@ class _TokenDoc:
         for pos, tok in enumerate(self.body_tokens, start=1):
             self._first_body.setdefault(tok, pos)
 
-    @property
-    def length(self):
-        return len(self.title_tokens) + len(self.body_tokens)
-
     def first_body_position(self, token):
         return self._first_body.get(token)
 
 
 class _CharDoc:
-    __slots__ = ("title", "body", "category", "tf")
+    __slots__ = ("title", "body", "category", "tf", "length")
 
     def __init__(self, title, body, category):
         self.title = title
@@ -98,10 +96,7 @@ class _CharDoc:
         self.category = category
         self.tf = Counter(title)
         self.tf.update(body)
-
-    @property
-    def length(self):
-        return len(self.title) + len(self.body)
+        self.length = len(title) + len(body)
 
 
 def _gram_positions(text: str) -> dict[str, list[int]]:
@@ -135,6 +130,7 @@ class Index:
         self.total_len = 0
         self.avg_len = 0.0
         self._category_counts: Counter = Counter()
+        self._term_stats: dict[str, TermStats] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -234,7 +230,9 @@ class Index:
             offsets.append((i, set(positions)))
         return [p for p in first if all(p + i in posset for i, posset in offsets)]
 
-    def _candidate_docs(self, term: str) -> set[str]:
+    def candidate_docs(self, term: str) -> set[str]:
+        """Documents holding every unit of ``term``: a superset of the docs
+        where it occurs, whose tf ``doc_tf`` then counts."""
         if self.mode == TOKEN_MODE:
             tokens = term.split(TERM_SEP) if TERM_SEP in term else [term]
             maps = [self._postings.get(tok) for tok in tokens]
@@ -260,7 +258,14 @@ class Index:
         return candidates
 
     def term_stats(self, term: str) -> TermStats:
-        """df and collection frequency; unseen terms yield (0, 0)."""
+        """df and collection frequency; unseen terms yield (0, 0).  Computed
+        once per term, since the index does not change after it is built."""
+        stats = self._term_stats.get(term)
+        if stats is None:
+            stats = self._term_stats[term] = self._compute_term_stats(term)
+        return stats
+
+    def _compute_term_stats(self, term: str) -> TermStats:
         if self.mode == TOKEN_MODE and TERM_SEP not in term:
             posting = self._postings.get(term)
             if not posting:
@@ -268,7 +273,7 @@ class Index:
             return TermStats(len(posting), sum(posting.values()))
         df = 0
         collection_tf = 0
-        for doc_id in self._candidate_docs(term):
+        for doc_id in self.candidate_docs(term):
             tf = self.doc_tf(doc_id, term)
             if tf:
                 df += 1

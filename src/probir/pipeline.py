@@ -39,7 +39,8 @@ from .scoring import (
     ScoringParamsA,
     bm11_retrieval,
     build_query_set_stats,
-    k_category,
+    category_factors,
+    k_category,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
     length_bonus,
     prune_vector,
     rank,
@@ -126,7 +127,8 @@ class CompiledTopicA:
 def _lattice_scorer(index: Index, compiled: CompiledTopicA,
                     params: ScoringParamsA, qstats, idf_map,
                     extra_terms: Mapping[str, tuple[float, int]],
-                    reference: Ranking | None) -> Callable[[str], float]:
+                    category_table: Mapping[str | None, float] | None
+                    ) -> Callable[[str], float]:
     vector = compiled.vector
 
     def scorer(doc_id: str) -> float:
@@ -151,16 +153,16 @@ def _lattice_scorer(index: Index, compiled: CompiledTopicA,
         if params.use_length_bonus:
             total += length_bonus(index.doc_len(doc_id), index.avg_len)
         if params.use_category:
-            total *= k_category(index.doc_category(doc_id), reference, index,
-                                params.k_cat)
+            total *= category_table[index.doc_category(doc_id)]
         return total
 
     return scorer
 
 
-def _vector_scorer(index, vector, params, qstats, idf_map, reference):
-    return lambda doc_id: score_system_a(index, doc_id, vector, params,
-                                         qstats, reference, idf_map)
+def _vector_scorer(index, vector, params, qstats, idf_map, category_table):
+    return lambda doc_id: score_system_a(index, doc_id, vector, params, qstats,
+                                         idf_map=idf_map,
+                                         category_table=category_table)
 
 
 def build_qstats_a(compiled: Sequence[CompiledTopicA]) -> QuerySetStats:
@@ -196,14 +198,15 @@ def search_topic_a(index: Index, compiled: CompiledTopicA,
         return None
 
     def ranking_for(p: ScoringParamsA, idf_map=None, extra=None, reference=None):
+        table = category_factors(reference, index, p.k_cat) if p.use_category else None
         if compiled.lattice:
             scorer = _lattice_scorer(index, compiled, p, qstats, idf_map,
-                                     extra or {}, reference)
+                                     extra or {}, table)
         else:
             full = dict(vector)
             if extra:
                 full.update(extra)
-            scorer = _vector_scorer(index, full, p, qstats, idf_map, reference)
+            scorer = _vector_scorer(index, full, p, qstats, idf_map, table)
         return rank(index, scorer, cutoff, compiled.query_id)
 
     neutral = replace(params, use_category=False)

@@ -10,8 +10,13 @@ Two scorers share the TF machinery:
                         K_cat(d) · [Σ_t TF·IDF·TF_q·K_loc(d,t)·rarity(t) · w_t
                         + length_bonus(d)].
 
-``bm11_retrieval`` is the one BM11 first retrieval that search, the feedback
-sweep and cross-lingual document expansion share.
+``bm11_rank`` is System B's one ranking: it computes ``rank`` over
+``score_bm11`` term-at-a-time, adding each query word's contribution to the
+documents in its postings (Turtle & Flood, "Query evaluation: strategies and
+optimizations", IPM 1995).  ``bm11_retrieval``, the first retrieval that
+search, the feedback sweep and cross-lingual document expansion share, and
+the feedback pass both rank through it.  ``score_bm11`` and ``rank`` stay as
+System A's per-document ranking and as the plain oracle of ``bm11_rank``.
 
 All logarithms are natural.  Terms unseen in the collection (df = 0)
 contribute nothing; ``prune_vector`` drops them up front.
@@ -19,6 +24,7 @@ contribute nothing; ``prune_vector`` drops them up front.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -130,6 +136,17 @@ def bm11_query_weight(tf_q: int, idf_value: float, k_q: float = 1000.0) -> float
     """Query-side weight (k_q+1)·tf_q/(k_q+tf_q) · idf; equals idf at tf_q=1."""
     return (k_q + 1.0) * tf_q / (k_q + tf_q) * idf_value
 
+
+def bm11_word_weight(index: Index, word: str, tf_q: int,
+                     k_q: float = 1000.0) -> float:
+    """q(w|Q) of one word with its collection IDF; 0.0 for a word the
+    collection has never seen."""
+    df = index.term_stats(word).df
+    if df == 0:
+        return 0.0
+    return bm11_query_weight(tf_q, idf(df, index.n_docs), k_q)
+
+
 def query_tf_saturation(tf_q: int, k_q_a: float) -> float:
     """Extended scorer's TF_q: tf_q/(tf_q+k_q_a), or plain tf_q at k_q_a=inf
     (the rank-preserving limit)."""
@@ -166,6 +183,15 @@ def k_category(doc_category, first_ranking: Ranking, index: Index, k_cat: float)
     if denom == 0:
         return 1.0
     return 1.0 + k_cat * (ratio_a - ratio_b) / denom
+
+
+def category_factors(first_ranking: Ranking, index: Index,
+                     k_cat: float) -> dict[str | None, float]:
+    """``k_category`` of every category of the collection (None included)
+    against one first retrieval, so that a ranking pass computes each once
+    and looks it up per document."""
+    return {category: k_category(category, first_ranking, index, k_cat)
+            for category in (None, *index.category_counts())}
 
 
 def query_rarity_factor(term: str, qstats: QuerySetStats | None, k_nq) -> float:
@@ -235,13 +261,17 @@ def score_system_a(index: Index, doc_id: str,
                    params: ScoringParamsA,
                    qstats: QuerySetStats | None = None,
                    first_ranking: Ranking | None = None,
-                   idf_map: Mapping[str, float] | None = None) -> float:
+                   idf_map: Mapping[str, float] | None = None,
+                   category_table: Mapping[str | None, float] | None = None
+                   ) -> float:
     """Extended score over a term -> (weight, tf_q) vector.
 
     The category factor needs a first retrieval ranked with the factor
-    disabled; pass it via first_ranking whenever use_category is on.
+    disabled; pass it via first_ranking whenever use_category is on, or
+    pass its ``category_factors`` as category_table to compute K_cat once
+    per ranking pass rather than once per document.
     """
-    if params.use_category and first_ranking is None:
+    if params.use_category and first_ranking is None and category_table is None:
         raise ValueError("use_category requires the first-retrieval ranking")
     total = 0.0
     for term, (weight, tf_q) in vector.items():
@@ -250,9 +280,14 @@ def score_system_a(index: Index, doc_id: str,
     if params.use_length_bonus:
         total += length_bonus(index.doc_len(doc_id), index.avg_len)
     if params.use_category:
-        total *= k_category(index.doc_category(doc_id), first_ranking, index,
-                            params.k_cat)
+        if category_table is None:
+            category_table = category_factors(first_ranking, index, params.k_cat)
+        total *= category_table[index.doc_category(doc_id)]
     return total
+
+
+def _rank_order(pair: tuple[str, float]) -> tuple[float, str]:
+    return -pair[1], pair[0]
 
 
 def rank(index: Index, scorer: Callable[[str], float], cutoff: int,
@@ -261,20 +296,38 @@ def rank(index: Index, scorer: Callable[[str], float], cutoff: int,
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     scored = [(doc_id, scorer(doc_id)) for doc_id in index.doc_ids()]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    scored.sort(key=_rank_order)
     return Ranking(query_id, tuple(scored[:cutoff]))
+
+
+def bm11_rank(index: Index, weights: Mapping[str, float], cutoff: int,
+              query_id: str = "", k_t: float = 1.0) -> Ranking:
+    """``rank(index, lambda d: score_bm11(index, d, weights, k_t), cutoff,
+    query_id)``, computed term-at-a-time.
+
+    Words are visited in the order of ``weights``, so each document gets
+    score_bm11's additions in score_bm11's order and the same float.  A
+    document no word reaches scores 0.0, which ranks above negative scores
+    (a negative α makes them).
+    """
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    acc: dict[str, float] = {}
+    for term, weight in weights.items():
+        for doc_id in index.candidate_docs(term):
+            tf = index.doc_tf(doc_id, term)
+            if tf:
+                acc[doc_id] = acc.get(doc_id, 0.0) + tf_factor(
+                    tf, index.doc_len(doc_id), index.avg_len, k_t) * weight
+    scored = [(doc_id, acc.get(doc_id, 0.0)) for doc_id in index.doc_ids()]
+    return Ranking(query_id, tuple(heapq.nsmallest(cutoff, scored, key=_rank_order)))
 
 
 def bm11_weights(index: Index, bag: Mapping[str, int],
                  k_q: float = 1000.0) -> dict[str, float]:
     """Query-side weights q(w|Q) for every bag word the collection knows."""
-    n = index.n_docs
-    weights = {}
-    for word, tf_q in bag.items():
-        df = index.term_stats(word).df
-        if df > 0:
-            weights[word] = bm11_query_weight(tf_q, idf(df, n), k_q)
-    return weights
+    return {word: bm11_word_weight(index, word, tf_q, k_q)
+            for word, tf_q in prune_vector(index, bag).items()}
 
 
 def bm11_retrieval(index: Index, bag: Mapping[str, int], cutoff: int,
@@ -287,5 +340,4 @@ def bm11_retrieval(index: Index, bag: Mapping[str, int], cutoff: int,
     if not weights:
         return None
     pruned = {word: bag[word] for word in weights}
-    return pruned, rank(index, lambda d: score_bm11(index, d, weights), cutoff,
-                        query_id)
+    return pruned, bm11_rank(index, weights, cutoff, query_id)

@@ -160,6 +160,25 @@ class TestSearchCommand:
         header = fed.read_text(encoding="utf-8")
         assert "# feedback = True" in header
 
+    def test_negative_alpha_ranks_zero_scores_above_negative_ones(self, workspace):
+        # A negative α makes feedback scores negative; documents no query
+        # word reaches score 0 and must rank above them, in doc_id order.
+        build(workspace)
+        out = search(workspace, "run.txt", "--system", "b", "--feedback",
+                     "--alpha", "-100", "--R", "2", "--cutoff", "6")
+        rows = [line.split() for line in out.read_text(encoding="utf-8").splitlines()
+                if not line.startswith("#")]
+        ranked = {}
+        for query_id, _, doc_id, _, score, _ in rows:
+            ranked.setdefault(query_id, []).append((doc_id, score))
+        assert ranked == {
+            "q1": [("d2", "0"), ("d3", "0"), ("d4", "0"), ("d5", "0"),
+                   ("d6", "-105.997731"), ("d1", "-133.112404")],
+            "q2": [("d1", "0"), ("d2", "0"), ("d6", "0"),
+                   ("d3", "-31.9314993"), ("d4", "-141.149336"),
+                   ("d5", "-141.149336")],
+        }
+
     def test_unusable_topic_warns_in_header_and_stderr(self, workspace, capsys):
         write_jsonl(workspace / "topics.jsonl", TOPICS + [
             {"query_id": "q9", "title": "zzz qqq", "description": "zzz qqq"}])
@@ -179,6 +198,8 @@ class TestSearchCommand:
     @pytest.mark.parametrize("sidecar,text", [
         ("tokenizer.json", '{"mode": "token", "stemming": false}'),
         ("tokenizer.json", "{not json"),
+        ("tokenizer.json", '{"mode": "token", "stemming": "no", "stopwords": []}'),
+        ("tokenizer.json", '{"mode": "token", "stemming": false, "stopwords": "the"}'),
         ("mi.json", '{"unigrams": {}}'),
         ("mi.json", '{"unigrams": {}, "bigrams": {}, "total_unigrams": 0, '
                     '"total_bigrams": 0, "k_cmi": "x"}'),

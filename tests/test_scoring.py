@@ -15,7 +15,9 @@ from probir.scoring import (
     Ranking,
     ScoringParamsA,
     bm11_query_weight,
+    bm11_rank,
     bm11_retrieval,
+    bm11_word_weight,
     build_query_set_stats,
     idf,
     k_category,
@@ -389,6 +391,66 @@ class TestBm11Retrieval:
         added = {word for doc_id in top for word in tokens[doc_id]} - set(bag)
         expanded = document_expansion(bag, index, n_expand, expand_all=True)
         assert expanded == {**bag, **{word: 1 for word in added}}
+
+
+def plain_bm11_ranking(index, weights, cutoff, k_t=1.0):
+    return rank(index, lambda d: score_bm11(index, d, weights, k_t), cutoff, "q")
+
+
+class TestBm11Rank:
+    EVERY = "every"     # put in every document: df = N, idf 0
+    UNKNOWN = "qqqqqqqqqq"
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_term_at_a_time_equals_plain_ranking(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        vocab = random_vocab(rng, rng.randint(3, 12))
+        rows = [(doc_id, title, f"{body} {self.EVERY}")
+                for doc_id, title, body in
+                random_token_rows(rng, rng.randint(1, 12), vocab, max_len=12)]
+        index = make_index(rows)
+        n = index.n_docs
+        weight = st.one_of(st.floats(-50, 50), st.just(0.0), st.just(-0.0))
+        words = data.draw(st.lists(st.sampled_from(vocab + [self.UNKNOWN]),
+                                   unique=True), label="words")
+        weights = {word: data.draw(weight, label=word) for word in words}
+        if data.draw(st.booleans(), label="every"):
+            weights[self.EVERY] = bm11_word_weight(index, self.EVERY, 1)
+            assert weights[self.EVERY] == 0.0
+        cutoff = data.draw(st.integers(1, n + 2), label="cutoff")
+        k_t = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="k_t")
+
+        fast = bm11_rank(index, weights, cutoff, "q", k_t)
+        plain = plain_bm11_ranking(index, weights, cutoff, k_t)
+        assert fast.items == plain.items  # floats compared with ==
+        assert fast == plain
+
+    def test_character_mode_multi_character_words(self, char_index):
+        weights = {"ab": 1.5, "abc": -0.5, "cdcd": 2.0, "ef": 0.0,
+                   "gh": -3.0, "zz": 1.0, "a": 0.7, "xyzw": 0.25}
+        for cutoff in range(1, char_index.n_docs + 2):
+            assert (bm11_rank(char_index, weights, cutoff, "q")
+                    == plain_bm11_ranking(char_index, weights, cutoff))
+
+    def test_cutoff_below_one_raises(self, toy_index):
+        with pytest.raises(ValueError):
+            bm11_rank(toy_index, {"enterprise": 1.0}, 0)
+
+    @pytest.mark.parametrize("index_name,terms", [
+        ("char_index", ["ab", "abab", "cd", "efgh", "a", "zz", "bab"]),
+        ("toy_index", ["enterprise", "enterprise amalgamation",
+                       "amalgamation plans", "salt", "zzzz"]),
+    ])
+    def test_memoised_term_stats_equal_a_fresh_count(self, request, index_name,
+                                                     terms):
+        index = request.getfixturevalue(index_name)
+        for term in terms:
+            tfs = [index.doc_tf(doc_id, term) for doc_id in index.doc_ids()]
+            fresh = (sum(1 for tf in tfs if tf), sum(tfs))
+            first = index.term_stats(term)
+            assert (first.df, first.collection_tf) == fresh
+            assert index.term_stats(term) is first
 
 
 class TestParamsValidation:

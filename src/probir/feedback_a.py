@@ -22,10 +22,10 @@ from .scoring import (
     QuerySetStats,
     Ranking,
     ScoringParamsA,
-    category_factors,
     idf,
     rank,
-    score_system_a,
+    score_system_a,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
+    system_a_scorer,
 )
 
 ROUND_EPS = 0.5  # n_obs = floor(weighted count + 0.5)
@@ -176,13 +176,6 @@ def run_feedback_a(query_vector: Mapping[str, tuple[float, int]],
     vector, idf_map = feedback_vector(query_vector, top_docs, index, params,
                                       candidates)
     reference = category_reference if category_reference is not None else first_ranking
-    table = (category_factors(reference, index, scoring_params.k_cat)
-             if scoring_params.use_category else None)
-    return rank(
-        index,
-        lambda doc_id: score_system_a(index, doc_id, vector, scoring_params,
-                                      qstats, idf_map=idf_map,
-                                      category_table=table),
-        cutoff,
-        first_ranking.query_id,
-    )
+    return rank(index, system_a_scorer(index, vector, scoring_params, qstats,
+                                       reference, idf_map),
+                cutoff, first_ranking.query_id)

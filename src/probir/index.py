@@ -232,7 +232,10 @@ class Index:
 
     def candidate_docs(self, term: str) -> set[str]:
         """Documents holding every unit of ``term``: a superset of the docs
-        where it occurs, whose tf ``doc_tf`` then counts."""
+        where it occurs, whose tf ``doc_tf`` then counts.  The empty term
+        has none."""
+        if not term:
+            return set()
         if self.mode == TOKEN_MODE:
             tokens = term.split(TERM_SEP) if TERM_SEP in term else [term]
             maps = [self._postings.get(tok) for tok in tokens]

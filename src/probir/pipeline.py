@@ -39,20 +39,20 @@ from .scoring import (
     ScoringParamsA,
     bm11_retrieval,
     build_query_set_stats,
-    category_factors,
     k_category,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
-    length_bonus,
     prune_vector,
     rank,
     score_bm11,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
-    score_system_a,
-    system_a_term_contribution,
+    score_system_a,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
+    system_a_contributions,
+    system_a_scorer,
 )
 from .segmentation import MiTable, segment
 from .term_extraction import (
     LATTICE,
     ExtractionConfig,
     all_term_patterns,
+    check_lattice_phrase,
     extract_terms,
     lattice_best_path,
     split_phrases,
@@ -125,44 +125,40 @@ class CompiledTopicA:
 
 
 def _lattice_scorer(index: Index, compiled: CompiledTopicA,
-                    params: ScoringParamsA, qstats, idf_map,
-                    extra_terms: Mapping[str, tuple[float, int]],
-                    category_table: Mapping[str | None, float] | None
+                    params: ScoringParamsA, qstats, first_ranking, idf_map,
+                    extra_terms: Mapping[str, tuple[float, int]]
                     ) -> Callable[[str], float]:
+    """Per document: Σ over phrases of the best lattice path's score, plus
+    the extra terms, the length bonus and K_cat.
+
+    A path term's contribution (weight 1, the query's tf_q or 1) is
+    computed once for every span the DP can ask for, and only the documents
+    holding some span of a phrase run its DP; for every other document all
+    of the phrase's contributions are 0.0, and so is its path score.  A
+    phrase the lattice refuses raises even when no document holds a span.
+    """
     vector = compiled.vector
-
-    def scorer(doc_id: str) -> float:
-        cache: dict[str, float] = {}
-
-        def contribution(term: str) -> float:
-            if term not in cache:
-                weight_tfq = vector.get(term)
-                tf_q = weight_tfq.tf_q if weight_tfq is not None else 1
-                cache[term] = system_a_term_contribution(
-                    index, doc_id, term, 1.0, tf_q, params, qstats, idf_map)
-            return cache[term]
-
-        total = 0.0
-        for phrase in compiled.phrases:
-            _, path_score = lattice_best_path(phrase, contribution,
-                                              compiled.max_span, compiled.joiner)
-            total += path_score
-        for term, (weight, tf_q) in extra_terms.items():
-            total += system_a_term_contribution(index, doc_id, term, weight,
-                                                tf_q, params, qstats, idf_map)
-        if params.use_length_bonus:
-            total += length_bonus(index.doc_len(doc_id), index.avg_len)
-        if params.use_category:
-            total *= category_table[index.doc_category(doc_id)]
-        return total
-
-    return scorer
-
-
-def _vector_scorer(index, vector, params, qstats, idf_map, category_table):
-    return lambda doc_id: score_system_a(index, doc_id, vector, params, qstats,
-                                         idf_map=idf_map,
-                                         category_table=category_table)
+    contributions: dict[str, dict[str, float]] = {}
+    path_sums: dict[str, float] = {}
+    for phrase in compiled.phrases:
+        check_lattice_phrase(phrase, compiled.max_span)
+        hits: set[str] = set()
+        for i in range(1, len(phrase) + 1):
+            for j in range(i):
+                term = compiled.joiner.join(phrase[j:i])
+                if term not in contributions:
+                    entry = vector.get(term)
+                    contributions[term] = system_a_contributions(
+                        index, term, 1.0, entry.tf_q if entry is not None else 1,
+                        params, qstats, idf_map)
+                hits.update(contributions[term])
+        for doc_id in hits:
+            _, path_score = lattice_best_path(
+                phrase, lambda term: contributions[term].get(doc_id, 0.0),
+                compiled.max_span, compiled.joiner)
+            path_sums[doc_id] = path_sums.get(doc_id, 0.0) + path_score
+    return system_a_scorer(index, extra_terms, params, qstats, first_ranking,
+                           idf_map, acc=path_sums)
 
 
 def build_qstats_a(compiled: Sequence[CompiledTopicA]) -> QuerySetStats:
@@ -198,15 +194,14 @@ def search_topic_a(index: Index, compiled: CompiledTopicA,
         return None
 
     def ranking_for(p: ScoringParamsA, idf_map=None, extra=None, reference=None):
-        table = category_factors(reference, index, p.k_cat) if p.use_category else None
         if compiled.lattice:
-            scorer = _lattice_scorer(index, compiled, p, qstats, idf_map,
-                                     extra or {}, table)
+            scorer = _lattice_scorer(index, compiled, p, qstats, reference,
+                                     idf_map, extra or {})
         else:
             full = dict(vector)
             if extra:
                 full.update(extra)
-            scorer = _vector_scorer(index, full, p, qstats, idf_map, table)
+            scorer = system_a_scorer(index, full, p, qstats, reference, idf_map)
         return rank(index, scorer, cutoff, compiled.query_id)
 
     neutral = replace(params, use_category=False)

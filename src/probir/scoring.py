@@ -10,13 +10,18 @@ Two scorers share the TF machinery:
                         K_cat(d) · [Σ_t TF·IDF·TF_q·K_loc(d,t)·rarity(t) · w_t
                         + length_bonus(d)].
 
-``bm11_rank`` is System B's one ranking: it computes ``rank`` over
-``score_bm11`` term-at-a-time, adding each query word's contribution to the
-documents in its postings (Turtle & Flood, "Query evaluation: strategies and
-optimizations", IPM 1995).  ``bm11_retrieval``, the first retrieval that
-search, the feedback sweep and cross-lingual document expansion share, and
-the feedback pass both rank through it.  ``score_bm11`` and ``rank`` stay as
-System A's per-document ranking and as the plain oracle of ``bm11_rank``.
+Both systems rank term-at-a-time (Turtle & Flood, "Query evaluation:
+strategies and optimizations", IPM 1995): each query term's statistics are
+computed once, and its contribution is added to the documents in its
+postings.  ``bm11_rank`` is System B's one ranking; ``bm11_retrieval``, the
+first retrieval that search, the feedback sweep and cross-lingual document
+expansion share, and the feedback pass both rank through it.
+``system_a_scorer`` is System A's compiled query, built once per ranking
+pass by the vector pass, the feedback pass and the lattice (for its extra
+terms); it accumulates the term sums up front and hands ``rank`` a
+per-document lookup that adds the length bonus and K_cat.
+``score_bm11`` and ``score_system_a`` are only the plain per-document
+oracles of the two fast paths; neither system ranks through them.
 
 All logarithms are natural.  Terms unseen in the collection (df = 0)
 contribute nothing; ``prune_vector`` drops them up front.
@@ -27,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ZeroDocumentFrequencyError
 from .index import IN_TITLE, Index
@@ -261,17 +266,13 @@ def score_system_a(index: Index, doc_id: str,
                    params: ScoringParamsA,
                    qstats: QuerySetStats | None = None,
                    first_ranking: Ranking | None = None,
-                   idf_map: Mapping[str, float] | None = None,
-                   category_table: Mapping[str | None, float] | None = None
-                   ) -> float:
+                   idf_map: Mapping[str, float] | None = None) -> float:
     """Extended score over a term -> (weight, tf_q) vector.
 
     The category factor needs a first retrieval ranked with the factor
-    disabled; pass it via first_ranking whenever use_category is on, or
-    pass its ``category_factors`` as category_table to compute K_cat once
-    per ranking pass rather than once per document.
+    disabled; pass it via first_ranking whenever use_category is on.
     """
-    if params.use_category and first_ranking is None and category_table is None:
+    if params.use_category and first_ranking is None:
         raise ValueError("use_category requires the first-retrieval ranking")
     total = 0.0
     for term, (weight, tf_q) in vector.items():
@@ -280,14 +281,96 @@ def score_system_a(index: Index, doc_id: str,
     if params.use_length_bonus:
         total += length_bonus(index.doc_len(doc_id), index.avg_len)
     if params.use_category:
-        if category_table is None:
-            category_table = category_factors(first_ranking, index, params.k_cat)
-        total *= category_table[index.doc_category(doc_id)]
+        total *= k_category(index.doc_category(doc_id), first_ranking, index,
+                            params.k_cat)
     return total
+
+
+def system_a_contributions(index: Index, term: str, weight: float, tf_q: int,
+                           params: ScoringParamsA,
+                           qstats: QuerySetStats | None = None,
+                           idf_map: Mapping[str, float] | None = None
+                           ) -> dict[str, float]:
+    """``system_a_term_contribution`` of ``term`` for every document that
+    holds it, doc_id -> addend; every other document's addend is 0.0.
+
+    The IDF, TF_q and rarity are computed once for the term, and the factors
+    are multiplied in ``system_a_term_contribution``'s order, so each addend
+    is the same float.
+    """
+    stats = index.term_stats(term)
+    if stats.df == 0:
+        return {}
+    if idf_map is not None and term in idf_map:
+        term_idf = idf_map[term]
+    else:
+        term_idf = idf(stats.df, index.n_docs)
+    tf_q_factor = query_tf_saturation(tf_q, params.k_q_a)
+    rarity = (query_rarity_factor(term, qstats, params.k_nq)
+              if params.use_query_rarity else None)
+    addends = {}
+    for doc_id in index.candidate_docs(term):
+        tf = index.doc_tf(doc_id, term)
+        if not tf:
+            continue
+        doc_len = index.doc_len(doc_id)
+        value = (tf_factor(tf, doc_len, index.avg_len, params.k_t) * term_idf
+                 * tf_q_factor)
+        if params.use_location:
+            value *= k_location(index.first_position(doc_id, term), doc_len,
+                                params.k_loc1, params.k_loc2)
+        if rarity is not None:
+            value *= rarity
+        addends[doc_id] = value * weight
+    return addends
+
+
+def system_a_scorer(index: Index, vector: Mapping[str, tuple[float, int]],
+                    params: ScoringParamsA,
+                    qstats: QuerySetStats | None = None,
+                    first_ranking: Ranking | None = None,
+                    idf_map: Mapping[str, float] | None = None,
+                    acc: dict[str, float] | None = None
+                    ) -> Callable[[str], float]:
+    """``score_system_a`` compiled once for a ranking pass: a doc_id -> score
+    lookup equal to ``lambda d: score_system_a(index, d, vector, params,
+    qstats, first_ranking, idf_map)``.
+
+    Terms are visited in vector order and each adds its nonzero addends to a
+    per-document accumulator, so every document gets score_system_a's sum;
+    K_cat is computed once per category.  ``acc`` holds sums to start from
+    (the lattice's path scores) and is added to in place.
+    """
+    if params.use_category:
+        if first_ranking is None:
+            raise ValueError("use_category requires the first-retrieval ranking")
+        category_table = category_factors(first_ranking, index, params.k_cat)
+    acc = {} if acc is None else acc
+    for term, (weight, tf_q) in vector.items():
+        for doc_id, value in system_a_contributions(index, term, weight, tf_q,
+                                                    params, qstats, idf_map).items():
+            acc[doc_id] = acc.get(doc_id, 0.0) + value
+
+    def score(doc_id: str) -> float:
+        total = acc.get(doc_id, 0.0)
+        if params.use_length_bonus:
+            total += length_bonus(index.doc_len(doc_id), index.avg_len)
+        if params.use_category:
+            total *= category_table[index.doc_category(doc_id)]
+        return total
+
+    return score
 
 
 def _rank_order(pair: tuple[str, float]) -> tuple[float, str]:
     return -pair[1], pair[0]
+
+
+def _top(scored: Iterable[tuple[str, float]], cutoff: int,
+         query_id: str) -> Ranking:
+    """The first ``cutoff`` (doc_id, score) pairs by (score desc, doc_id
+    asc), selected with a heap rather than a full sort."""
+    return Ranking(query_id, tuple(heapq.nsmallest(cutoff, scored, key=_rank_order)))
 
 
 def rank(index: Index, scorer: Callable[[str], float], cutoff: int,
@@ -295,9 +378,8 @@ def rank(index: Index, scorer: Callable[[str], float], cutoff: int,
     """Score every document, order by (score desc, doc_id asc), truncate."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    scored = [(doc_id, scorer(doc_id)) for doc_id in index.doc_ids()]
-    scored.sort(key=_rank_order)
-    return Ranking(query_id, tuple(scored[:cutoff]))
+    return _top([(doc_id, scorer(doc_id)) for doc_id in index.doc_ids()],
+                cutoff, query_id)
 
 
 def bm11_rank(index: Index, weights: Mapping[str, float], cutoff: int,
@@ -319,8 +401,8 @@ def bm11_rank(index: Index, weights: Mapping[str, float], cutoff: int,
             if tf:
                 acc[doc_id] = acc.get(doc_id, 0.0) + tf_factor(
                     tf, index.doc_len(doc_id), index.avg_len, k_t) * weight
-    scored = [(doc_id, acc.get(doc_id, 0.0)) for doc_id in index.doc_ids()]
-    return Ranking(query_id, tuple(heapq.nsmallest(cutoff, scored, key=_rank_order)))
+    return _top([(doc_id, acc.get(doc_id, 0.0)) for doc_id in index.doc_ids()],
+                cutoff, query_id)
 
 
 def bm11_weights(index: Index, bag: Mapping[str, int],

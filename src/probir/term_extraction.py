@@ -141,6 +141,19 @@ def extract_terms(phrases: Sequence[Sequence[str]], config: ExtractionConfig,
 LATTICE_SPAN_FACTOR = 8
 
 
+def check_lattice_phrase(phrase: Sequence[str], max_span: int) -> None:
+    """Raise ValueError for a phrase the lattice refuses: empty, or longer
+    than the guard."""
+    n = len(phrase)
+    if n == 0:
+        raise ValueError("cannot build a lattice over an empty phrase")
+    if n > max_span * LATTICE_SPAN_FACTOR:
+        raise ValueError(
+            f"phrase of {n} tokens exceeds the lattice guard "
+            f"({max_span * LATTICE_SPAN_FACTOR})"
+        )
+
+
 def lattice_best_path(phrase: Sequence[str],
                       contribution: Callable[[str], float],
                       max_span: int = 6,
@@ -151,14 +164,8 @@ def lattice_best_path(phrase: Sequence[str],
     dynamic programming over token positions.  Ties prefer fewer terms, then
     the lexicographically smaller term tuple.  Returns (terms, path score).
     """
+    check_lattice_phrase(phrase, max_span)
     n = len(phrase)
-    if n == 0:
-        raise ValueError("cannot build a lattice over an empty phrase")
-    if n > max_span * LATTICE_SPAN_FACTOR:
-        raise ValueError(
-            f"phrase of {n} tokens exceeds the lattice guard "
-            f"({max_span * LATTICE_SPAN_FACTOR})"
-        )
     # best[i]: (score, term count, terms) over phrase[:i]
     best: list[tuple[float, int, tuple[str, ...]]] = [(0.0, 0, ())] + [None] * n
     for i in range(1, n + 1):

@@ -54,7 +54,7 @@ from probir.segmentation import (
 from probir.term_extraction import all_term_patterns, lattice_best_path
 from probir.index import IN_TITLE
 
-from conftest import make_index, random_token_rows, random_vocab
+from corpus_builders import make_index, random_token_rows, random_vocab
 
 
 def report(number, message):

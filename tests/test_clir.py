@@ -14,7 +14,7 @@ from probir.clir import (
 from probir.errors import ParseError
 from probir.scoring import bm11_query_weight, idf, rank, score_bm11
 
-from conftest import make_index
+from corpus_builders import make_index
 
 
 def record(rid, sources, targets):

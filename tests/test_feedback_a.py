@@ -17,7 +17,7 @@ from probir.feedback_a import (
 )
 from probir.scoring import ScoringParamsA, rank, score_system_a
 
-from conftest import make_index, random_token_rows, random_vocab
+from corpus_builders import make_index, random_token_rows, random_vocab
 
 NO_CATEGORY = ScoringParamsA(use_category=False)
 

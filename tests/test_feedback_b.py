@@ -20,7 +20,7 @@ from probir.feedback_b import (
 )
 from probir.scoring import Ranking, bm11_query_weight, idf, rank, score_bm11
 
-from conftest import make_index, random_token_rows, random_vocab
+from corpus_builders import make_index, random_token_rows, random_vocab
 
 
 class TestWordProb:

@@ -5,9 +5,15 @@ import pytest
 
 from probir.corpus import CHARACTER_MODE, TokenizerConfig, tokenize
 from probir.errors import EmptyCollectionError, IndexLoadError
-from probir.index import IN_TITLE, build_index, count_nonoverlapping, load_index
+from probir.index import (
+    IN_TITLE,
+    TermStats,
+    build_index,
+    count_nonoverlapping,
+    load_index,
+)
 
-from conftest import make_collection, make_index, random_token_rows, random_vocab
+from corpus_builders import make_collection, make_index, random_token_rows, random_vocab
 
 
 def naive_char_tf(text, term):
@@ -168,6 +174,13 @@ class TestCharacterIndex:
         assert index.first_position("d1", "xy") == IN_TITLE
         assert index.first_position("d1", "ab") == 1
         assert index.first_position("d1", "b") == 2
+
+
+@pytest.mark.parametrize("index_name", ["toy_index", "char_index"])
+def test_empty_term_has_no_candidates_and_no_statistics(request, index_name):
+    index = request.getfixturevalue(index_name)
+    assert index.candidate_docs("") == set()
+    assert index.term_stats("") == TermStats(0, 0)
 
 
 class TestBuildIndex:

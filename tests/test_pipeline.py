@@ -1,15 +1,18 @@
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probir.clir import KeywordPairRecord, build_dictionary
-from probir.corpus import QueryType, Topic, TokenizerConfig
+from probir.corpus import CHARACTER_MODE, QueryType, Topic, TokenizerConfig
 from probir.errors import EmptyQueryError
 from probir.feedback_b import AUTO, FeedbackBParams
 from probir.pipeline import (
     CompiledTopicA,
+    _lattice_scorer,
     clir_topic,
     compile_bag,
     compile_phrases,
@@ -19,11 +22,36 @@ from probir.pipeline import (
     search_system_b,
     search_topic_b,
     sweep_b,
+    term_joiner,
 )
-from probir.scoring import Ranking, ScoringParamsA, bm11_weights, rank, score_bm11
-from probir.term_extraction import ALL_PATTERNS, LATTICE, SHORTEST, ExtractionConfig
+from probir.scoring import (
+    RARITY_ALL,
+    RARITY_OFF,
+    RARITY_TITLE,
+    Ranking,
+    ScoringParamsA,
+    bm11_weights,
+    build_query_set_stats,
+    k_category,
+    length_bonus,
+    rank,
+    score_bm11,
+    score_system_a,
+    system_a_scorer,
+    system_a_term_contribution,
+)
+from probir.term_extraction import (
+    ALL_PATTERNS,
+    DOWN_WEIGHT,
+    LATTICE,
+    SHORTEST,
+    ExtractionConfig,
+    all_term_patterns,
+    extract_terms,
+    lattice_best_path,
+)
 
-from conftest import make_index, random_token_rows, random_vocab
+from corpus_builders import make_index, random_token_rows, random_vocab
 
 TOK = TokenizerConfig()
 
@@ -47,8 +75,6 @@ class TestCompileBag:
         assert sequence == ["alpha", "beta"]
 
     def test_character_mode_needs_statistics(self):
-        from probir.corpus import CHARACTER_MODE
-
         config = TokenizerConfig(mode=CHARACTER_MODE)
         with pytest.raises(ValueError):
             compile_phrases(topic("q1", "abcd"), QueryType.VERY_SHORT, config)
@@ -159,6 +185,148 @@ class TestSearchSystemA:
             self.index, topics, QueryType.VERY_SHORT, TOK,
             ExtractionConfig(ALL_PATTERNS, max_span=2), self.params)
         assert rankings[0].doc_ids()
+
+
+def lattice_oracle(index, compiled, params, qstats, first_ranking, idf_map,
+                   extra_terms):
+    """The plain per-document lattice scorer: every phrase's DP for every
+    document, each term's contribution from ``system_a_term_contribution``,
+    then the extra terms, the length bonus and K_cat."""
+    vector = compiled.vector
+
+    def scorer(doc_id):
+        cache = {}
+
+        def contribution(term):
+            if term not in cache:
+                weight_tfq = vector.get(term)
+                tf_q = weight_tfq.tf_q if weight_tfq is not None else 1
+                cache[term] = system_a_term_contribution(
+                    index, doc_id, term, 1.0, tf_q, params, qstats, idf_map)
+            return cache[term]
+
+        total = 0.0
+        for phrase in compiled.phrases:
+            _, path_score = lattice_best_path(phrase, contribution,
+                                              compiled.max_span, compiled.joiner)
+            total += path_score
+        for term, (weight, tf_q) in extra_terms.items():
+            total += system_a_term_contribution(index, doc_id, term, weight,
+                                                tf_q, params, qstats, idf_map)
+        if params.use_length_bonus:
+            total += length_bonus(index.doc_len(doc_id), index.avg_len)
+        if params.use_category:
+            total *= k_category(index.doc_category(doc_id), first_ranking,
+                                index, params.k_cat)
+        return total
+
+    return scorer
+
+
+class TestCompiledSystemA:
+    """``system_a_scorer`` and the pipeline's lattice scorer against the
+    plain per-document oracles, on random token and character corpora."""
+
+    ALPHABET = "abcde"
+    UNKNOWN = "qqqqqqqqqq"  # longer than any random word or string
+
+    def corpus(self, rng, mode):
+        """An index, and query phrases over its words (plus an unknown one)."""
+        categories = ["x", "y", "z", None]
+        if mode == CHARACTER_MODE:
+            def text(low, high):
+                return "".join(rng.choices(self.ALPHABET, k=rng.randint(low, high)))
+            rows = [(f"c{i:02d}", text(0, 5), text(1, 30), rng.choice(categories))
+                    for i in range(rng.randint(1, 10))]
+            words = [text(1, 3) for _ in range(6)]
+        else:
+            vocab = random_vocab(rng, rng.randint(3, 8))
+            rows = random_token_rows(rng, rng.randint(1, 10), vocab, max_len=15,
+                                     categories=categories)
+            words = vocab
+        words = words + [self.UNKNOWN]
+        phrases = [rng.choices(words, k=rng.randint(1, 5))
+                   for _ in range(rng.randint(1, 3))]
+        return make_index(rows, mode=mode), phrases
+
+    def draw_setting(self, data, rng, index, terms):
+        params = ScoringParamsA(
+            k_t=data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="k_t"),
+            k_q_a=data.draw(st.sampled_from([math.inf, 1.0]), label="k_q_a"),
+            k_nq=data.draw(st.sampled_from([RARITY_OFF, RARITY_ALL, RARITY_TITLE]),
+                           label="k_nq"),
+            use_location=data.draw(st.booleans(), label="location"),
+            use_category=data.draw(st.booleans(), label="category"),
+            use_length_bonus=data.draw(st.booleans(), label="length"),
+            use_query_rarity=data.draw(st.booleans(), label="rarity"),
+        )
+        queries = [(set(rng.sample(terms, rng.randint(1, len(terms)))),
+                    set(rng.sample(terms, rng.randint(0, len(terms)))))
+                   for _ in range(rng.randint(1, 4))]
+        qstats = build_query_set_stats(queries)
+        idf_map = None
+        if data.draw(st.booleans(), label="idf_map"):
+            idf_map = {term: rng.choice([0.0, rng.uniform(0, 3)])
+                       for term in rng.sample(terms, rng.randint(0, len(terms)))}
+        docs = list(index.doc_ids())
+        rng.shuffle(docs)
+        first = Ranking("q", tuple((d, 0.0) for d in docs[:rng.randint(0, len(docs))]))
+        return params, qstats, idf_map, first
+
+    def extra_terms(self, rng, terms):
+        return {term: (rng.choice([1.0, 0.5]), rng.randint(1, 2))
+                for term in rng.sample(terms, rng.randint(0, min(3, len(terms))))}
+
+    def assert_same(self, index, fast, oracle):
+        docs = index.doc_ids()
+        assert [fast(d) for d in docs] == [oracle(d) for d in docs]
+        n = index.n_docs
+        assert rank(index, fast, n, "q").items == rank(index, oracle, n, "q").items
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(),
+           mode=st.sampled_from(["token", CHARACTER_MODE]),
+           strategy=st.sampled_from([SHORTEST, ALL_PATTERNS, DOWN_WEIGHT, LATTICE]))
+    def test_compiled_scorer_equals_oracle(self, data, mode, strategy):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        index, phrases = self.corpus(rng, mode)
+        joiner = term_joiner(mode)
+        max_span = data.draw(st.integers(1, 4), label="max_span")
+        if strategy == LATTICE:
+            vector = all_term_patterns(phrases, max_span, joiner)
+        else:
+            extraction = ExtractionConfig(strategy, max_span=max_span)
+            vector = extract_terms(phrases, extraction, joiner)
+        terms = sorted(vector) + sorted({w for phrase in phrases for w in phrase})
+        params, qstats, idf_map, first = self.draw_setting(data, rng, index, terms)
+        extra = self.extra_terms(rng, terms)
+
+        if strategy == LATTICE:
+            compiled = SimpleNamespace(vector=vector, phrases=phrases,
+                                       max_span=max_span, joiner=joiner)
+            fast = _lattice_scorer(index, compiled, params, qstats, first,
+                                   idf_map, extra)
+            oracle = lattice_oracle(index, compiled, params, qstats, first,
+                                    idf_map, extra)
+        else:
+            full = {**vector, **extra}
+            fast = system_a_scorer(index, full, params, qstats, first, idf_map)
+
+            def oracle(doc_id):
+                return score_system_a(index, doc_id, full, params, qstats,
+                                      first, idf_map)
+        self.assert_same(index, fast, oracle)
+
+    def test_category_needs_a_first_ranking(self, toy_index):
+        with pytest.raises(ValueError):
+            system_a_scorer(toy_index, {"enterprise": (1.0, 1)}, ScoringParamsA())
+
+    def test_lattice_guard_holds_without_hits(self, toy_index):
+        compiled = SimpleNamespace(vector={}, phrases=[["zzz"] * 20],
+                                   max_span=2, joiner=" ")
+        with pytest.raises(ValueError, match="lattice guard"):
+            _lattice_scorer(toy_index, compiled, ScoringParamsA(use_category=False),
+                            None, None, None, {})
 
 
 def dictionary_from(pairs):

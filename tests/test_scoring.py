@@ -32,7 +32,7 @@ from probir.scoring import (
     tf_factor,
 )
 
-from conftest import make_index, random_token_rows, random_vocab
+from corpus_builders import make_index, random_token_rows, random_vocab
 
 ALL_OFF = ScoringParamsA(use_location=False, use_category=False,
                          use_length_bonus=False, use_query_rarity=False)

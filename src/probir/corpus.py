@@ -221,12 +221,15 @@ def load_documents(path) -> DocumentCollection:
     """Load a JSONL document file; duplicate doc_ids are rejected by line."""
     collection = DocumentCollection()
     for line_no, record in _read_jsonl(path):
+        category = record.get("category")
+        if category is not None and not isinstance(category, str):
+            raise ParseError(path, line_no, "category must be a string or null")
         try:
             doc = Document(
                 doc_id=str(record["doc_id"]),
                 title=str(record.get("title", "") or ""),
                 body=str(record.get("body", "") or ""),
-                category=record.get("category"),
+                category=category,
             )
         except KeyError as exc:
             raise ParseError(path, line_no, f"missing field {exc.args[0]!r}") from exc

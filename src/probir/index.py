@@ -1,17 +1,16 @@
 """Searchable statistics store over a document collection.
 
-Two variants share one interface:
+One layout serves both tokenizer modes.  Every document keeps its analysed
+title and body *streams*: a tuple of word tokens in token mode, a string of
+characters in character mode.  A *unit* is one element of a stream, and a
+single unit → doc → tf map holds the postings.  A *term* is a run of
+consecutive units ("enterprise amalgamation" is two token units, "東京" two
+character units); it is found by scanning the streams of the documents that
+hold all of its units.
 
-* token mode      -- classic inverted index over word tokens; multi-word terms
-                     ("enterprise amalgamation") are counted as adjacent-token
-                     sequences.
-* character mode  -- positional unigram/bigram index over the title and body
-                     character streams; any substring's frequency is recovered
-                     by positional intersection of its constituent bigrams.
-
-Occurrences are counted non-overlapping, positions are 1-based, and title
-occurrences are kept separate from body positions.  An Index is immutable
-once built and safe to share across readers.
+Occurrences are counted non-overlapping, in the title and the body
+separately (a match never spans the two), and body positions are 1-based.
+An Index is immutable once built and safe to share across readers.
 """
 
 from __future__ import annotations
@@ -21,13 +20,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import CHARACTER_MODE, TOKEN_MODE, DocumentCollection, TokenizerConfig, tokenize
 from .errors import DocumentNotFoundError, EmptyCollectionError, IndexLoadError
 
 FORMAT_NAME = "probir-index"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DOCUMENTS_FILE = "documents.json"
 
 # Sentinel returned by first_position for a term that occurs in the title.
 IN_TITLE = "title"
@@ -54,59 +54,38 @@ def count_nonoverlapping(starts: Iterable[int], width: int) -> int:
     return count
 
 
-def _sequence_starts(haystack: tuple[str, ...], needle: tuple[str, ...]) -> list[int]:
-    """1-based start positions of a token sequence inside a token tuple."""
+def _sequence_starts(haystack: Sequence[str], needle: Sequence[str]) -> list[int]:
+    """1-based start positions of a unit run inside a stream (a tuple of
+    tokens or a string of characters)."""
     n, m = len(haystack), len(needle)
     if m == 0 or m > n:
         return []
     first = needle[0]
-    return [
-        i + 1
-        for i in range(n - m + 1)
-        if haystack[i] == first and haystack[i : i + m] == needle
-    ]
+    stop = n - m + 1  # one past the last start that fits
+    starts = []
+    i = -1
+    try:
+        while True:
+            i = haystack.index(first, i + 1, stop)
+            if haystack[i : i + m] == needle:
+                starts.append(i + 1)
+    except ValueError:
+        return starts
 
 
-class _TokenDoc:
-    __slots__ = ("title_tokens", "body_tokens", "category", "tf", "title_set",
-                 "_first_body", "length")
-
-    def __init__(self, title_tokens, body_tokens, category):
-        self.title_tokens = tuple(title_tokens)
-        self.body_tokens = tuple(body_tokens)
-        self.category = category
-        self.length = len(self.title_tokens) + len(self.body_tokens)
-        self.tf = Counter(self.title_tokens)
-        self.tf.update(self.body_tokens)
-        self.title_set = frozenset(self.title_tokens)
-        self._first_body = {}
-        for pos, tok in enumerate(self.body_tokens, start=1):
-            self._first_body.setdefault(tok, pos)
-
-    def first_body_position(self, token):
-        return self._first_body.get(token)
-
-
-class _CharDoc:
-    __slots__ = ("title", "body", "category", "tf", "length")
+class _Doc:
+    __slots__ = ("title", "body", "category", "tf", "length", "first_body")
 
     def __init__(self, title, body, category):
         self.title = title
         self.body = body
         self.category = category
+        self.length = len(title) + len(body)
+        # the bag iterates in first-occurrence order, title then body
         self.tf = Counter(title)
         self.tf.update(body)
-        self.length = len(title) + len(body)
-
-
-def _gram_positions(text: str) -> dict[str, list[int]]:
-    """1-based positions of every unigram and bigram in ``text``."""
-    grams: dict[str, list[int]] = {}
-    for i, ch in enumerate(text):
-        grams.setdefault(ch, []).append(i + 1)
-    for i in range(len(text) - 1):
-        grams.setdefault(text[i : i + 2], []).append(i + 1)
-    return grams
+        # unit -> first 1-based body position: the earliest write wins
+        self.first_body = dict(zip(reversed(body), range(len(body), 0, -1)))
 
 
 class Index:
@@ -117,15 +96,8 @@ class Index:
 
     def __init__(self, mode: str):
         self.mode = mode
-        self._docs: dict[str, _TokenDoc | _CharDoc] = {}
-        self._order: list[str] = []
-        # token mode: term -> {doc_id: tf}
-        self._postings: dict[str, dict[str, int]] = {}
-        # character mode: field -> gram -> {doc_id: [positions]}
-        self._grams: dict[str, dict[str, dict[str, list[int]]]] = {
-            "title": {},
-            "body": {},
-        }
+        self._docs: dict[str, _Doc] = {}  # in collection order
+        self._postings: dict[str, dict[str, int]] = {}  # unit -> {doc_id: tf}
         self.n_docs = 0
         self.total_len = 0
         self.avg_len = 0.0
@@ -134,24 +106,18 @@ class Index:
 
     # -- construction ----------------------------------------------------
 
-    def _add_token_doc(self, doc_id, title_tokens, body_tokens, category):
-        entry = _TokenDoc(title_tokens, body_tokens, category)
-        self._docs[doc_id] = entry
-        self._order.append(doc_id)
-        for term, tf in entry.tf.items():
-            self._postings.setdefault(term, {})[doc_id] = tf
+    def _stream(self, units: Iterable[str]) -> tuple[str, ...] | str:
+        """A field's stream: a string of characters, or a tuple of tokens."""
+        return "".join(units) if self.mode == CHARACTER_MODE else tuple(units)
 
-    def _add_char_doc(self, doc_id, title, body, category):
-        entry = _CharDoc(title, body, category)
+    def _add_doc(self, doc_id, title, body, category):
+        entry = _Doc(self._stream(title), self._stream(body), category)
         self._docs[doc_id] = entry
-        self._order.append(doc_id)
-        for field, text in (("title", title), ("body", body)):
-            table = self._grams[field]
-            for gram, positions in _gram_positions(text).items():
-                table.setdefault(gram, {})[doc_id] = positions
+        for unit, tf in entry.tf.items():
+            self._postings.setdefault(unit, {})[doc_id] = tf
 
     def _finalize(self):
-        self.n_docs = len(self._order)
+        self.n_docs = len(self._docs)
         self.total_len = sum(e.length for e in self._docs.values())
         self.avg_len = self.total_len / self.n_docs if self.n_docs else 0.0
         self._category_counts = Counter(
@@ -161,7 +127,7 @@ class Index:
     # -- lookups ----------------------------------------------------------
 
     def doc_ids(self) -> tuple[str, ...]:
-        return tuple(self._order)
+        return tuple(self._docs)
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._docs
@@ -182,7 +148,8 @@ class Index:
         return self._entry(doc_id).category
 
     def doc_terms(self, doc_id: str) -> Mapping[str, int]:
-        """Word bag of one document (token counts, or character counts)."""
+        """Unit bag of one document (token or character counts), in
+        first-occurrence order, title then body."""
         return self._entry(doc_id).tf
 
     def doc_text(self, doc_id: str) -> tuple[str, str]:
@@ -197,38 +164,22 @@ class Index:
 
     # -- term statistics --------------------------------------------------
 
+    def _units(self, term: str) -> tuple[str, ...] | str:
+        """The units of a term, comparable with a slice of a stream."""
+        return term if self.mode == CHARACTER_MODE else tuple(term.split(TERM_SEP))
+
     def doc_tf(self, doc_id: str, term: str) -> int:
         """Occurrences of ``term`` in one document (title + body)."""
         entry = self._entry(doc_id)
-        if self.mode == TOKEN_MODE:
-            if TERM_SEP in term:
-                seq = tuple(term.split(TERM_SEP))
-                return count_nonoverlapping(
-                    _sequence_starts(entry.title_tokens, seq), len(seq)
-                ) + count_nonoverlapping(_sequence_starts(entry.body_tokens, seq), len(seq))
-            return entry.tf.get(term, 0)
-        return sum(
-            count_nonoverlapping(self._char_starts(field, doc_id, term), len(term))
-            for field in ("title", "body")
-        )
-
-    def _char_starts(self, field: str, doc_id: str, term: str) -> list[int]:
-        """Match start positions by positional intersection of constituent grams."""
-        if not term:
-            return []
-        table = self._grams[field]
-        if len(term) == 1:
-            return table.get(term, {}).get(doc_id, [])
-        first = table.get(term[0:2], {}).get(doc_id)
-        if not first:
-            return []
-        offsets = []
-        for i in range(1, len(term) - 1):
-            positions = table.get(term[i : i + 2], {}).get(doc_id)
-            if not positions:
-                return []
-            offsets.append((i, set(positions)))
-        return [p for p in first if all(p + i in posset for i, posset in offsets)]
+        tf = entry.tf.get(term)
+        if tf is not None:  # a single unit of this document
+            return tf
+        units = self._units(term)
+        width = len(units)
+        if width < 2:  # a single unit absent from this document
+            return 0
+        return (count_nonoverlapping(_sequence_starts(entry.title, units), width)
+                + count_nonoverlapping(_sequence_starts(entry.body, units), width))
 
     def candidate_docs(self, term: str) -> set[str]:
         """Documents holding every unit of ``term``: a superset of the docs
@@ -236,29 +187,14 @@ class Index:
         has none."""
         if not term:
             return set()
-        if self.mode == TOKEN_MODE:
-            tokens = term.split(TERM_SEP) if TERM_SEP in term else [term]
-            maps = [self._postings.get(tok) for tok in tokens]
-            if any(m is None for m in maps):
-                return set()
-            maps.sort(key=len)
-            docs = set(maps[0])
-            for m in maps[1:]:
-                docs &= m.keys()
-            return docs
-        candidates: set[str] = set()
-        for field in ("title", "body"):
-            table = self._grams[field]
-            grams = [term] if len(term) == 1 else [term[i : i + 2] for i in range(len(term) - 1)]
-            maps = [table.get(g) for g in grams]
-            if any(m is None for m in maps):
-                continue
-            maps.sort(key=len)
-            docs = set(maps[0])
-            for m in maps[1:]:
-                docs &= m.keys()
-            candidates |= docs
-        return candidates
+        maps = [self._postings.get(unit) for unit in set(self._units(term))]
+        if None in maps:
+            return set()
+        maps.sort(key=len)
+        docs = set(maps[0])
+        for m in maps[1:]:
+            docs &= m.keys()
+        return docs
 
     def term_stats(self, term: str) -> TermStats:
         """df and collection frequency; unseen terms yield (0, 0).  Computed
@@ -269,10 +205,8 @@ class Index:
         return stats
 
     def _compute_term_stats(self, term: str) -> TermStats:
-        if self.mode == TOKEN_MODE and TERM_SEP not in term:
-            posting = self._postings.get(term)
-            if not posting:
-                return TermStats(0, 0)
+        posting = self._postings.get(term)
+        if posting is not None:  # a single unit
             return TermStats(len(posting), sum(posting.values()))
         df = 0
         collection_tf = 0
@@ -290,61 +224,43 @@ class Index:
         """IN_TITLE if the term appears in the title, else the first body
         position (1-based), else None."""
         entry = self._entry(doc_id)
-        if self.mode == TOKEN_MODE:
-            if TERM_SEP in term:
-                seq = tuple(term.split(TERM_SEP))
-                if _sequence_starts(entry.title_tokens, seq):
-                    return IN_TITLE
-                starts = _sequence_starts(entry.body_tokens, seq)
-                return starts[0] if starts else None
-            if term in entry.title_set:
+        if term in entry.tf:  # a single unit of this document
+            if term in entry.title:
                 return IN_TITLE
-            return entry.first_body_position(term)
-        if self._char_starts("title", doc_id, term):
+            return entry.first_body[term]
+        units = self._units(term)
+        if len(units) < 2:
+            return None
+        if _sequence_starts(entry.title, units):
             return IN_TITLE
-        starts = self._char_starts("body", doc_id, term)
+        starts = _sequence_starts(entry.body, units)
         return starts[0] if starts else None
 
     # -- persistence -------------------------------------------------------
 
-    def _documents_payload(self) -> dict:
-        docs = []
-        for doc_id in self._order:
-            entry = self._docs[doc_id]
-            record = {"doc_id": doc_id, "category": entry.category}
-            if self.mode == TOKEN_MODE:
-                record["title_tokens"] = list(entry.title_tokens)
-                record["body_tokens"] = list(entry.body_tokens)
-            else:
-                record["title"] = entry.title
-                record["body"] = entry.body
-            docs.append(record)
-        return {"docs": docs}
-
-    def _postings_payload(self) -> dict:
-        if self.mode == TOKEN_MODE:
-            return {"terms": self._postings}
-        return {"grams": self._grams}
-
     def save(self, path) -> None:
-        """Write the index as a directory: meta.json + documents.json + postings.json."""
+        """Write the index as a directory: meta.json + documents.json.
+
+        documents.json holds every document's streams; the postings are
+        rebuilt from them on load.
+        """
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        checksums = {}
-        for name, payload in (
-            ("documents.json", self._documents_payload()),
-            ("postings.json", self._postings_payload()),
-        ):
-            data = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
-            (path / name).write_bytes(data)
-            checksums[name] = hashlib.sha256(data).hexdigest()
+        docs = [
+            {"doc_id": doc_id, "category": entry.category,
+             "title": entry.title, "body": entry.body}
+            for doc_id, entry in self._docs.items()
+        ]
+        data = json.dumps({"docs": docs}, sort_keys=True,
+                          ensure_ascii=False).encode("utf-8")
+        (path / DOCUMENTS_FILE).write_bytes(data)
         meta = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
             "mode": self.mode,
             "n_docs": self.n_docs,
             "avg_len": self.avg_len,
-            "checksums": checksums,
+            "checksums": {DOCUMENTS_FILE: hashlib.sha256(data).hexdigest()},
         }
         (path / "meta.json").write_text(
             json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -357,20 +273,8 @@ def build_index(collection: DocumentCollection, config: TokenizerConfig) -> Inde
         raise EmptyCollectionError("cannot index an empty collection")
     index = Index(config.mode)
     for doc in collection:
-        if config.mode == TOKEN_MODE:
-            index._add_token_doc(
-                doc.doc_id,
-                tokenize(doc.title, config),
-                tokenize(doc.body, config),
-                doc.category,
-            )
-        else:
-            index._add_char_doc(
-                doc.doc_id,
-                "".join(tokenize(doc.title, config)),
-                "".join(tokenize(doc.body, config)),
-                doc.category,
-            )
+        index._add_doc(doc.doc_id, tokenize(doc.title, config),
+                       tokenize(doc.body, config), doc.category)
     index._finalize()
     return index
 
@@ -390,16 +294,14 @@ def _load_json(path: Path, name: str, expected_checksum: str | None):
         raise IndexLoadError(f"{file_path}: unreadable JSON ({exc})") from exc
 
 
-def load_index(path, expected_mode: str | None = None) -> Index:
-    """Load a saved index; verifies version, checksums, and (optionally) mode."""
-    path = Path(path)
+def _load_meta(path: Path, expected_mode: str | None) -> dict:
     meta = _load_json(path, "meta.json", None)
-    if meta.get("format") != FORMAT_NAME:
+    if not isinstance(meta, dict) or meta.get("format") != FORMAT_NAME:
         raise IndexLoadError(f"{path}: not a {FORMAT_NAME} directory")
     if meta.get("version") != FORMAT_VERSION:
         raise IndexLoadError(
             f"{path}: unsupported index version {meta.get('version')!r} "
-            f"(expected {FORMAT_VERSION})"
+            f"(expected {FORMAT_VERSION}); re-run `probir index` to rebuild it"
         )
     mode = meta.get("mode")
     if mode not in (TOKEN_MODE, CHARACTER_MODE):
@@ -408,37 +310,40 @@ def load_index(path, expected_mode: str | None = None) -> Index:
         raise IndexLoadError(
             f"{path}: index mode is {mode!r} but the pipeline expects {expected_mode!r}"
         )
-    checksums = meta.get("checksums", {})
-    documents = _load_json(path, "documents.json", checksums.get("documents.json"))
-    postings = _load_json(path, "postings.json", checksums.get("postings.json"))
+    checksums = meta.get("checksums")
+    if not isinstance(checksums, dict) or not isinstance(checksums.get(DOCUMENTS_FILE), str):
+        raise IndexLoadError(f"{path}: meta.json has no checksum for {DOCUMENTS_FILE}")
+    return meta
 
-    index = Index(mode)
+
+def load_index(path, expected_mode: str | None = None) -> Index:
+    """Load a saved index; verifies version, checksum, mode and the type of
+    every stored field, then rebuilds the postings as build_index does."""
+    path = Path(path)
+    meta = _load_meta(path, expected_mode)
+    documents = _load_json(path, DOCUMENTS_FILE, meta["checksums"][DOCUMENTS_FILE])
+    index = Index(meta["mode"])
+    stream_type, kind = (str, "strings") if index.mode == CHARACTER_MODE else (list, "lists")
     try:
         for record in documents["docs"]:
-            if mode == TOKEN_MODE:
-                entry = _TokenDoc(
-                    record["title_tokens"], record["body_tokens"], record["category"]
+            doc_id, category = record["doc_id"], record["category"]
+            title, body = record["title"], record["body"]
+            if not isinstance(doc_id, str) or doc_id in index:
+                raise IndexLoadError(f"{path}: bad or repeated doc_id {doc_id!r}")
+            if category is not None and not isinstance(category, str):
+                raise IndexLoadError(f"{path}: document {doc_id!r}: category is not a string")
+            if not (isinstance(title, stream_type) and isinstance(body, stream_type)):
+                raise IndexLoadError(
+                    f"{path}: document {doc_id!r}: title and body must be "
+                    f"{kind} in {index.mode} mode"
                 )
-            else:
-                entry = _CharDoc(record["title"], record["body"], record["category"])
-            index._docs[record["doc_id"]] = entry
-            index._order.append(record["doc_id"])
-        if mode == TOKEN_MODE:
-            index._postings = {
-                term: dict(docs) for term, docs in postings["terms"].items()
-            }
-        else:
-            index._grams = {
-                field: {
-                    gram: {doc: list(map(int, pos)) for doc, pos in docs.items()}
-                    for gram, docs in table.items()
-                }
-                for field, table in postings["grams"].items()
-            }
+            index._add_doc(doc_id, title, body, category)
+            if not all(isinstance(unit, str) for unit in index._docs[doc_id].tf):
+                raise IndexLoadError(f"{path}: document {doc_id!r}: a token is not a string")
     except (KeyError, TypeError) as exc:
         raise IndexLoadError(f"{path}: malformed index payload ({exc!r})") from exc
     index._finalize()
-    if index.n_docs != meta.get("n_docs"):
+    if index.n_docs == 0 or index.n_docs != meta.get("n_docs"):
         raise IndexLoadError(
             f"{path}: document count {index.n_docs} does not match metadata"
         )

@@ -1,5 +1,6 @@
 """End-to-end command surface tests driving cli.main in tmp directories."""
 
+import hashlib
 import io
 import json
 
@@ -57,10 +58,8 @@ def search(tmp_path, out_name, *flags):
 class TestIndexCommand:
     def test_writes_index_files(self, workspace, capsys):
         out = build(workspace)
-        for name in ("documents.json", "postings.json", "meta.json",
-                     "tokenizer.json"):
-            assert (out / name).exists()
-        assert not (out / "mi.json").exists()
+        names = {path.name for path in out.iterdir()}
+        assert names == {"documents.json", "meta.json", "tokenizer.json"}
         message = capsys.readouterr().out
         assert "indexed 6 documents (token mode)" in message
 
@@ -78,6 +77,18 @@ class TestIndexCommand:
         out = build(workspace, "--stopwords", str(workspace / "stop.txt"))
         payload = json.loads((out / "tokenizer.json").read_text(encoding="utf-8"))
         assert payload["stopwords"] == ["and", "the"]
+
+    def test_list_category_exits_2_naming_the_line(self, workspace, capsys):
+        write_jsonl(workspace / "bad.jsonl", [
+            DOCS[0],
+            {"doc_id": "d9", "title": "alpha", "body": "beta", "category": ["x"]},
+        ])
+        code = main(["index", "--docs", str(workspace / "bad.jsonl"),
+                     "--out", str(workspace / "idx")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "bad.jsonl:2: category must be a string or null" in err
 
     def test_missing_docs_file_exits_2(self, workspace, capsys):
         code = main(["index", "--docs", str(workspace / "nope.jsonl"),
@@ -213,6 +224,23 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert sidecar in err
+
+    def test_stream_of_the_wrong_type_exits_2(self, workspace, capsys):
+        index = build(workspace)
+        path = index / "documents.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["docs"][0]["body"] = "solar panels"
+        data = json.dumps(payload).encode("utf-8")
+        path.write_bytes(data)
+        meta = json.loads((index / "meta.json").read_text(encoding="utf-8"))
+        meta["checksums"]["documents.json"] = hashlib.sha256(data).hexdigest()
+        (index / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        code = main(["search", "--index", str(index),
+                     "--topics", str(workspace / "topics.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "must be lists in token mode" in err
 
     def test_tokenizer_mode_must_match_index(self, workspace, capsys):
         index = build(workspace)

@@ -7,6 +7,10 @@ After a first retrieval, the top k_r documents reshape the query:
 * new terms are adopted when their rank-decayed document count in the top
   k_r is binomially improbable under the collection-wide rate.
 
+Both read one table of rank-weighted counts per topic (``TopDocCounts``):
+a single walk over the top documents' bags tells every unit the ranks it
+occurs at, and only terms of several units are looked up one by one.
+
 The second retrieval reuses the extended scorer with the modulated IDFs;
 adopted terms enter with weight 1, tf_q 1, and no query-membership bonus.
 """
@@ -57,28 +61,63 @@ def afw(rank_pos: int, k_r: int, k_afw: float) -> float:
     return (k_afw + 1.0) - 2.0 * k_afw * (rank_pos - 1) / (k_r - 1)
 
 
-def weighted_doc_count(term: str, top_docs: Sequence[str], index: Index,
-                       k_afw: float) -> float:
-    """Sum of afw over the top docs that contain the term."""
-    k = len(top_docs)
-    return sum(
-        afw(r, k, k_afw)
-        for r, doc_id in enumerate(top_docs, start=1)
-        if index.doc_tf(doc_id, term) > 0
-    )
+def weighted_doc_count(ranks: Iterable[int], k: int, k_afw: float) -> float:
+    """Sum of afw over the ranks (of k top docs) at which a term occurs."""
+    return sum(afw(r, k, k_afw) for r in ranks)
 
 
-def weighted_doc_ratios(term: str, top_docs: Sequence[str], index: Index,
-                        k_afw: float) -> float:
-    """Proportion of top docs containing the term, counted with the
-    rank-decayed factor."""
-    k = len(top_docs)
-    if k == 0:
-        return 0.0
-    containing = weighted_doc_count(term, top_docs, index, k_afw)
-    # Σ afw over all ranks is exactly k, but sum the terms for float fidelity.
-    denom = sum(afw(r, k, k_afw) for r in range(1, k + 1))
-    return containing / denom
+class TopDocCounts:
+    """Rank-weighted document counts of terms over one ranking's top docs.
+
+    One walk over the documents' unit bags gives every unit the ranks it
+    occurs at; a term of several units, or one no top document holds, is
+    looked up with ``Index.occurs``.  Each term's count is computed once and
+    shared by ``expansion_terms`` and ``feedback_vector``.  The ranks are
+    summed in rank order, so a count is the float a per-document walk gives.
+    """
+
+    def __init__(self, index: Index, top_docs: Sequence[str], k_afw: float):
+        self.index = index
+        self.docs = tuple(top_docs)
+        self.k_afw = k_afw
+        self._ranks: dict[str, list[int]] = {}
+        for rank_pos, doc_id in enumerate(self.docs, start=1):
+            for unit in index.doc_terms(doc_id):
+                found = self._ranks.get(unit)
+                if found is None:
+                    self._ranks[unit] = [rank_pos]
+                else:
+                    found.append(rank_pos)
+        self.units = tuple(self._ranks)  # every unit of the top docs
+        self._counts: dict[str, float] = {}
+        k = len(self.docs)
+        # Σ afw over all ranks is exactly k, but sum the terms for float fidelity.
+        self._afw_total = sum(afw(r, k, k_afw) for r in range(1, k + 1))
+
+    def ranks(self, term: str) -> list[int]:
+        """Ranks (1-based, ascending) of the top docs holding the term."""
+        found = self._ranks.get(term)
+        if found is None:
+            found = self._ranks[term] = [
+                rank_pos for rank_pos, doc_id in enumerate(self.docs, start=1)
+                if self.index.occurs(doc_id, term)
+            ]
+        return found
+
+    def count(self, term: str) -> float:
+        """Σ afw over the top docs containing the term."""
+        value = self._counts.get(term)
+        if value is None:
+            value = self._counts[term] = weighted_doc_count(
+                self.ranks(term), len(self.docs), self.k_afw)
+        return value
+
+    def ratio(self, term: str) -> float:
+        """Proportion of top docs containing the term, counted with the
+        rank-decayed factor; 0.0 without top docs."""
+        if not self.docs:
+            return 0.0
+        return self.count(term) / self._afw_total
 
 
 def feedback_idf(in_query: bool, ratio_c: float, ratio_d: float, k_af: float,
@@ -102,26 +141,28 @@ def binomial_tail(k_r: int, p0: float, n_obs: int) -> float:
 
 def expansion_terms(top_docs: Sequence[str], index: Index, k_r: int,
                     k_p: float, k_afw: float, kp_literal: bool = False,
-                    candidates: Iterable[str] | None = None) -> set[str]:
+                    candidates: Iterable[str] | None = None,
+                    counts: TopDocCounts | None = None) -> set[str]:
     """Terms whose presence across the top docs is binomially surprising.
 
     Candidates default to every term of the top documents; character-mode
     callers pass segmented words instead.  A term is adopted when the chance
     of its rank-weighted document count under the collection rate is at most
     1 - k_p (or, under kp_literal, when the tail itself reaches k_p).
+    ``counts``, when given, are the same top k_r docs' counts, which the
+    caller reads again afterwards.
     """
-    docs = list(top_docs[:k_r])
+    docs = top_docs[:k_r]
     if not docs:
         return set()
+    if counts is None:
+        counts = TopDocCounts(index, docs, k_afw)
     if candidates is None:
-        seen: set[str] = set()
-        for doc_id in docs:
-            seen.update(index.doc_terms(doc_id))
-        candidates = seen
+        candidates = counts.units
     selected = set()
     n = index.n_docs
     for term in candidates:
-        count = weighted_doc_count(term, docs, index, k_afw)
+        count = counts.count(term)
         n_obs = math.floor(count + ROUND_EPS)
         if n_obs == 0:
             continue
@@ -139,12 +180,17 @@ def feedback_vector(query_vector: Mapping[str, tuple[float, int]],
                     top_docs: Sequence[str], index: Index,
                     params: FeedbackAParams,
                     candidates: Iterable[str] | None = None):
-    """Build the second-retrieval vector and its per-term IDF map."""
+    """Build the second-retrieval vector and its per-term IDF map.
+
+    The top k_r documents are walked once (``TopDocCounts``); the adoption
+    test and the IDF modulation read the same counts."""
     vector = dict(query_vector)
     idf_map: dict[str, float] = {}
     n = index.n_docs
+    counts = TopDocCounts(index, top_docs[:params.k_r], params.k_afw)
     expanded = expansion_terms(top_docs, index, params.k_r, params.k_p,
-                               params.k_afw, params.kp_literal, candidates)
+                               params.k_afw, params.kp_literal, candidates,
+                               counts)
     for term in sorted(expanded - set(vector)):
         vector[term] = (1.0, 1)
     originals = set(query_vector)
@@ -152,8 +198,7 @@ def feedback_vector(query_vector: Mapping[str, tuple[float, int]],
         stats = index.term_stats(term)
         if stats.df == 0:
             continue
-        ratio_c = weighted_doc_ratios(term, top_docs[:params.k_r], index,
-                                      params.k_afw)
+        ratio_c = counts.ratio(term)
         ratio_d = stats.df / n
         idf_map[term] = feedback_idf(term in originals, ratio_c, ratio_d,
                                      params.k_af, idf(stats.df, n))

@@ -9,6 +9,11 @@ form filtered bags F(D_i), which are mixed into the query weights:
 R can be fixed or auto-sized per query by watching the growth of the
 selected vocabulary (stop when it accelerates), and α defaults to
 |W(F)|^(1/|W(Q)|).  Scores are Σ d(w|D)·q'(w|Q) over W(D) ∩ W(Q').
+
+A ranking's top-i bags are built once per topic (``PrefixBags``), each from
+the one before, and each bag remembers the relevance of the words it was
+asked about: auto-R, the feedback weights of the chosen R and every cell of
+a parameter sweep read the same values.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ class FeedbackBParams:
             raise ValueError("fixed R must be >= 1")
         if self.r_cap < 1:
             raise ValueError("r_cap must be >= 1")
+        if self.theta is not None and math.isnan(self.theta):
+            raise ValueError("theta must be a number")
+        if self.alpha is not None and not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
 
     def resolved_theta(self) -> float:
         return self.theta if self.theta is not None else THETA_BY_P[self.p_level]
@@ -64,25 +73,58 @@ def word_var(pr: float, size: int) -> float:
 
 
 class TopDocBag:
-    """Word bag over the top-R documents plus its collection complement."""
+    """Word bag over the top-R documents plus its collection complement.
 
-    def __init__(self, index: Index, doc_ids: Sequence[str]):
+    ``base``, when given, is the bag of all but the last of ``doc_ids``;
+    the new bag starts from a copy of its counts.  Relevance is computed
+    once per word."""
+
+    def __init__(self, index: Index, doc_ids: Sequence[str],
+                 base: TopDocBag | None = None):
         self.index = index
         self.doc_ids = tuple(doc_ids)
-        self.tf: Counter = Counter()
-        for doc_id in self.doc_ids:
-            self.tf.update(index.doc_terms(doc_id))
+        if base is None:
+            self.tf: Counter = Counter()
+            for doc_id in self.doc_ids:
+                self.tf.update(index.doc_terms(doc_id))
+        else:
+            self.tf = Counter(base.tf)
+            self.tf.update(index.doc_terms(self.doc_ids[-1]))
         self.size = sum(self.tf.values())
         self.comp_size = index.total_len - self.size
+        self._relevance: dict[str, float] = {}
 
     def comp_tf(self, word: str) -> int:
         return self.index.term_stats(word).collection_tf - self.tf[word]
 
     def relevance(self, word: str) -> float:
-        pr_bag = word_prob(self.tf[word], self.size)
-        pr_comp = word_prob(self.comp_tf(word), self.comp_size)
-        var_sum = word_var(pr_bag, self.size) + word_var(pr_comp, self.comp_size)
-        return (pr_bag - pr_comp) / math.sqrt(var_sum)
+        value = self._relevance.get(word)
+        if value is None:
+            pr_bag = word_prob(self.tf[word], self.size)
+            pr_comp = word_prob(self.comp_tf(word), self.comp_size)
+            var_sum = (word_var(pr_bag, self.size)
+                       + word_var(pr_comp, self.comp_size))
+            value = self._relevance[word] = (pr_bag - pr_comp) / math.sqrt(var_sum)
+        return value
+
+
+class PrefixBags:
+    """The bags of a ranking's top-i documents, i = 0, 1, 2, …, built on
+    demand, each from the bag before it, and kept with their relevance."""
+
+    def __init__(self, index: Index, doc_ids: Sequence[str]):
+        self.doc_ids = tuple(doc_ids)
+        self._bags = [TopDocBag(index, ())]
+
+    def bag(self, i: int) -> TopDocBag:
+        """The bag of the first i documents (0 <= i <= len(doc_ids))."""
+        if not 0 <= i <= len(self.doc_ids):
+            raise ValueError(f"prefix {i} outside 0..{len(self.doc_ids)}")
+        bags = self._bags
+        while len(bags) <= i:
+            last = bags[-1]
+            bags.append(TopDocBag(last.index, self.doc_ids[:len(bags)], last))
+        return bags[i]
 
 
 def select_terms(doc_terms: Mapping[str, int], bag: TopDocBag, theta: float,
@@ -96,13 +138,10 @@ def select_terms(doc_terms: Mapping[str, int], bag: TopDocBag, theta: float,
     }
 
 
-def selected_vocabulary_size(index: Index, doc_ids: Sequence[str],
-                             theta: float) -> int:
-    """|W(F(D¹_R))|: bag words passing the threshold (every bag word belongs
-    to at least one of the docs, so the union needs no per-doc pass)."""
-    if not doc_ids:
-        return 0
-    bag = TopDocBag(index, doc_ids)
+def selected_vocabulary_size(bag: TopDocBag, theta: float) -> int:
+    """|W(F(D¹_R))| for the bag of D¹_R: bag words passing the threshold
+    (every bag word belongs to at least one of the docs, so the union needs
+    no per-doc pass)."""
     return sum(1 for word in bag.tf if bag.relevance(word) >= theta)
 
 
@@ -125,14 +164,18 @@ def _auto_r_core(size_of, limit: int) -> int:
     return limit
 
 
-def auto_r(ranking: Ranking, index: Index, theta: float, r_cap: int = 20) -> int:
+def auto_r(ranking: Ranking, index: Index, theta: float, r_cap: int = 20,
+           prefixes: PrefixBags | None = None) -> int:
+    """R for the ranking (see ``_auto_r_core``).  ``prefixes`` are the
+    ranking's prefix bags, shared with the caller; built here when absent."""
     limit = min(len(ranking), r_cap)
-    doc_ids = ranking.doc_ids()
+    if prefixes is None:
+        prefixes = PrefixBags(index, ranking.doc_ids())
     cache: dict[int, int] = {0: 0}
 
     def size_of(i: int) -> int:
         if i not in cache:
-            cache[i] = selected_vocabulary_size(index, doc_ids[:i], theta)
+            cache[i] = selected_vocabulary_size(prefixes.bag(i), theta)
         return cache[i]
 
     return _auto_r_core(size_of, limit)
@@ -148,11 +191,15 @@ def alpha(n_query_words: int, n_selected_words: int) -> float:
 
 
 def feedback_weights(query_bag: Mapping[str, int], top_docs: Sequence[str],
-                     index: Index, params: FeedbackBParams) -> dict[str, float]:
-    """q'(w|Q) over Q' = Q ∪ F(D_1) ∪ … ∪ F(D_R), as a weight map."""
+                     index: Index, params: FeedbackBParams,
+                     bag: TopDocBag | None = None) -> dict[str, float]:
+    """q'(w|Q) over Q' = Q ∪ F(D_1) ∪ … ∪ F(D_R), as a weight map.
+
+    ``bag`` is the bag of ``top_docs`` when the caller already has it."""
     theta = params.resolved_theta()
     r = len(top_docs)
-    bag = TopDocBag(index, top_docs)
+    if bag is None:
+        bag = TopDocBag(index, top_docs)
     filtered = [
         select_terms(index.doc_terms(doc_id), bag, theta, params.filter_as_set)
         for doc_id in top_docs
@@ -175,13 +222,20 @@ def feedback_weights(query_bag: Mapping[str, int], top_docs: Sequence[str],
 
 def run_feedback_b(query_bag: Mapping[str, int], first_ranking: Ranking,
                    index: Index, params: FeedbackBParams,
-                   cutoff: int = 1000) -> Ranking:
-    """Re-retrieve with feedback-mixed query weights."""
-    theta = params.resolved_theta()
+                   cutoff: int = 1000,
+                   prefixes: PrefixBags | None = None) -> Ranking:
+    """Re-retrieve with feedback-mixed query weights.
+
+    ``prefixes`` are the first ranking's prefix bags; a caller that runs
+    several parameter settings on one ranking passes the same object."""
     if params.r is not None:
         r = min(params.r, len(first_ranking))
     else:
-        r = auto_r(first_ranking, index, theta, params.r_cap)
+        if prefixes is None:
+            prefixes = PrefixBags(index, first_ranking.doc_ids())
+        r = auto_r(first_ranking, index, params.resolved_theta(), params.r_cap,
+                   prefixes)
     top_docs = first_ranking.doc_ids()[:r]
-    weights = feedback_weights(query_bag, top_docs, index, params)
+    weights = feedback_weights(query_bag, top_docs, index, params,
+                               prefixes.bag(r) if prefixes is not None else None)
     return bm11_rank(index, weights, cutoff, first_ranking.query_id)

@@ -181,6 +181,18 @@ class Index:
         return (count_nonoverlapping(_sequence_starts(entry.title, units), width)
                 + count_nonoverlapping(_sequence_starts(entry.body, units), width))
 
+    def occurs(self, doc_id: str, term: str) -> bool:
+        """Whether ``term`` occurs in one document: ``doc_tf > 0`` without
+        counting the occurrences."""
+        entry = self._entry(doc_id)
+        if term in entry.tf:  # a single unit of this document
+            return True
+        units = self._units(term)
+        if len(units) < 2:
+            return False
+        return bool(_sequence_starts(entry.title, units)
+                    or _sequence_starts(entry.body, units))
+
     def candidate_docs(self, term: str) -> set[str]:
         """Documents holding every unit of ``term``: a superset of the docs
         where it occurs, whose tf ``doc_tf`` then counts.  The empty term

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
@@ -31,7 +32,7 @@ from .corpus import (
 )
 from .errors import EmptyQueryError
 from .feedback_a import FeedbackAParams, feedback_vector, run_feedback_a
-from .feedback_b import AUTO, FeedbackBParams, run_feedback_b
+from .feedback_b import AUTO, FeedbackBParams, PrefixBags, run_feedback_b
 from .index import Index
 from .scoring import (
     QuerySetStats,
@@ -54,7 +55,8 @@ from .term_extraction import (
     all_term_patterns,
     check_lattice_phrase,
     extract_terms,
-    lattice_best_path,
+    lattice_best_path,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
+    lattice_best_score,
     split_phrases,
 )
 
@@ -132,10 +134,12 @@ def _lattice_scorer(index: Index, compiled: CompiledTopicA,
     the extra terms, the length bonus and K_cat.
 
     A path term's contribution (weight 1, the query's tf_q or 1) is
-    computed once for every span the DP can ask for, and only the documents
-    holding some span of a phrase run its DP; for every other document all
-    of the phrase's contributions are 0.0, and so is its path score.  A
-    phrase the lattice refuses raises even when no document holds a span.
+    computed once, as a doc -> addend map, for every span the DP can ask
+    for; each phrase's spans are joined once into rows of those maps, and
+    ``lattice_best_score`` runs the score-only DP over the rows for the
+    documents holding some span of the phrase.  For every other document
+    all of the phrase's contributions are 0.0, and so is its path score.
+    A phrase the lattice refuses raises even when no document holds a span.
     """
     vector = compiled.vector
     contributions: dict[str, dict[str, float]] = {}
@@ -143,19 +147,22 @@ def _lattice_scorer(index: Index, compiled: CompiledTopicA,
     for phrase in compiled.phrases:
         check_lattice_phrase(phrase, compiled.max_span)
         hits: set[str] = set()
+        rows = []
         for i in range(1, len(phrase) + 1):
+            row = []
             for j in range(i):
                 term = compiled.joiner.join(phrase[j:i])
-                if term not in contributions:
+                addends = contributions.get(term)
+                if addends is None:
                     entry = vector.get(term)
-                    contributions[term] = system_a_contributions(
+                    addends = contributions[term] = system_a_contributions(
                         index, term, 1.0, entry.tf_q if entry is not None else 1,
                         params, qstats, idf_map)
-                hits.update(contributions[term])
-        for doc_id in hits:
-            _, path_score = lattice_best_path(
-                phrase, lambda term: contributions[term].get(doc_id, 0.0),
-                compiled.max_span, compiled.joiner)
+                hits.update(addends)
+                row.append(addends)
+            rows.append(row)
+        docs = list(hits)
+        for doc_id, path_score in zip(docs, lattice_best_score(rows, docs)):
             path_sums[doc_id] = path_sums.get(doc_id, 0.0) + path_score
     return system_a_scorer(index, extra_terms, params, qstats, first_ranking,
                            idf_map, acc=path_sums)
@@ -168,14 +175,21 @@ def build_qstats_a(compiled: Sequence[CompiledTopicA]) -> QuerySetStats:
 
 
 def _char_feedback_candidates(index: Index, top_docs: Sequence[str],
-                              mi_table: MiTable, k_cmi: float) -> set[str]:
+                              mi_table: MiTable, k_cmi: float,
+                              doc_words: dict[str, frozenset[str]]) -> set[str]:
     """Expansion candidates in character mode: words from MI-segmenting the
-    stored title/body streams of the top documents."""
+    stored title/body streams of the top documents.
+
+    ``doc_words`` memoises each document's words by doc_id; its owner keeps
+    one (mi_table, k_cmi) for as long as it keeps the memo."""
     words: set[str] = set()
     for doc_id in top_docs:
-        title, body = index.doc_text(doc_id)
-        words.update(segment(title, mi_table, k_cmi))
-        words.update(segment(body, mi_table, k_cmi))
+        found = doc_words.get(doc_id)
+        if found is None:
+            title, body = index.doc_text(doc_id)
+            found = doc_words[doc_id] = frozenset(
+                segment(title, mi_table, k_cmi) + segment(body, mi_table, k_cmi))
+        words.update(found)
     return words
 
 
@@ -185,8 +199,13 @@ def search_topic_a(index: Index, compiled: CompiledTopicA,
                    feedback: FeedbackAParams | None = None,
                    cutoff: int = 1000,
                    mi_table: MiTable | None = None,
-                   k_cmi: float | None = None) -> Ranking | None:
-    """Rank one topic; None when no query term survives pruning."""
+                   k_cmi: float | None = None,
+                   doc_words: dict[str, frozenset[str]] | None = None
+                   ) -> Ranking | None:
+    """Rank one topic; None when no query term survives pruning.
+
+    ``doc_words`` is a character-mode memo of segmented top documents,
+    shared across the topics of one (mi_table, k_cmi)."""
     vector = prune_vector(index, compiled.vector)
     if not vector and not compiled.lattice:
         return None
@@ -217,7 +236,8 @@ def search_topic_a(index: Index, compiled: CompiledTopicA,
     if index.mode == CHARACTER_MODE:
         if mi_table is None or k_cmi is None:
             raise ValueError("character-mode feedback needs mi_table and k_cmi")
-        candidates = _char_feedback_candidates(index, top_docs, mi_table, k_cmi)
+        candidates = _char_feedback_candidates(
+            index, top_docs, mi_table, k_cmi, {} if doc_words is None else doc_words)
     if compiled.lattice:
         fb_vector, idf_map = feedback_vector(vector, top_docs, index, feedback,
                                              candidates)
@@ -238,9 +258,10 @@ def search_system_a(index: Index, topics: Sequence[Topic], qtype: QueryType,
     compiled = [CompiledTopicA(t, qtype, config, extraction, mi_table, k_cmi)
                 for t in topics]
     qstats = build_qstats_a(compiled)
+    doc_words: dict[str, frozenset[str]] = {}
     return _usable((item.query_id,
                     search_topic_a(index, item, params, qstats, feedback,
-                                   cutoff, mi_table, k_cmi))
+                                   cutoff, mi_table, k_cmi, doc_words))
                    for item in compiled)
 
 
@@ -355,7 +376,10 @@ def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
             alpha_values: Sequence, cutoff: int = 1000,
             mi_table: MiTable | None = None,
             k_cmi: float | None = None) -> SweepReport:
-    """Evaluate the feedback grid; initial retrievals are shared across cells."""
+    """Evaluate the feedback grid.
+
+    Each topic's first retrieval and its prefix bags (with their relevance
+    values, which depend on neither θ, α nor R) are shared by every cell."""
     from .evaluation import evaluate_run
 
     prepared = []
@@ -363,7 +387,9 @@ def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
         _, bag = compile_bag(topic, qtype, config, mi_table, k_cmi)
         first = bm11_retrieval(index, bag, cutoff, topic.query_id)
         if first is not None:
-            prepared.append((topic.query_id, *first))
+            pruned, ranking = first
+            prepared.append((topic.query_id, pruned, ranking,
+                             PrefixBags(index, ranking.doc_ids())))
 
     rows = []
     for p_level in p_values:
@@ -375,8 +401,9 @@ def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
                     alpha=None if alpha_value == AUTO else float(alpha_value),
                 )
                 run = {}
-                for query_id, bag, first in prepared:
-                    ranking = run_feedback_b(bag, first, index, params, cutoff)
+                for query_id, bag, first, prefixes in prepared:
+                    ranking = run_feedback_b(bag, first, index, params, cutoff,
+                                             prefixes)
                     run[query_id] = list(ranking.doc_ids())
                 report = evaluate_run(run, qrels)
                 rows.append(SweepRow(p_level, r_value, alpha_value,
@@ -409,13 +436,19 @@ def run_tag(config: Mapping) -> str:
 
 def format_run(rankings: Iterable[Ranking], tag: str,
                header: Mapping | None = None) -> str:
-    """TREC run text, topics ordered by query_id, config echoed as comments."""
+    """TREC run text, topics ordered by query_id, config echoed as comments.
+
+    A non-finite score raises ValueError: no option should let one through,
+    and a run file holding one is not a ranking."""
     lines = []
     if header:
         for key in sorted(header):
             lines.append(f"# {key} = {header[key]}")
     for ranking in sorted(rankings, key=lambda r: r.query_id):
         for position, (doc_id, score) in enumerate(ranking.items, start=1):
+            if not math.isfinite(score):
+                raise ValueError(f"query {ranking.query_id}: document {doc_id} "
+                                 f"has a non-finite score ({score})")
             lines.append(
                 f"{ranking.query_id} Q0 {doc_id} {position} {score:.9g} {tag}"
             )

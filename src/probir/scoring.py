@@ -61,12 +61,16 @@ class ScoringParamsA:
     use_query_rarity: bool = True
 
     def __post_init__(self):
-        if self.k_t <= 0:
+        if not self.k_t > 0:
             raise ValueError("k_t must be positive")
-        if self.k_loc1 < 1:
+        if not self.k_q_a > 0:
+            raise ValueError("k_q_a must be positive")
+        if not self.k_loc1 >= 1:
             raise ValueError("k_loc1 must be >= 1")
         if not 0 <= self.k_loc2 < 1:
             raise ValueError("k_loc2 must be in [0, 1)")
+        if not math.isfinite(self.k_cat):
+            raise ValueError("k_cat must be finite")
         if self.k_nq not in (RARITY_OFF, RARITY_ALL, RARITY_TITLE):
             raise ValueError(f"k_nq must be 0, 1, or {RARITY_TITLE!r}")
 

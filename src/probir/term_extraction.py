@@ -8,7 +8,8 @@ punctuation end a run.  Four strategies build the term vector:
 * down_weight  -- every contiguous subsequence, weight k_down^(span-1)
 * lattice      -- per document, the single segmentation of the phrase whose
                   terms maximize the summed score contribution (dynamic
-                  programming; see lattice_best_path)
+                  programming; see lattice_best_path for the path and
+                  lattice_best_score for its score alone)
 
 Multi-token terms are joined with a separator: " " in token mode (matched as
 adjacent tokens), "" in character mode (matched as substrings).
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .corpus import TokenizerConfig, _is_content_word
 
@@ -181,3 +182,23 @@ def lattice_best_path(phrase: Sequence[str],
         best[i] = chosen
     score, _, terms = best[n]
     return terms, score
+
+
+def lattice_best_score(rows: Sequence[Sequence[Mapping[str, float]]],
+                       doc_ids: Sequence[str]) -> list[float]:
+    """The path score of ``lattice_best_path`` for each of ``doc_ids``,
+    without building the paths.
+
+    ``rows[i - 1][j]`` is the doc_id -> contribution map of the span
+    ``phrase[j:i]`` (a document it lacks contributes 0.0), so each span's
+    term is joined once per phrase, not once per document, and the DP runs
+    for all the documents together, one span at a time.  A best prefix
+    score is the first largest of its candidate sums, taken in the path
+    DP's order; the path DP's tie-breaks only choose among equal floats.
+    """
+    best = [[0.0] * len(doc_ids)]
+    for row in rows:
+        sums = [[score + get(doc_id, 0.0) for doc_id, score in zip(doc_ids, prefix)]
+                for prefix, get in zip(best, [addends.get for addends in row])]
+        best.append(list(map(max, *sums)) if len(sums) > 1 else sums[0])
+    return best[-1]

@@ -1,0 +1,145 @@
+"""Plain versions of probir's shared-statistics fast paths, kept as oracles.
+
+Each recomputes what it needs the direct way: System A's feedback counts
+with one ``Index.doc_tf`` per (term, top document), auto-R with a fresh
+``TopDocBag`` per prefix, and the sweep with every cell run on its own.
+The property tests compare the fast paths with them for equality.
+"""
+
+import math
+
+from probir.feedback_a import ROUND_EPS, afw, binomial_tail, feedback_idf
+from probir.feedback_b import (
+    AUTO,
+    FeedbackBParams,
+    TopDocBag,
+    _auto_r_core,
+    feedback_weights,
+)
+from probir.pipeline import SweepReport, SweepRow, compile_bag
+from probir.scoring import bm11_rank, bm11_retrieval, idf
+
+
+def weighted_doc_count(term, top_docs, index, k_afw):
+    """Sum of afw over the top docs that contain the term."""
+    k = len(top_docs)
+    return sum(afw(r, k, k_afw) for r, doc_id in enumerate(top_docs, start=1)
+               if index.doc_tf(doc_id, term) > 0)
+
+
+def weighted_doc_ratios(term, top_docs, index, k_afw):
+    k = len(top_docs)
+    if k == 0:
+        return 0.0
+    containing = weighted_doc_count(term, top_docs, index, k_afw)
+    return containing / sum(afw(r, k, k_afw) for r in range(1, k + 1))
+
+
+def expansion_terms(top_docs, index, k_r, k_p, k_afw, kp_literal=False,
+                    candidates=None):
+    docs = list(top_docs[:k_r])
+    if not docs:
+        return set()
+    if candidates is None:
+        candidates = {term for doc_id in docs for term in index.doc_terms(doc_id)}
+    selected = set()
+    for term in candidates:
+        n_obs = math.floor(weighted_doc_count(term, docs, index, k_afw) + ROUND_EPS)
+        if n_obs == 0:
+            continue
+        p0 = index.term_stats(term).df / index.n_docs
+        if p0 >= 1.0:
+            continue
+        tail = binomial_tail(len(docs), p0, n_obs)
+        if (tail >= k_p) if kp_literal else (1.0 - tail >= k_p):
+            selected.add(term)
+    return selected
+
+
+def feedback_vector(query_vector, top_docs, index, params, candidates=None):
+    vector = dict(query_vector)
+    idf_map = {}
+    expanded = expansion_terms(top_docs, index, params.k_r, params.k_p,
+                               params.k_afw, params.kp_literal, candidates)
+    for term in sorted(expanded - set(vector)):
+        vector[term] = (1.0, 1)
+    for term in vector:
+        stats = index.term_stats(term)
+        if stats.df == 0:
+            continue
+        ratio_c = weighted_doc_ratios(term, top_docs[:params.k_r], index,
+                                      params.k_afw)
+        idf_map[term] = feedback_idf(term in query_vector, ratio_c,
+                                     stats.df / index.n_docs, params.k_af,
+                                     idf(stats.df, index.n_docs))
+    return vector, idf_map
+
+
+def selected_vocabulary_size(index, doc_ids, theta):
+    if not doc_ids:
+        return 0
+    bag = TopDocBag(index, doc_ids)
+    return sum(1 for word in bag.tf if bag.relevance(word) >= theta)
+
+
+def auto_r(ranking, index, theta, r_cap=20):
+    doc_ids = ranking.doc_ids()
+    return _auto_r_core(
+        lambda i: selected_vocabulary_size(index, doc_ids[:i], theta),
+        min(len(ranking), r_cap))
+
+
+def run_feedback_b(query_bag, first_ranking, index, params, cutoff=1000):
+    """Feedback with auto-R and the bag of the chosen R rebuilt from the
+    top documents."""
+    if params.r is not None:
+        r = min(params.r, len(first_ranking))
+    else:
+        r = auto_r(first_ranking, index, params.resolved_theta(), params.r_cap)
+    weights = feedback_weights(query_bag, first_ranking.doc_ids()[:r], index,
+                               params)
+    return bm11_rank(index, weights, cutoff, first_ranking.query_id)
+
+
+def sweep_b(index, topics, qtype, config, qrels, p_values, r_values,
+            alpha_values, cutoff=1000):
+    """The grid cell by cell: each cell reruns feedback from scratch."""
+    from probir.evaluation import evaluate_run
+
+    prepared = []
+    for topic in topics:
+        _, bag = compile_bag(topic, qtype, config)
+        first = bm11_retrieval(index, bag, cutoff, topic.query_id)
+        if first is not None:
+            prepared.append((topic.query_id, *first))
+    rows = []
+    for p_level in p_values:
+        for r_value in r_values:
+            for alpha_value in alpha_values:
+                params = FeedbackBParams(
+                    p_level=p_level,
+                    r=None if r_value == AUTO else int(r_value),
+                    alpha=None if alpha_value == AUTO else float(alpha_value))
+                run = {query_id: list(run_feedback_b(bag, first, index, params,
+                                                     cutoff).doc_ids())
+                       for query_id, bag, first in prepared}
+                report = evaluate_run(run, qrels)
+                rows.append(SweepRow(p_level, r_value, alpha_value,
+                                     report.macro["ap_rigid"],
+                                     report.macro["ap_relax"]))
+
+    def group_mean(key):
+        groups = {}
+        for row in rows:
+            groups.setdefault(str(key(row)), []).append(row.ap_relax)
+        means = {}
+        for value, aps in groups.items():
+            defined = [v for v in aps if v is not None]
+            means[value] = sum(defined) / len(defined) if defined else None
+        return means
+
+    return SweepReport(tuple(rows), {
+        "p": group_mean(lambda r: r.p_level),
+        "R": group_mean(lambda r: r.r),
+        "alpha": group_mean(lambda r: r.alpha),
+    })

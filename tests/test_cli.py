@@ -190,6 +190,47 @@ class TestSearchCommand:
                    ("d5", "-141.149336")],
         }
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--system", "b", "--feedback", "--alpha", "inf"], "alpha must be finite"),
+        (["--system", "b", "--feedback", "--alpha=-inf"], "alpha must be finite"),
+        (["--system", "b", "--feedback", "--alpha", "nan"], "alpha must be finite"),
+        (["--system", "b", "--feedback", "--theta", "nan"], "theta must be a number"),
+        (["--system", "a", "--kt", "nan"], "k_t must be positive"),
+        (["--system", "a", "--kcat", "nan", "--category"], "k_cat must be finite"),
+        (["--system", "a", "--kcat", "inf", "--category"], "k_cat must be finite"),
+        (["--system", "a", "--kq=-1"], "k_q_a must be positive"),
+        (["--system", "a", "--kq", "0"], "k_q_a must be positive"),
+        (["--system", "a", "--kloc1", "nan"], "k_loc1 must be >= 1"),
+    ])
+    def test_non_finite_or_out_of_range_option_exits_2(self, workspace, capsys,
+                                                        flags, message):
+        build(workspace)
+        out = workspace / "run.txt"
+        code = main(["search", "--index", str(workspace / "idx"),
+                     "--topics", str(workspace / "topics.jsonl"),
+                     "--out", str(out), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_non_finite_score_exits_2(self, workspace, capsys, monkeypatch):
+        # format_run is the last line of defence should a scorer ever
+        # produce a non-finite score
+        from probir import cli
+        from probir.scoring import Ranking
+
+        build(workspace)
+        monkeypatch.setattr(cli, "search_system_b", lambda *args: (
+            [Ranking("q1", (("d1", float("inf")), ("d2", 1.0)))], []))
+        out = workspace / "run.txt"
+        code = main(["search", "--index", str(workspace / "idx"),
+                     "--topics", str(workspace / "topics.jsonl"),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: query q1: document d1 has a non-finite score (inf)\n")
+        assert not out.exists()
+
     def test_unusable_topic_warns_in_header_and_stderr(self, workspace, capsys):
         write_jsonl(workspace / "topics.jsonl", TOPICS + [
             {"query_id": "q9", "title": "zzz qqq", "description": "zzz qqq"}])

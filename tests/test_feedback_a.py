@@ -6,14 +6,13 @@ from scipy import stats
 
 from probir.feedback_a import (
     FeedbackAParams,
+    TopDocCounts,
     afw,
     binomial_tail,
     expansion_terms,
     feedback_idf,
     feedback_vector,
     run_feedback_a,
-    weighted_doc_count,
-    weighted_doc_ratios,
 )
 from probir.scoring import ScoringParamsA, rank, score_system_a
 
@@ -47,6 +46,10 @@ class TestAfw:
             for k_afw in (0.0, 0.3, 0.5, 0.99):
                 total = sum(afw(r, k_r, k_afw) for r in range(1, k_r + 1))
                 assert total == pytest.approx(k_r, abs=1e-12)
+
+
+def weighted_doc_ratios(term, top_docs, index, k_afw):
+    return TopDocCounts(index, top_docs, k_afw).ratio(term)
 
 
 class TestWeightedDocRatios:

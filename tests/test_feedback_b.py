@@ -151,8 +151,8 @@ class TestSelectTerms:
         index, bag = self.build()
         theta = 0.0
         want = sum(1 for w in bag.tf if bag.relevance(w) >= theta)
-        assert selected_vocabulary_size(index, ["a", "b"], theta) == want
-        assert selected_vocabulary_size(index, [], theta) == 0
+        assert selected_vocabulary_size(bag, theta) == want
+        assert selected_vocabulary_size(TopDocBag(index, []), theta) == 0
 
 
 class TestAutoR:
@@ -395,3 +395,13 @@ class TestParams:
             FeedbackBParams(r=0)
         with pytest.raises(ValueError):
             FeedbackBParams(r_cap=0)
+
+    def test_non_finite_alpha_and_nan_theta_refused(self):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                FeedbackBParams(alpha=value)
+        with pytest.raises(ValueError, match="theta must be a number"):
+            FeedbackBParams(theta=math.nan)
+        # an infinite θ is the select-nothing / select-everything limit
+        assert FeedbackBParams(theta=math.inf).resolved_theta() == math.inf
+        assert FeedbackBParams(theta=-math.inf).resolved_theta() == -math.inf

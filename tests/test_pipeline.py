@@ -435,6 +435,14 @@ class TestFormatRun:
         text = format_run([Ranking("q1", (("d1", 1 / 3),))], "t")
         assert "0.333333333" in text
 
+    @pytest.mark.parametrize("score", [math.inf, -math.inf, math.nan])
+    def test_non_finite_score_refused(self, score):
+        rankings = [Ranking("q1", (("d1", 1.0),)),
+                    Ranking("q2", (("d9", 2.0), ("d3", score)))]
+        with pytest.raises(ValueError, match="query q2: document d3 has a "
+                                             "non-finite score"):
+            format_run(rankings, "t")
+
     def test_round_trips_through_parser(self, tmp_path):
         from probir.evaluation import parse_run_file
 

@@ -463,3 +463,12 @@ class TestParamsValidation:
             ScoringParamsA(k_loc2=1.0)
         with pytest.raises(ValueError):
             ScoringParamsA(k_nq="x")
+
+    @pytest.mark.parametrize("field,value", [
+        ("k_t", math.nan), ("k_q_a", math.nan), ("k_q_a", 0.0), ("k_q_a", -1.0),
+        ("k_cat", math.nan), ("k_cat", math.inf), ("k_cat", -math.inf),
+        ("k_loc1", math.nan),
+    ])
+    def test_rejects_nan_infinite_and_non_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScoringParamsA(**{field: value})

@@ -26,10 +26,12 @@ from .scoring import (
     QuerySetStats,
     Ranking,
     ScoringParamsA,
+    SystemATables,
     idf,
     rank,
     score_system_a,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
-    system_a_scorer,
+    system_a_lookup,
+    system_a_sums,
 )
 
 ROUND_EPS = 0.5  # n_obs = floor(weighted count + 0.5)
@@ -50,6 +52,8 @@ class FeedbackAParams:
             raise ValueError("k_p must be in [0, 1]")
         if not 0 <= self.k_afw < 1:
             raise ValueError("k_afw must be in [0, 1)")
+        if not math.isfinite(self.k_af):
+            raise ValueError("k_af must be finite")
 
 
 def afw(rank_pos: int, k_r: int, k_afw: float) -> float:
@@ -211,16 +215,19 @@ def run_feedback_a(query_vector: Mapping[str, tuple[float, int]],
                    qstats: QuerySetStats | None = None,
                    cutoff: int = 1000,
                    candidates: Iterable[str] | None = None,
-                   category_reference: Ranking | None = None) -> Ranking:
+                   tables: SystemATables | None = None) -> Ranking:
     """Second retrieval with modulated IDFs and adopted terms.
 
-    category_reference carries the category-neutral ranking the category
-    factor is measured against; defaults to first_ranking.
+    With the category factor on, K_cat is measured against
+    ``first_ranking``, the ranking whose top documents feed back.
+    ``tables`` are the index's ``SystemATables`` for scoring_params, built
+    here when not given.
     """
     top_docs = first_ranking.doc_ids()[:params.k_r]
     vector, idf_map = feedback_vector(query_vector, top_docs, index, params,
                                       candidates)
-    reference = category_reference if category_reference is not None else first_ranking
-    return rank(index, system_a_scorer(index, vector, scoring_params, qstats,
-                                       reference, idf_map),
+    if tables is None:
+        tables = SystemATables(index, scoring_params)
+    sums = system_a_sums(tables, vector, scoring_params, qstats, idf_map)
+    return rank(index, system_a_lookup(tables, sums, scoring_params, first_ranking),
                 cutoff, first_ranking.query_id)

@@ -63,21 +63,13 @@ class FeedbackBParams:
         return self.theta if self.theta is not None else THETA_BY_P[self.p_level]
 
 
-def word_prob(tf: int, size: int) -> float:
-    """Smoothed occurrence probability (tf+1)/(size+2)."""
-    return (tf + 1) / (size + 2)
-
-
-def word_var(pr: float, size: int) -> float:
-    return pr * (1.0 - pr) / (size + 3)
-
-
 class TopDocBag:
     """Word bag over the top-R documents plus its collection complement.
 
     ``base``, when given, is the bag of all but the last of ``doc_ids``;
-    the new bag starts from a copy of its counts.  Relevance is computed
-    once per word."""
+    the new bag starts from a copy of its counts.  The first relevance asked
+    fills a table for every bag word in one loop, since its callers ask
+    about nearly all of them; a word the bag lacks is added when asked."""
 
     def __init__(self, index: Index, doc_ids: Sequence[str],
                  base: TopDocBag | None = None):
@@ -92,20 +84,33 @@ class TopDocBag:
             self.tf.update(index.doc_terms(self.doc_ids[-1]))
         self.size = sum(self.tf.values())
         self.comp_size = index.total_len - self.size
-        self._relevance: dict[str, float] = {}
-
-    def comp_tf(self, word: str) -> int:
-        return self.index.term_stats(word).collection_tf - self.tf[word]
+        self._relevance: dict[str, float] | None = None
 
     def relevance(self, word: str) -> float:
-        value = self._relevance.get(word)
-        if value is None:
-            pr_bag = word_prob(self.tf[word], self.size)
-            pr_comp = word_prob(self.comp_tf(word), self.comp_size)
-            var_sum = (word_var(pr_bag, self.size)
-                       + word_var(pr_comp, self.comp_size))
-            value = self._relevance[word] = (pr_bag - pr_comp) / math.sqrt(var_sum)
+        table = self._relevance
+        if table is None:
+            table = self._relevance = self._relevances(self.tf.items())
+        value = table.get(word)
+        if value is None:  # a word the bag lacks
+            value = table[word] = self._relevances([(word, 0)])[word]
         return value
+
+    def _relevances(self, words_tf) -> dict[str, float]:
+        """word -> relevance of (word, tf in the bag) pairs: the difference
+        of the smoothed rates Pr = (tf+1)/(size+2) in the bag and in its
+        complement, over the root of their summed variances
+        Pr·(1−Pr)/(size+3)."""
+        term_stats = self.index.term_stats
+        size, comp_size = self.size, self.comp_size
+        sqrt = math.sqrt
+        table = {}
+        for word, tf in words_tf:
+            pr_bag = (tf + 1) / (size + 2)
+            pr_comp = (term_stats(word).collection_tf - tf + 1) / (comp_size + 2)
+            table[word] = (pr_bag - pr_comp) / sqrt(
+                pr_bag * (1.0 - pr_bag) / (size + 3)
+                + pr_comp * (1.0 - pr_comp) / (comp_size + 3))
+        return table
 
 
 class PrefixBags:

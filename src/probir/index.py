@@ -10,7 +10,11 @@ hold all of its units.
 
 Occurrences are counted non-overlapping, in the title and the body
 separately (a match never spans the two), and body positions are 1-based.
-An Index is immutable once built and safe to share across readers.
+
+``postings`` gives a term's doc -> tf, so that a scorer walks the documents
+a term occurs in rather than asking about every (term, document) pair; a
+term of several units has its postings counted on first use and kept.
+An Index does not change once built, and is safe to share across readers.
 """
 
 from __future__ import annotations
@@ -73,6 +77,14 @@ def _sequence_starts(haystack: Sequence[str], needle: Sequence[str]) -> list[int
         return starts
 
 
+def _run_tf(entry, units) -> int:
+    """Non-overlapping occurrences of a run of two or more units in one
+    document's title and body."""
+    width = len(units)
+    return (count_nonoverlapping(_sequence_starts(entry.title, units), width)
+            + count_nonoverlapping(_sequence_starts(entry.body, units), width))
+
+
 class _Doc:
     __slots__ = ("title", "body", "category", "tf", "length", "first_body")
 
@@ -89,7 +101,8 @@ class _Doc:
 
 
 class Index:
-    """Immutable statistics store; see module docstring.
+    """Statistics store that does not change once built; see the module
+    docstring.
 
     Use :func:`build_index`, :func:`load_index` to obtain one.
     """
@@ -102,6 +115,8 @@ class Index:
         self.total_len = 0
         self.avg_len = 0.0
         self._category_counts: Counter = Counter()
+        # built on first use and kept
+        self._term_postings: dict[str, dict[str, int]] = {}  # terms of 2+ units
         self._term_stats: dict[str, TermStats] = {}
 
     # -- construction ----------------------------------------------------
@@ -175,11 +190,9 @@ class Index:
         if tf is not None:  # a single unit of this document
             return tf
         units = self._units(term)
-        width = len(units)
-        if width < 2:  # a single unit absent from this document
+        if len(units) < 2:  # a single unit absent from this document
             return 0
-        return (count_nonoverlapping(_sequence_starts(entry.title, units), width)
-                + count_nonoverlapping(_sequence_starts(entry.body, units), width))
+        return _run_tf(entry, units)
 
     def occurs(self, doc_id: str, term: str) -> bool:
         """Whether ``term`` occurs in one document: ``doc_tf > 0`` without
@@ -208,26 +221,38 @@ class Index:
             docs &= m.keys()
         return docs
 
-    def term_stats(self, term: str) -> TermStats:
-        """df and collection frequency; unseen terms yield (0, 0).  Computed
-        once per term, since the index does not change after it is built."""
-        stats = self._term_stats.get(term)
-        if stats is None:
-            stats = self._term_stats[term] = self._compute_term_stats(term)
-        return stats
-
-    def _compute_term_stats(self, term: str) -> TermStats:
+    def postings(self, term: str) -> Mapping[str, int]:
+        """doc_id -> tf of every document the term occurs in; empty for an
+        unseen term.  A single unit's is the stored map; a longer term's is
+        counted once over ``candidate_docs`` and kept.  Callers must not
+        mutate it."""
         posting = self._postings.get(term)
         if posting is not None:  # a single unit
-            return TermStats(len(posting), sum(posting.values()))
-        df = 0
-        collection_tf = 0
-        for doc_id in self.candidate_docs(term):
-            tf = self.doc_tf(doc_id, term)
-            if tf:
-                df += 1
-                collection_tf += tf
-        return TermStats(df, collection_tf)
+            return posting
+        posting = self._term_postings.get(term)
+        if posting is None:
+            units = self._units(term)
+            if len(units) < 2:  # a single unit no document holds
+                return {}
+            docs = self._docs
+            posting = {}
+            for doc_id in self.candidate_docs(term):
+                tf = _run_tf(docs[doc_id], units)
+                if tf:
+                    posting[doc_id] = tf
+            # kept only once complete, so no reader sees a partial map
+            self._term_postings[term] = posting
+        return posting
+
+    def term_stats(self, term: str) -> TermStats:
+        """df and collection frequency, from ``postings``; unseen terms
+        yield (0, 0).  Computed once per term."""
+        stats = self._term_stats.get(term)
+        if stats is None:
+            posting = self.postings(term)
+            stats = self._term_stats[term] = TermStats(len(posting),
+                                                       sum(posting.values()))
+        return stats
 
     def df(self, term: str) -> int:
         return self.term_stats(term).df

@@ -2,7 +2,8 @@
 
 The extended-scorer pipeline ranks in up to three passes per topic: a
 category-neutral pass, a category-aware pass measured against it, and an
-optional feedback pass.  The parameter-light pipeline is a single BM11 pass
+optional feedback pass.  The first two share one set of term sums; only
+K_cat differs between them.  The parameter-light pipeline is a single BM11 pass
 with optional probabilistic feedback.  Cross-lingual search compiles the
 query in the source language, optionally document-expands it there, then
 translates and retrieves monolingually.
@@ -18,7 +19,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .clir import BilingualDictionary, document_expansion, translate
 from .corpus import (
@@ -38,6 +39,7 @@ from .scoring import (
     QuerySetStats,
     Ranking,
     ScoringParamsA,
+    SystemATables,
     bm11_retrieval,
     build_query_set_stats,
     k_category,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
@@ -46,7 +48,8 @@ from .scoring import (
     score_bm11,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
     score_system_a,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
     system_a_contributions,
-    system_a_scorer,
+    system_a_lookup,
+    system_a_sums,
 )
 from .segmentation import MiTable, segment
 from .term_extraction import (
@@ -126,12 +129,13 @@ class CompiledTopicA:
             self.title_terms = set(extract_terms(title_phrases, extraction, joiner))
 
 
-def _lattice_scorer(index: Index, compiled: CompiledTopicA,
-                    params: ScoringParamsA, qstats, first_ranking, idf_map,
-                    extra_terms: Mapping[str, tuple[float, int]]
-                    ) -> Callable[[str], float]:
-    """Per document: Σ over phrases of the best lattice path's score, plus
-    the extra terms, the length bonus and K_cat.
+def _lattice_sums(tables: SystemATables, compiled: CompiledTopicA,
+                  params: ScoringParamsA, qstats, idf_map,
+                  extra_terms: Mapping[str, tuple[float, int]]
+                  ) -> dict[str, float]:
+    """doc_id -> Σ over phrases of the best lattice path's score, plus the
+    extra terms: the lattice's ``system_a_sums``, for every document some
+    span or extra term reaches.
 
     A path term's contribution (weight 1, the query's tf_q or 1) is
     computed once, as a doc -> addend map, for every span the DP can ask
@@ -156,7 +160,7 @@ def _lattice_scorer(index: Index, compiled: CompiledTopicA,
                 if addends is None:
                     entry = vector.get(term)
                     addends = contributions[term] = system_a_contributions(
-                        index, term, 1.0, entry.tf_q if entry is not None else 1,
+                        tables, term, 1.0, entry.tf_q if entry is not None else 1,
                         params, qstats, idf_map)
                 hits.update(addends)
                 row.append(addends)
@@ -164,8 +168,8 @@ def _lattice_scorer(index: Index, compiled: CompiledTopicA,
         docs = list(hits)
         for doc_id, path_score in zip(docs, lattice_best_score(rows, docs)):
             path_sums[doc_id] = path_sums.get(doc_id, 0.0) + path_score
-    return system_a_scorer(index, extra_terms, params, qstats, first_ranking,
-                           idf_map, acc=path_sums)
+    return system_a_sums(tables, extra_terms, params, qstats, idf_map,
+                         acc=path_sums)
 
 
 def build_qstats_a(compiled: Sequence[CompiledTopicA]) -> QuerySetStats:
@@ -200,37 +204,48 @@ def search_topic_a(index: Index, compiled: CompiledTopicA,
                    cutoff: int = 1000,
                    mi_table: MiTable | None = None,
                    k_cmi: float | None = None,
-                   doc_words: dict[str, frozenset[str]] | None = None
+                   doc_words: dict[str, frozenset[str]] | None = None,
+                   tables: SystemATables | None = None
                    ) -> Ranking | None:
     """Rank one topic; None when no query term survives pruning.
 
+    The category pass measures K_cat against the neutral pass's ranking;
+    the feedback pass measures it against the ranking feedback starts from,
+    the category pass's when the category factor is on.
+
     ``doc_words`` is a character-mode memo of segmented top documents,
-    shared across the topics of one (mi_table, k_cmi)."""
+    shared across the topics of one (mi_table, k_cmi); ``tables`` are the
+    index's ``SystemATables`` for params, shared across topics the same
+    way, and built here when not given."""
     vector = prune_vector(index, compiled.vector)
     if not vector and not compiled.lattice:
         return None
     if compiled.lattice and not compiled.phrases:
         return None
+    if tables is None:
+        tables = SystemATables(index, params)
 
-    def ranking_for(p: ScoringParamsA, idf_map=None, extra=None, reference=None):
+    def sums_for(idf_map=None, extra=None):
         if compiled.lattice:
-            scorer = _lattice_scorer(index, compiled, p, qstats, reference,
-                                     idf_map, extra or {})
-        else:
-            full = dict(vector)
-            if extra:
-                full.update(extra)
-            scorer = system_a_scorer(index, full, p, qstats, reference, idf_map)
-        return rank(index, scorer, cutoff, compiled.query_id)
+            return _lattice_sums(tables, compiled, params, qstats, idf_map,
+                                 extra or {})
+        full = dict(vector)
+        if extra:
+            full.update(extra)
+        return system_a_sums(tables, full, params, qstats, idf_map)
 
-    neutral = replace(params, use_category=False)
-    first = ranking_for(neutral)
+    def ranking_for(sums, p: ScoringParamsA, reference=None):
+        return rank(index, system_a_lookup(tables, sums, p, reference), cutoff,
+                    compiled.query_id)
+
+    # The term sums do not depend on K_cat: both passes rank the same sums.
+    sums = sums_for()
+    first = ranking_for(sums, replace(params, use_category=False))
     if params.use_category:
-        first = ranking_for(params, reference=first)
+        first = ranking_for(sums, params, reference=first)
     if feedback is None:
         return first
 
-    reference = first
     top_docs = first.doc_ids()[:feedback.k_r]
     candidates = None
     if index.mode == CHARACTER_MODE:
@@ -242,10 +257,9 @@ def search_topic_a(index: Index, compiled: CompiledTopicA,
         fb_vector, idf_map = feedback_vector(vector, top_docs, index, feedback,
                                              candidates)
         extra = {t: w for t, w in fb_vector.items() if t not in vector}
-        return ranking_for(params, idf_map=idf_map, extra=extra,
-                           reference=reference)
+        return ranking_for(sums_for(idf_map, extra), params, reference=first)
     return run_feedback_a(vector, first, index, feedback, params, qstats,
-                          cutoff, candidates, category_reference=reference)
+                          cutoff, candidates, tables)
 
 
 def search_system_a(index: Index, topics: Sequence[Topic], qtype: QueryType,
@@ -259,9 +273,10 @@ def search_system_a(index: Index, topics: Sequence[Topic], qtype: QueryType,
                 for t in topics]
     qstats = build_qstats_a(compiled)
     doc_words: dict[str, frozenset[str]] = {}
+    tables = SystemATables(index, params)
     return _usable((item.query_id,
                     search_topic_a(index, item, params, qstats, feedback,
-                                   cutoff, mi_table, k_cmi, doc_words))
+                                   cutoff, mi_table, k_cmi, doc_words, tables))
                    for item in compiled)
 
 

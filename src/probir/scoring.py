@@ -16,12 +16,17 @@ computed once, and its contribution is added to the documents in its
 postings.  ``bm11_rank`` is System B's one ranking; ``bm11_retrieval``, the
 first retrieval that search, the feedback sweep and cross-lingual document
 expansion share, and the feedback pass both rank through it.
-``system_a_scorer`` is System A's compiled query, built once per ranking
-pass by the vector pass, the feedback pass and the lattice (for its extra
-terms); it accumulates the term sums up front and hands ``rank`` a
-per-document lookup that adds the length bonus and K_cat.
-``score_bm11`` and ``score_system_a`` are only the plain per-document
-oracles of the two fast paths; neither system ranks through them.
+
+System A ranks in two steps.  ``system_a_sums`` adds up the term
+contributions per document, each term's computed once from its postings
+(``Index.postings``) and the per-document tables of ``SystemATables``, with
+the factors multiplied in the oracle's order.  ``system_a_lookup`` turns
+the sums into the per-document score ``rank`` asks for: it adds the length
+bonus and multiplies by K_cat, counted once per category
+(``category_factors``).  The term sums do not depend on K_cat, so a topic's
+neutral pass and category pass share them.
+``score_bm11``, ``score_system_a`` and ``k_category`` are only the plain
+per-document oracles of the fast paths; neither system ranks through them.
 
 All logarithms are natural.  Terms unseen in the collection (df = 0)
 contribute nothing; ``prune_vector`` drops them up front.
@@ -31,6 +36,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -197,10 +204,21 @@ def k_category(doc_category, first_ranking: Ranking, index: Index, k_cat: float)
 def category_factors(first_ranking: Ranking, index: Index,
                      k_cat: float) -> dict[str | None, float]:
     """``k_category`` of every category of the collection (None included)
-    against one first retrieval, so that a ranking pass computes each once
-    and looks it up per document."""
-    return {category: k_category(category, first_ranking, index, k_cat)
-            for category in (None, *index.category_counts())}
+    against one first retrieval, so that a ranking pass looks it up per
+    document.  The top documents' categories are counted once, and each
+    factor is ``k_category``'s arithmetic on those counts."""
+    top = first_ranking.top(TOP_CATEGORY_DOCS)
+    if not top:
+        return dict.fromkeys((None, *index.category_counts()), 1.0)
+    in_top = Counter(index.doc_category(doc_id) for doc_id, _ in top)
+    factors: dict[str | None, float] = {None: 1.0}
+    for category, in_collection in index.category_counts().items():
+        ratio_a = in_top[category] / len(top)
+        ratio_b = in_collection / index.n_docs
+        denom = ratio_a + ratio_b
+        factors[category] = (1.0 if denom == 0
+                             else 1.0 + k_cat * (ratio_a - ratio_b) / denom)
+    return factors
 
 
 def query_rarity_factor(term: str, qstats: QuerySetStats | None, k_nq) -> float:
@@ -290,80 +308,134 @@ def score_system_a(index: Index, doc_id: str,
     return total
 
 
-def system_a_contributions(index: Index, term: str, weight: float, tf_q: int,
-                           params: ScoringParamsA,
+class SystemATables:
+    """What System A's term-at-a-time passes read besides the postings, for
+    one index and one (k_t, k_loc1, k_loc2): each document's length norm
+    k_t·length/avg_len (``tf_factor``'s denominator, the same float), length
+    bonus and category, and the K_loc of each term asked for, one value per
+    posting.
+
+    A term's K_loc values are an array in the order of its postings, built
+    on first use and kept for as long as the tables are:
+    ``search_system_a`` keeps one set for all of its topics, since most of
+    the terms a topic asks for (feedback adopts the same common words) were
+    asked for by an earlier topic.
+    """
+
+    def __init__(self, index: Index, params: ScoringParamsA):
+        self.index = index
+        self.k_t, self.k_loc1, self.k_loc2 = params.k_t, params.k_loc1, params.k_loc2
+        avg_len = index.avg_len
+        lengths = {doc_id: index.doc_len(doc_id) for doc_id in index.doc_ids()}
+        self.norms = {doc_id: params.k_t * length / avg_len
+                      for doc_id, length in lengths.items()}
+        self.bonuses = {doc_id: length_bonus(length, avg_len)
+                        for doc_id, length in lengths.items()}
+        self.categories = {doc_id: index.doc_category(doc_id) for doc_id in lengths}
+        self._location: dict[str, array] = {}
+
+    def check(self, params: ScoringParamsA) -> None:
+        """Refuse params whose k_t, k_loc1 or k_loc2 the tables were not
+        built for."""
+        if (params.k_t, params.k_loc1, params.k_loc2) != (self.k_t, self.k_loc1,
+                                                          self.k_loc2):
+            raise ValueError("SystemATables built for another k_t, k_loc1 or k_loc2")
+
+    def location_factors(self, term: str) -> array:
+        """``k_location`` of the term's ``first_position`` in each document
+        of ``Index.postings(term)``, in the postings' order."""
+        factors = self._location.get(term)
+        if factors is None:
+            index = self.index
+            factors = self._location[term] = array("d", (
+                k_location(index.first_position(doc_id, term),
+                           index.doc_len(doc_id), self.k_loc1, self.k_loc2)
+                for doc_id in index.postings(term)))
+        return factors
+
+
+def system_a_contributions(tables: SystemATables, term: str, weight: float,
+                           tf_q: int, params: ScoringParamsA,
                            qstats: QuerySetStats | None = None,
                            idf_map: Mapping[str, float] | None = None
                            ) -> dict[str, float]:
-    """``system_a_term_contribution`` of ``term`` for every document that
-    holds it, doc_id -> addend; every other document's addend is 0.0.
+    """``system_a_term_contribution`` of ``term`` for every document in its
+    postings, doc_id -> addend; every other document's addend is 0.0.
 
-    The IDF, TF_q and rarity are computed once for the term, and the factors
-    are multiplied in ``system_a_term_contribution``'s order, so each addend
-    is the same float.
+    The IDF, TF_q and rarity are computed once for the term, and each
+    posting's TF factor and K_loc come from ``tables``; the factors are
+    multiplied in ``system_a_term_contribution``'s order, so each addend is
+    the same float.  A factor that is off multiplies by 1.0, which leaves
+    every float as it is.
     """
-    stats = index.term_stats(term)
-    if stats.df == 0:
+    tables.check(params)
+    index = tables.index
+    postings = index.postings(term)
+    if not postings:
         return {}
     if idf_map is not None and term in idf_map:
         term_idf = idf_map[term]
     else:
-        term_idf = idf(stats.df, index.n_docs)
+        term_idf = idf(len(postings), index.n_docs)
     tf_q_factor = query_tf_saturation(tf_q, params.k_q_a)
     rarity = (query_rarity_factor(term, qstats, params.k_nq)
-              if params.use_query_rarity else None)
-    addends = {}
-    for doc_id in index.candidate_docs(term):
-        tf = index.doc_tf(doc_id, term)
-        if not tf:
-            continue
-        doc_len = index.doc_len(doc_id)
-        value = (tf_factor(tf, doc_len, index.avg_len, params.k_t) * term_idf
-                 * tf_q_factor)
-        if params.use_location:
-            value *= k_location(index.first_position(doc_id, term), doc_len,
-                                params.k_loc1, params.k_loc2)
-        if rarity is not None:
-            value *= rarity
-        addends[doc_id] = value * weight
-    return addends
+              if params.use_query_rarity else 1.0)
+    norms = tables.norms
+    if params.use_location:
+        return {doc_id: tf / (tf + norms[doc_id]) * term_idf * tf_q_factor
+                * k_loc * rarity * weight
+                for (doc_id, tf), k_loc in zip(postings.items(),
+                                               tables.location_factors(term))}
+    return {doc_id: tf / (tf + norms[doc_id]) * term_idf * tf_q_factor
+            * rarity * weight
+            for doc_id, tf in postings.items()}
 
 
-def system_a_scorer(index: Index, vector: Mapping[str, tuple[float, int]],
-                    params: ScoringParamsA,
-                    qstats: QuerySetStats | None = None,
-                    first_ranking: Ranking | None = None,
-                    idf_map: Mapping[str, float] | None = None,
-                    acc: dict[str, float] | None = None
-                    ) -> Callable[[str], float]:
-    """``score_system_a`` compiled once for a ranking pass: a doc_id -> score
-    lookup equal to ``lambda d: score_system_a(index, d, vector, params,
-    qstats, first_ranking, idf_map)``.
+def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]],
+                  params: ScoringParamsA,
+                  qstats: QuerySetStats | None = None,
+                  idf_map: Mapping[str, float] | None = None,
+                  acc: dict[str, float] | None = None) -> dict[str, float]:
+    """doc_id -> Σ of the vector's term contributions, for every document
+    some term reaches: ``score_system_a``'s sum before the length bonus and
+    K_cat, which are left to ``system_a_lookup``.
 
-    Terms are visited in vector order and each adds its nonzero addends to a
-    per-document accumulator, so every document gets score_system_a's sum;
-    K_cat is computed once per category.  ``acc`` holds sums to start from
-    (the lattice's path scores) and is added to in place.
+    Terms are visited in vector order and each adds its addends to the
+    accumulator, so every document gets ``score_system_a``'s additions in
+    its order.  ``acc`` holds sums to start from (the lattice's path scores)
+    and is added to in place.
     """
-    if params.use_category:
-        if first_ranking is None:
-            raise ValueError("use_category requires the first-retrieval ranking")
-        category_table = category_factors(first_ranking, index, params.k_cat)
     acc = {} if acc is None else acc
+    get = acc.get
     for term, (weight, tf_q) in vector.items():
-        for doc_id, value in system_a_contributions(index, term, weight, tf_q,
+        for doc_id, value in system_a_contributions(tables, term, weight, tf_q,
                                                     params, qstats, idf_map).items():
-            acc[doc_id] = acc.get(doc_id, 0.0) + value
+            acc[doc_id] = get(doc_id, 0.0) + value
+    return acc
 
-    def score(doc_id: str) -> float:
-        total = acc.get(doc_id, 0.0)
-        if params.use_length_bonus:
-            total += length_bonus(index.doc_len(doc_id), index.avg_len)
-        if params.use_category:
-            total *= category_table[index.doc_category(doc_id)]
-        return total
 
-    return score
+def system_a_lookup(tables: SystemATables, sums: Mapping[str, float],
+                    params: ScoringParamsA,
+                    first_ranking: Ranking | None = None
+                    ) -> Callable[[str], float]:
+    """The doc_id -> score lookup of one ranking pass over ``system_a_sums``:
+    the sum, plus the length bonus, times K_cat against ``first_ranking``,
+    each switched by ``params``.  With the sums of a vector it equals
+    ``lambda d: score_system_a(index, d, vector, params, qstats,
+    first_ranking, idf_map)``."""
+    get = sums.get
+    bonus = tables.bonuses if params.use_length_bonus else None
+    if not params.use_category:
+        if bonus is None:
+            return lambda doc_id: get(doc_id, 0.0)
+        return lambda doc_id: get(doc_id, 0.0) + bonus[doc_id]
+    if first_ranking is None:
+        raise ValueError("use_category requires the first-retrieval ranking")
+    table = category_factors(first_ranking, tables.index, params.k_cat)
+    category = tables.categories
+    if bonus is None:
+        return lambda doc_id: get(doc_id, 0.0) * table[category[doc_id]]
+    return lambda doc_id: (get(doc_id, 0.0) + bonus[doc_id]) * table[category[doc_id]]
 
 
 def _rank_order(pair: tuple[str, float]) -> tuple[float, str]:

@@ -1,9 +1,10 @@
-"""Plain versions of probir's shared-statistics fast paths, kept as oracles.
+"""Plain versions of probir's fast paths, kept as oracles.
 
-Each recomputes what it needs the direct way: System A's feedback counts
-with one ``Index.doc_tf`` per (term, top document), auto-R with a fresh
-``TopDocBag`` per prefix, and the sweep with every cell run on its own.
-The property tests compare the fast paths with them for equality.
+Each recomputes what it needs the direct way: System A's lattice scorer
+document by document, its feedback counts with one ``Index.doc_tf`` per
+(term, top document), a bag word's relevance one word at a time, auto-R
+with a fresh ``TopDocBag`` per prefix, and the sweep with every cell run on
+its own.  The property tests compare the fast paths with them for equality.
 """
 
 import math
@@ -17,7 +18,33 @@ from probir.feedback_b import (
     feedback_weights,
 )
 from probir.pipeline import SweepReport, SweepRow, compile_bag
-from probir.scoring import bm11_rank, bm11_retrieval, idf
+from probir.scoring import (
+    bm11_rank,
+    bm11_retrieval,
+    idf,
+    k_category,
+    length_bonus,
+    system_a_term_contribution,
+)
+from probir.term_extraction import lattice_best_path
+
+
+def word_prob(tf, size):
+    """Smoothed occurrence probability (tf+1)/(size+2)."""
+    return (tf + 1) / (size + 2)
+
+
+def word_var(pr, size):
+    return pr * (1.0 - pr) / (size + 3)
+
+
+def relevance(bag, word):
+    """The normal-approximate relevance of one word to a ``TopDocBag``."""
+    comp_tf = bag.index.term_stats(word).collection_tf - bag.tf[word]
+    pr_bag = word_prob(bag.tf[word], bag.size)
+    pr_comp = word_prob(comp_tf, bag.comp_size)
+    var_sum = word_var(pr_bag, bag.size) + word_var(pr_comp, bag.comp_size)
+    return (pr_bag - pr_comp) / math.sqrt(var_sum)
 
 
 def weighted_doc_count(term, top_docs, index, k_afw):
@@ -143,3 +170,39 @@ def sweep_b(index, topics, qtype, config, qrels, p_values, r_values,
         "R": group_mean(lambda r: r.r),
         "alpha": group_mean(lambda r: r.alpha),
     })
+
+
+def lattice_oracle(index, compiled, params, qstats, first_ranking, idf_map,
+                   extra_terms):
+    """The plain per-document lattice scorer: every phrase's DP for every
+    document, each term's contribution from ``system_a_term_contribution``,
+    then the extra terms, the length bonus and K_cat."""
+    vector = compiled.vector
+
+    def scorer(doc_id):
+        cache = {}
+
+        def contribution(term):
+            if term not in cache:
+                weight_tfq = vector.get(term)
+                tf_q = weight_tfq.tf_q if weight_tfq is not None else 1
+                cache[term] = system_a_term_contribution(
+                    index, doc_id, term, 1.0, tf_q, params, qstats, idf_map)
+            return cache[term]
+
+        total = 0.0
+        for phrase in compiled.phrases:
+            _, path_score = lattice_best_path(phrase, contribution,
+                                              compiled.max_span, compiled.joiner)
+            total += path_score
+        for term, (weight, tf_q) in extra_terms.items():
+            total += system_a_term_contribution(index, doc_id, term, weight,
+                                                tf_q, params, qstats, idf_map)
+        if params.use_length_bonus:
+            total += length_bonus(index.doc_len(doc_id), index.avg_len)
+        if params.use_category:
+            total *= k_category(index.doc_category(doc_id), first_ranking,
+                                index, params.k_cat)
+        return total
+
+    return scorer

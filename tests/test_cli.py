@@ -201,6 +201,7 @@ class TestSearchCommand:
         (["--system", "a", "--kq=-1"], "k_q_a must be positive"),
         (["--system", "a", "--kq", "0"], "k_q_a must be positive"),
         (["--system", "a", "--kloc1", "nan"], "k_loc1 must be >= 1"),
+        (["--system", "a", "--feedback", "--kaf", "nan"], "k_af must be finite"),
     ])
     def test_non_finite_or_out_of_range_option_exits_2(self, workspace, capsys,
                                                         flags, message):

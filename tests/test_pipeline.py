@@ -12,7 +12,7 @@ from probir.errors import EmptyQueryError
 from probir.feedback_b import AUTO, FeedbackBParams
 from probir.pipeline import (
     CompiledTopicA,
-    _lattice_scorer,
+    _lattice_sums,
     clir_topic,
     compile_bag,
     compile_phrases,
@@ -32,13 +32,12 @@ from probir.scoring import (
     ScoringParamsA,
     bm11_weights,
     build_query_set_stats,
-    k_category,
-    length_bonus,
     rank,
     score_bm11,
     score_system_a,
-    system_a_scorer,
-    system_a_term_contribution,
+    SystemATables,
+    system_a_lookup,
+    system_a_sums,
 )
 from probir.term_extraction import (
     ALL_PATTERNS,
@@ -48,10 +47,10 @@ from probir.term_extraction import (
     ExtractionConfig,
     all_term_patterns,
     extract_terms,
-    lattice_best_path,
 )
 
 from corpus_builders import make_index, random_token_rows, random_vocab
+from oracles import lattice_oracle
 
 TOK = TokenizerConfig()
 
@@ -187,45 +186,9 @@ class TestSearchSystemA:
         assert rankings[0].doc_ids()
 
 
-def lattice_oracle(index, compiled, params, qstats, first_ranking, idf_map,
-                   extra_terms):
-    """The plain per-document lattice scorer: every phrase's DP for every
-    document, each term's contribution from ``system_a_term_contribution``,
-    then the extra terms, the length bonus and K_cat."""
-    vector = compiled.vector
-
-    def scorer(doc_id):
-        cache = {}
-
-        def contribution(term):
-            if term not in cache:
-                weight_tfq = vector.get(term)
-                tf_q = weight_tfq.tf_q if weight_tfq is not None else 1
-                cache[term] = system_a_term_contribution(
-                    index, doc_id, term, 1.0, tf_q, params, qstats, idf_map)
-            return cache[term]
-
-        total = 0.0
-        for phrase in compiled.phrases:
-            _, path_score = lattice_best_path(phrase, contribution,
-                                              compiled.max_span, compiled.joiner)
-            total += path_score
-        for term, (weight, tf_q) in extra_terms.items():
-            total += system_a_term_contribution(index, doc_id, term, weight,
-                                                tf_q, params, qstats, idf_map)
-        if params.use_length_bonus:
-            total += length_bonus(index.doc_len(doc_id), index.avg_len)
-        if params.use_category:
-            total *= k_category(index.doc_category(doc_id), first_ranking,
-                                index, params.k_cat)
-        return total
-
-    return scorer
-
-
 class TestCompiledSystemA:
-    """``system_a_scorer`` and the pipeline's lattice scorer against the
-    plain per-document oracles, on random token and character corpora."""
+    """``system_a_sums`` and the pipeline's lattice sums, looked up through
+    ``system_a_lookup``, against the plain per-document oracles, on random token and character corpora."""
 
     ALPHABET = "abcde"
     UNKNOWN = "qqqqqqqqqq"  # longer than any random word or string
@@ -251,7 +214,7 @@ class TestCompiledSystemA:
 
     def draw_setting(self, data, rng, index, terms):
         params = ScoringParamsA(
-            k_t=data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="k_t"),
+            k_t=data.draw(st.sampled_from([0.5, 0.7, 1.0, 2.0]), label="k_t"),
             k_q_a=data.draw(st.sampled_from([math.inf, 1.0]), label="k_q_a"),
             k_nq=data.draw(st.sampled_from([RARITY_OFF, RARITY_ALL, RARITY_TITLE]),
                            label="k_nq"),
@@ -300,33 +263,37 @@ class TestCompiledSystemA:
         terms = sorted(vector) + sorted({w for phrase in phrases for w in phrase})
         params, qstats, idf_map, first = self.draw_setting(data, rng, index, terms)
         extra = self.extra_terms(rng, terms)
+        tables = SystemATables(index, params)
 
         if strategy == LATTICE:
             compiled = SimpleNamespace(vector=vector, phrases=phrases,
                                        max_span=max_span, joiner=joiner)
-            fast = _lattice_scorer(index, compiled, params, qstats, first,
-                                   idf_map, extra)
+            sums = _lattice_sums(tables, compiled, params, qstats, idf_map,
+                                 extra)
             oracle = lattice_oracle(index, compiled, params, qstats, first,
                                     idf_map, extra)
         else:
             full = {**vector, **extra}
-            fast = system_a_scorer(index, full, params, qstats, first, idf_map)
+            sums = system_a_sums(tables, full, params, qstats, idf_map)
 
             def oracle(doc_id):
                 return score_system_a(index, doc_id, full, params, qstats,
                                       first, idf_map)
+        fast = system_a_lookup(tables, sums, params, first)
         self.assert_same(index, fast, oracle)
 
     def test_category_needs_a_first_ranking(self, toy_index):
         with pytest.raises(ValueError):
-            system_a_scorer(toy_index, {"enterprise": (1.0, 1)}, ScoringParamsA())
+            system_a_lookup(SystemATables(toy_index, ScoringParamsA()),
+                            {"d1": 1.0}, ScoringParamsA())
 
     def test_lattice_guard_holds_without_hits(self, toy_index):
         compiled = SimpleNamespace(vector={}, phrases=[["zzz"] * 20],
                                    max_span=2, joiner=" ")
+        params = ScoringParamsA(use_category=False)
         with pytest.raises(ValueError, match="lattice guard"):
-            _lattice_scorer(toy_index, compiled, ScoringParamsA(use_category=False),
-                            None, None, None, {})
+            _lattice_sums(SystemATables(toy_index, params), compiled, params,
+                          None, None, {})
 
 
 def dictionary_from(pairs):

@@ -1,0 +1,235 @@
+"""The index's postings, System A's per-document tables and its
+shared-sums passes, against the plain per-document lookups and oracles, on
+random token and character corpora, built and after ``save``/``load_index``.
+Every comparison is exact."""
+
+import math
+import random
+import tempfile
+from dataclasses import replace
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from probir.corpus import CHARACTER_MODE
+from probir.index import TermStats, load_index
+from probir.pipeline import search_topic_a, term_joiner
+from probir.scoring import (
+    RARITY_ALL,
+    RARITY_OFF,
+    RARITY_TITLE,
+    TOP_CATEGORY_DOCS,
+    Ranking,
+    ScoringParamsA,
+    SystemATables,
+    build_query_set_stats,
+    category_factors,
+    k_category,
+    k_location,
+    length_bonus,
+    prune_vector,
+    rank,
+    score_system_a,
+    tf_factor,
+)
+from probir.term_extraction import (
+    LATTICE,
+    SHORTEST,
+    ExtractionConfig,
+    all_term_patterns,
+    extract_terms,
+)
+
+from corpus_builders import make_index, random_token_rows, random_vocab
+from oracles import lattice_oracle
+
+ALPHABET = "abcde"
+SEEDS = st.integers(0, 2**32 - 1)
+CATEGORIES = ["x", "y", "z", None]
+MODES = st.sampled_from(["token", CHARACTER_MODE])
+
+
+def corpus(rng, mode, max_docs=9):
+    """A categorised index and its words, plus words no document holds."""
+    if mode == CHARACTER_MODE:
+        def text(low, high):
+            return "".join(rng.choices(ALPHABET, k=rng.randint(low, high)))
+        rows = [(f"c{i:03d}", text(0, 5), text(1, 25), rng.choice(CATEGORIES))
+                for i in range(rng.randint(1, max_docs))]
+        words = [text(1, 3) for _ in range(6)] + ["q"]
+    else:
+        vocab = random_vocab(rng, rng.randint(3, 8))
+        rows = random_token_rows(rng, rng.randint(1, max_docs), vocab,
+                                 max_len=15, categories=CATEGORIES)
+        words = vocab + ["zzzz"]
+    return make_index(rows, mode=mode), words
+
+
+def terms_of(rng, mode, words):
+    """Words, and runs of two or three words, some of which no document
+    holds."""
+    joiner = term_joiner(mode)
+    return words + [joiner.join(rng.choices(words, k=rng.randint(2, 3)))
+                    for _ in range(5)]
+
+
+def built_and_loaded(index):
+    with tempfile.TemporaryDirectory() as tmp:
+        index.save(tmp)
+        return index, load_index(tmp, expected_mode=index.mode)
+
+
+def first_ranking(rng, index):
+    """Some of the documents, in a random order, possibly none."""
+    docs = list(index.doc_ids())
+    rng.shuffle(docs)
+    return Ranking("q", tuple((d, 0.0) for d in docs[:rng.randint(0, len(docs))]))
+
+
+class TestTables:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, mode=MODES)
+    def test_postings_and_term_stats_equal_per_document_counts(self, seed, mode):
+        rng = random.Random(seed)
+        index, words = corpus(rng, mode)
+        terms = terms_of(rng, mode, words)
+        for idx in built_and_loaded(index):
+            for term in terms:
+                holding = {d: tf for d in idx.doc_ids()
+                           if (tf := idx.doc_tf(d, term)) > 0}
+                assert dict(idx.postings(term)) == holding, term
+                assert idx.term_stats(term) == TermStats(len(holding),
+                                                         sum(holding.values()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, mode=MODES)
+    def test_system_a_tables_equal_per_document_lookups(self, seed, mode):
+        rng = random.Random(seed)
+        index, words = corpus(rng, mode)
+        terms = terms_of(rng, mode, words)
+        params = ScoringParamsA(
+            k_t=rng.choice([0.3, 0.7, 1.0, 1.7]),  # not only powers of two
+            k_loc1=rng.choice([1.0, 1.2, 3.0]), k_loc2=rng.choice([0.0, 0.1, 0.9]))
+        for idx in built_and_loaded(index):
+            tables = SystemATables(idx, params)
+            docs = idx.doc_ids()
+            assert tables.norms == {d: params.k_t * idx.doc_len(d) / idx.avg_len
+                                    for d in docs}
+            assert tables.bonuses == {d: length_bonus(idx.doc_len(d), idx.avg_len)
+                                      for d in docs}
+            assert tables.categories == {d: idx.doc_category(d) for d in docs}
+            for term in terms:
+                postings = idx.postings(term)
+                for d, tf in postings.items():
+                    assert tf / (tf + tables.norms[d]) == tf_factor(
+                        tf, idx.doc_len(d), idx.avg_len, params.k_t)
+                factors = tables.location_factors(term)
+                # one value per posting, in the postings' order
+                assert list(factors) == [
+                    k_location(idx.first_position(d, term), idx.doc_len(d),
+                               params.k_loc1, params.k_loc2)
+                    for d in postings]
+                assert tables.location_factors(term) is factors
+
+    def test_tables_refuse_other_length_or_location_settings(self, toy_index):
+        tables = SystemATables(toy_index, ScoringParamsA())
+        tables.check(ScoringParamsA(use_category=False, k_cat=2.0))
+        for other in (ScoringParamsA(k_t=0.7), ScoringParamsA(k_loc1=1.5),
+                      ScoringParamsA(k_loc2=0.2)):
+            with pytest.raises(ValueError, match="SystemATables"):
+                tables.check(other)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, mode=MODES)
+    def test_category_factors_equal_k_category(self, seed, mode):
+        rng = random.Random(seed)
+        # up to 150 documents, so a first ranking can be longer than the
+        # TOP_CATEGORY_DOCS prefix that K_cat reads
+        index, _ = corpus(rng, mode, max_docs=rng.choice([9, 150]))
+        assert TOP_CATEGORY_DOCS < 150
+        k_cat = rng.choice([0.1, 0.0, -0.5, 2.0])
+        for idx in built_and_loaded(index):
+            for first in (Ranking("q", ()), first_ranking(rng, idx)):
+                table = category_factors(first, idx, k_cat)
+                # every category of the collection, whether or not the top
+                # holds it, and None
+                assert table == {c: k_category(c, first, idx, k_cat)
+                                 for c in (None, *idx.category_counts())}
+
+
+def draw_params(data, rng, terms):
+    params = ScoringParamsA(
+        k_t=data.draw(st.sampled_from([0.3, 1.0, 1.7]), label="k_t"),
+        k_q_a=data.draw(st.sampled_from([math.inf, 1.0]), label="k_q_a"),
+        k_nq=data.draw(st.sampled_from([RARITY_OFF, RARITY_ALL, RARITY_TITLE]),
+                       label="k_nq"),
+        k_cat=data.draw(st.sampled_from([0.1, 1.5]), label="k_cat"),
+        use_location=data.draw(st.booleans(), label="location"),
+        use_category=True,
+        use_length_bonus=data.draw(st.booleans(), label="length"),
+        use_query_rarity=data.draw(st.booleans(), label="rarity"),
+    )
+    queries = [(set(rng.sample(terms, rng.randint(1, len(terms)))),
+                set(rng.sample(terms, rng.randint(0, len(terms)))))
+               for _ in range(rng.randint(1, 4))]
+    return params, build_query_set_stats(queries)
+
+
+class TestSharedSums:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), mode=MODES, strategy=st.sampled_from([SHORTEST, LATTICE]))
+    def test_neutral_and_category_passes_equal_per_pass_oracle(self, data, mode,
+                                                               strategy):
+        """``search_topic_a`` ranks both passes from one set of term sums;
+        each pass equals a ranking by the plain scorer of that pass alone,
+        with fresh tables or with tables an earlier topic has used."""
+        rng = random.Random(data.draw(SEEDS, label="seed"))
+        index, words = corpus(rng, mode)
+        joiner = term_joiner(mode)
+        phrases = [rng.choices(words, k=rng.randint(1, 4))
+                   for _ in range(rng.randint(1, 3))]
+        max_span = data.draw(st.integers(1, 3), label="max_span")
+        if strategy == LATTICE:
+            vector = all_term_patterns(phrases, max_span, joiner)
+        else:
+            vector = extract_terms(phrases, ExtractionConfig(strategy, max_span=max_span),
+                                   joiner)
+        compiled = SimpleNamespace(query_id="q", vector=vector, phrases=phrases,
+                                   lattice=strategy == LATTICE,
+                                   max_span=max_span, joiner=joiner)
+        params, qstats = draw_params(data, rng, sorted(vector))
+        neutral_params = replace(params, use_category=False)
+        # a cutoff below the collection size, so that the neutral ranking's
+        # categories can differ from the collection's and K_cat from 1
+        n = rng.randint(1, index.n_docs)
+        pruned = prune_vector(index, vector)
+
+        def oracle_ranking(p, reference):
+            if compiled.lattice:
+                scorer = lattice_oracle(index, compiled, p, qstats, reference,
+                                        None, {})
+            else:
+                def scorer(doc_id):
+                    return score_system_a(index, doc_id, pruned, p, qstats,
+                                          reference)
+            return rank(index, scorer, n, "q")
+
+        tables = None
+        if data.draw(st.booleans(), label="shared tables"):
+            tables = SystemATables(index, params)
+            earlier = [rng.choices(words, k=rng.randint(1, 4))]
+            search_topic_a(index, SimpleNamespace(
+                query_id="e", vector=all_term_patterns(earlier, max_span, joiner),
+                phrases=earlier, lattice=True, max_span=max_span, joiner=joiner),
+                params, qstats, cutoff=n, tables=tables)
+        neutral = search_topic_a(index, compiled, neutral_params, qstats, cutoff=n,
+                                 tables=tables)
+        both = search_topic_a(index, compiled, params, qstats, cutoff=n,
+                              tables=tables)
+        if not compiled.lattice and not pruned:
+            assert neutral is None and both is None
+            return
+        want_neutral = oracle_ranking(neutral_params, None)
+        assert neutral.items == want_neutral.items
+        assert both.items == oracle_ranking(params, want_neutral).items

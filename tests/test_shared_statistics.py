@@ -1,6 +1,7 @@
 """Per-topic feedback statistics computed once and shared, against the plain
 versions in ``oracles``: System A's one-walk feedback counts, the score-only
-lattice DP, System B's prefix bags, auto-R and the parameter sweep.  Every
+lattice DP, System B's relevance table and prefix bags, auto-R and the
+parameter sweep.  Every
 comparison is exact."""
 
 import math
@@ -206,6 +207,22 @@ class TestLatticeBestScore:
                 for doc_id in scored]
         assert got == want
         assert all(math.copysign(1.0, score) == 1.0 for score in got if score == 0.0)
+
+
+class TestBagRelevance:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, mode=st.sampled_from(["token", CHARACTER_MODE]))
+    def test_relevance_table_equals_per_word_oracle(self, seed, mode):
+        rng = random.Random(seed)
+        index, terms = corpus(rng, mode)
+        bag = TopDocBag(index, top_documents(rng, index))
+        # the bag's words and words it lacks (some of which no document
+        # holds), asked in a random order, so that either kind fills the
+        # table first
+        words = list(bag.tf) + [t for t in terms if len(index._units(t)) == 1]
+        rng.shuffle(words)
+        assert [bag.relevance(w) for w in words] == [
+            oracles.relevance(bag, w) for w in words]
 
 
 class TestPrefixBags:

@@ -1,19 +1,21 @@
 """Command-line interface.
 
 Subcommands: index, search, sweep, segment, build-dict, translate, eval.
-Search and sweep read an optional `key = value` config file; explicit
-command-line flags override file values, which override built-in defaults.
-Run files carry the resolved configuration as `#` header comments and a tag
-hashed from it, so a run is reproducible from its own header.
+Search and sweep options come from one table of rows (key, flag, default,
+parser); flags override `key = value` config-file values, which override the
+defaults.  A run file's `#` header echoes the options its system reads, and
+its tag is hashed from them, so a run is reproducible from its own header.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .clir import (
     KeywordPairRecord,
@@ -44,7 +46,7 @@ from .pipeline import (
     search_system_b,
     sweep_b,
 )
-from .scoring import RARITY_TITLE, ScoringParamsA
+from .scoring import RARITY_ALL, RARITY_OFF, RARITY_TITLE, ScoringParamsA
 from .segmentation import (
     MiTable,
     RatioTarget,
@@ -68,114 +70,174 @@ TERM_STRATEGIES = {
     "down": DOWN_WEIGHT,
 }
 
-SEARCH_DEFAULTS = {
-    "system": "b",
-    "qtype": "short",
-    "terms": "shortest",
-    "k_down": 0.2,
-    "max_span": 6,
-    "cutoff": 1000,
-    "tag": None,
-    "feedback": False,
-    # extended-scorer knobs
-    "k_t": 1.0,
-    "k_q": float("inf"),
-    "k_nq": "0",
-    "k_loc1": 1.2,
-    "k_loc2": 0.1,
-    "k_cat": 0.1,
-    "location": True,
-    "category": True,
-    "length_bonus": True,
-    "query_rarity": True,
-    # feedback (extended scorer)
-    "kr": 5,
-    "kaf": 0.7,
-    "kp": 0.9,
-    "kafw": 0.5,
-    "kp_literal": False,
-    # feedback (parameter-light scorer)
-    "p": 0.10,
-    "theta": None,
-    "r": "auto",
-    "alpha": "auto",
-    "r_cap": 20,
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"bad boolean {text!r}") from None
+
+
+def _choice(*texts: str, values=None):
+    """Parser of an option with a fixed set of values, keyed by their text;
+    a value is its own text unless ``values`` gives it."""
+    values = values or {text: text for text in texts}
+
+    def parse(text: str):
+        if text not in values:
+            raise argparse.ArgumentTypeError(
+                f"expected one of {', '.join(values)}, got {text!r}")
+        return values[text]
+    parse.choices = list(values.values())
+    return parse
+
+
+def _parsed(kind, holds=None, rule=""):
+    """Parser of one ``kind`` value; ``holds`` is the row's own range."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__}, got {text!r}") from None
+        if holds is not None and not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+def _or_auto(parse):
+    return lambda text: AUTO if text == AUTO else parse(text)
+
+
+def _grid(parse):
+    """Parser of a comma-separated sweep list."""
+    return lambda text: tuple(parse(item) for item in text.split(","))
+
+
+_FLOAT = _parsed(float)
+_INT = _parsed(int)
+_K_CMI = _parsed(float, lambda x: not math.isnan(x), "a number")
+
+
+class Option(NamedTuple):
+    """One `search` or `sweep` option: config key (and argparse dest), flag,
+    default, the parser of a flag's or a config value's text, and the
+    systems that read it ("a", "b" or "ab"; `translate` runs are "b")."""
+
+    key: str
+    flag: str
+    default: object
+    parse: Callable[[str], object]
+    systems: str = "ab"
+
+
+# Ranges live in ScoringParamsA, FeedbackAParams, FeedbackBParams and
+# ExtractionConfig; a row checks one only for a value none of them owns.
+SEARCH_OPTIONS = (
+    Option("system", "--system", "b", _choice("a", "b")),
+    Option("qtype", "--qtype", "short", _choice(*(q.value for q in QueryType))),
+    Option("terms", "--terms", "shortest",
+           _choice(*sorted(TERM_STRATEGIES)), "a"),
+    Option("k_down", "--k-down", 0.2, _FLOAT, "a"),
+    Option("max_span", "--max-span", 6, _INT, "a"),
+    Option("cutoff", "--cutoff", 1000, _parsed(int, lambda n: n >= 1, ">= 1")),
+    # names the run in its tag column, so one word; no system reads it, so
+    # the header leaves it out
+    Option("tag", "--tag", None,
+           _parsed(str, lambda text: text.split() == [text], "one word"), ""),
+    Option("feedback", "--feedback", False, _boolean),
+    # extended scorer
+    Option("k_t", "--kt", 1.0, _FLOAT, "a"),
+    Option("k_q", "--kq", math.inf, _FLOAT, "a"),
+    Option("k_nq", "--knq", RARITY_OFF,
+           _choice(values={"0": RARITY_OFF, "1": RARITY_ALL,
+                           RARITY_TITLE: RARITY_TITLE}), "a"),
+    Option("k_loc1", "--kloc1", 1.2, _FLOAT, "a"),
+    Option("k_loc2", "--kloc2", 0.1, _FLOAT, "a"),
+    Option("k_cat", "--kcat", 0.1, _FLOAT, "a"),
+    Option("location", "--location", True, _boolean, "a"),
+    Option("category", "--category", True, _boolean, "a"),
+    Option("length_bonus", "--length-bonus", True, _boolean, "a"),
+    Option("query_rarity", "--query-rarity", True, _boolean, "a"),
+    # feedback, extended scorer
+    Option("kr", "--kr", 5, _INT, "a"),
+    Option("kaf", "--kaf", 0.7, _FLOAT, "a"),
+    Option("kp", "--kp", 0.9, _FLOAT, "a"),
+    Option("kafw", "--kafw", 0.5, _FLOAT, "a"),
+    Option("kp_literal", "--kp-literal", False, _boolean, "a"),
+    # feedback, parameter-light scorer
+    Option("p", "--p", 0.10, _FLOAT, "b"),
+    Option("theta", "--theta", None, _FLOAT, "b"),
+    Option("r", "--R", AUTO, _or_auto(_INT), "b"),
+    Option("alpha", "--alpha", AUTO, _or_auto(_FLOAT), "b"),
+    Option("r_cap", "--r-cap", 20, _INT, "b"),
     # cross-lingual
-    "translate": None,
-    "expand_source": None,
-    "expand_docs": 5,
-    "expand_all": False,
-    "passthrough": False,
-    # character mode
-    "k_cmi": None,
-}
+    Option("translate", "--translate", None, str, "b"),
+    Option("expand_source", "--expand-source", None, str, "b"),
+    Option("expand_docs", "--expand-docs", 5,
+           _parsed(int, lambda n: n >= 0, ">= 0"), "b"),
+    Option("expand_all", "--expand-all", False, _boolean, "b"),
+    Option("passthrough", "--passthrough", False, _boolean, "b"),
+    # character mode; None takes the index's calibrated threshold
+    Option("k_cmi", "--k-cmi", None, _K_CMI),
+)
 
-SWEEP_DEFAULTS = {
-    "qtype": "short",
-    "cutoff": 1000,
-    "p": "0.10,0.05,0.01",
-    "r": "1,3,5,7,10,15,auto",
-    "alpha": "0.5,1.0,1.5,auto",
-    "k_cmi": None,
-}
-
-# Types for config keys whose default is None.
-_NONE_TYPES = {"tag": str, "theta": float, "translate": str,
-               "expand_source": str, "k_cmi": float}
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+SWEEP_OPTIONS = tuple(option for option in SEARCH_OPTIONS
+                      if option.key in ("qtype", "cutoff", "k_cmi")) + (
+    Option("p", "--p", (0.10, 0.05, 0.01), _grid(_FLOAT), "b"),
+    Option("r", "--R", (1, 3, 5, 7, 10, 15, AUTO), _grid(_or_auto(_INT)), "b"),
+    Option("alpha", "--alpha", (0.5, 1.0, 1.5, AUTO), _grid(_or_auto(_FLOAT)),
+           "b"),
+)
 
 
-def parse_config_file(path, defaults: dict) -> dict:
-    """`key = value` lines; keys must exist in the command's defaults."""
+def parse_config_file(path, options) -> dict:
+    """`key = value` lines, each value read by the parser of its option."""
+    by_key = {option.key: option for option in options}
     values = {}
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             if "=" not in stripped:
-                raise ParseError(str(path), line_no, "expected key = value")
+                raise ParseError(path, line_no, "expected key = value")
             key, _, raw = stripped.partition("=")
             key = key.strip().replace("-", "_")
-            raw = raw.strip()
-            if key not in defaults:
-                raise ParseError(str(path), line_no, f"unknown option {key!r}")
-            default = defaults[key]
-            if isinstance(default, bool):
-                low = raw.lower()
-                if low in _TRUE:
-                    values[key] = True
-                elif low in _FALSE:
-                    values[key] = False
-                else:
-                    raise ParseError(str(path), line_no, f"bad boolean {raw!r}")
-            elif isinstance(default, int):
-                values[key] = int(raw)
-            elif isinstance(default, float):
-                values[key] = float(raw)
-            elif default is None and key in _NONE_TYPES:
-                values[key] = _NONE_TYPES[key](raw)
-            else:
-                values[key] = raw
+            if key not in by_key:
+                raise ParseError(path, line_no, f"unknown option {key!r}")
+            try:
+                values[key] = by_key[key].parse(raw.strip())
+            except argparse.ArgumentTypeError as exc:
+                raise ParseError(path, line_no, f"{key}: {exc}") from None
     return values
 
 
-def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    ns = dict(vars(args))
-    config_path = ns.pop("config", None)
-    if config_path:
-        cfg.update(parse_config_file(config_path, defaults))
-    cfg.update({k: v for k, v in ns.items() if k in defaults})
+def resolve_config(args: argparse.Namespace, options) -> dict:
+    """Flags override the config file, which overrides the defaults."""
+    cfg = {option.key: option.default for option in options}
+    if args.config:
+        cfg.update(parse_config_file(args.config, options))
+    cfg.update((option.key, getattr(args, option.key))
+               for option in options if hasattr(args, option.key))
     return cfg
 
 
-def _sup(parser, *names, **kw):
-    kw.setdefault("default", argparse.SUPPRESS)
-    parser.add_argument(*names, **kw)
+def _add_options(parser: argparse.ArgumentParser, options) -> None:
+    parser.add_argument("--config")
+    for option in options:
+        if option.parse is _boolean:
+            kind = {"action": (argparse.BooleanOptionalAction if option.default
+                               else "store_true")}
+        else:
+            kind = {"type": option.parse,
+                    "choices": getattr(option.parse, "choices", None)}
+        parser.add_argument(option.flag, dest=option.key,
+                            default=argparse.SUPPRESS, **kind)
 
 
 def _tokenizer_path(index_dir) -> Path:
@@ -244,7 +306,10 @@ def _load_mi(index_dir) -> tuple[MiTable, float] | tuple[None, None]:
         payload = json.loads(path.read_text(encoding="utf-8"))
         table = MiTable(payload["unigrams"], payload["bigrams"],
                         payload["total_unigrams"], payload["total_bigrams"])
-        return table, float(payload["k_cmi"])
+        k_cmi = float(payload["k_cmi"])
+        if not math.isfinite(k_cmi):
+            raise ValueError(f"k_cmi must be finite, got {k_cmi}")
+        return table, k_cmi
 
 
 def _parse_ratio(text: str) -> RatioTarget:
@@ -279,10 +344,8 @@ def cmd_index(args) -> int:
 
 
 def _scoring_params(cfg: dict) -> ScoringParamsA:
-    k_nq = cfg["k_nq"]
-    k_nq = RARITY_TITLE if k_nq == RARITY_TITLE else int(k_nq)
     return ScoringParamsA(
-        k_t=cfg["k_t"], k_q_a=cfg["k_q"], k_nq=k_nq,
+        k_t=cfg["k_t"], k_q_a=cfg["k_q"], k_nq=cfg["k_nq"],
         k_loc1=cfg["k_loc1"], k_loc2=cfg["k_loc2"], k_cat=cfg["k_cat"],
         use_location=cfg["location"], use_category=cfg["category"],
         use_length_bonus=cfg["length_bonus"], use_query_rarity=cfg["query_rarity"],
@@ -292,14 +355,17 @@ def _scoring_params(cfg: dict) -> ScoringParamsA:
 def _feedback_b_params(cfg: dict) -> FeedbackBParams:
     return FeedbackBParams(
         p_level=cfg["p"], theta=cfg["theta"],
-        r=None if cfg["r"] == AUTO else int(cfg["r"]),
-        alpha=None if cfg["alpha"] == AUTO else float(cfg["alpha"]),
+        r=None if cfg["r"] == AUTO else cfg["r"],
+        alpha=None if cfg["alpha"] == AUTO else cfg["alpha"],
         r_cap=cfg["r_cap"],
     )
 
 
 def cmd_search(args) -> int:
-    cfg = resolve_config(args, SEARCH_DEFAULTS)
+    cfg = resolve_config(args, SEARCH_OPTIONS)
+    if cfg["translate"] and cfg["system"] == "a":
+        raise ValueError("translate runs System B; it cannot be combined "
+                         "with system a")
     tok_config = _load_tokenizer(args.index)
     index = load_index(args.index, tok_config.mode)
     mi_table, stored_kcmi = _load_mi(args.index)
@@ -356,7 +422,8 @@ def cmd_search(args) -> int:
             mi_table, k_cmi,
         )
 
-    echo = {k: cfg[k] for k in sorted(cfg) if k != "tag"}
+    echo = {option.key: cfg[option.key] for option in SEARCH_OPTIONS
+            if cfg["system"] in option.systems}
     echo["index"] = str(args.index)
     echo["topics"] = str(args.topics)
     tag = cfg["tag"] or run_tag(echo)
@@ -374,20 +441,15 @@ def cmd_search(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = resolve_config(args, SWEEP_DEFAULTS)
+    cfg = resolve_config(args, SWEEP_OPTIONS)
     tok_config = _load_tokenizer(args.index)
     index = load_index(args.index, tok_config.mode)
-    mi_table, k_cmi = _load_mi(args.index)
-    if cfg["k_cmi"] is not None:
-        k_cmi = cfg["k_cmi"]
+    mi_table, stored_kcmi = _load_mi(args.index)
+    k_cmi = cfg["k_cmi"] if cfg["k_cmi"] is not None else stored_kcmi
     topics = load_topics(args.topics)
     qrels = load_qrels(args.qrels)
-    p_values = [float(v) for v in str(cfg["p"]).split(",")]
-    r_values = [v if v == AUTO else int(v) for v in str(cfg["r"]).split(",")]
-    alpha_values = [v if v == AUTO else float(v)
-                    for v in str(cfg["alpha"]).split(",")]
     report = sweep_b(index, topics, QueryType(cfg["qtype"]), tok_config, qrels,
-                     p_values, r_values, alpha_values, cfg["cutoff"],
+                     cfg["p"], cfg["r"], cfg["alpha"], cfg["cutoff"],
                      mi_table, k_cmi)
     text = report.format()
     if args.out:
@@ -485,43 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--index", required=True)
     p_search.add_argument("--topics", required=True)
     p_search.add_argument("--out")
-    p_search.add_argument("--config")
-    _sup(p_search, "--system", choices=["a", "b"])
-    _sup(p_search, "--qtype", choices=[q.value for q in QueryType])
-    _sup(p_search, "--terms", choices=sorted(TERM_STRATEGIES))
-    _sup(p_search, "--k-down", dest="k_down", type=float)
-    _sup(p_search, "--max-span", dest="max_span", type=int)
-    _sup(p_search, "--cutoff", type=int)
-    _sup(p_search, "--tag")
-    _sup(p_search, "--feedback", action="store_true")
-    _sup(p_search, "--kt", dest="k_t", type=float)
-    _sup(p_search, "--kq", dest="k_q", type=float)
-    _sup(p_search, "--knq", dest="k_nq", choices=["0", "1", RARITY_TITLE])
-    _sup(p_search, "--kloc1", dest="k_loc1", type=float)
-    _sup(p_search, "--kloc2", dest="k_loc2", type=float)
-    _sup(p_search, "--kcat", dest="k_cat", type=float)
-    _sup(p_search, "--location", action=argparse.BooleanOptionalAction)
-    _sup(p_search, "--category", action=argparse.BooleanOptionalAction)
-    _sup(p_search, "--length-bonus", dest="length_bonus",
-         action=argparse.BooleanOptionalAction)
-    _sup(p_search, "--query-rarity", dest="query_rarity",
-         action=argparse.BooleanOptionalAction)
-    _sup(p_search, "--kr", type=int)
-    _sup(p_search, "--kaf", type=float)
-    _sup(p_search, "--kp", type=float)
-    _sup(p_search, "--kafw", type=float)
-    _sup(p_search, "--kp-literal", dest="kp_literal", action="store_true")
-    _sup(p_search, "--p", type=float)
-    _sup(p_search, "--theta", type=float)
-    _sup(p_search, "--R", dest="r")
-    _sup(p_search, "--alpha")
-    _sup(p_search, "--r-cap", dest="r_cap", type=int)
-    _sup(p_search, "--translate")
-    _sup(p_search, "--expand-source", dest="expand_source")
-    _sup(p_search, "--expand-docs", dest="expand_docs", type=int)
-    _sup(p_search, "--expand-all", dest="expand_all", action="store_true")
-    _sup(p_search, "--passthrough", action="store_true")
-    _sup(p_search, "--k-cmi", dest="k_cmi", type=float)
+    _add_options(p_search, SEARCH_OPTIONS)
     p_search.set_defaults(func=cmd_search)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a feedback parameter grid")
@@ -529,20 +555,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--topics", required=True)
     p_sweep.add_argument("--qrels", required=True)
     p_sweep.add_argument("--out")
-    p_sweep.add_argument("--config")
-    _sup(p_sweep, "--qtype", choices=[q.value for q in QueryType])
-    _sup(p_sweep, "--cutoff", type=int)
-    _sup(p_sweep, "--p")
-    _sup(p_sweep, "--R", dest="r")
-    _sup(p_sweep, "--alpha")
-    _sup(p_sweep, "--k-cmi", dest="k_cmi", type=float)
+    _add_options(p_sweep, SWEEP_OPTIONS)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_segment = sub.add_parser(
         "segment", help="segment sentences from stdin, one per line")
     p_segment.add_argument("--stats", help="corpus JSONL for the statistics")
     p_segment.add_argument("--ratio", type=_parse_ratio, default=RatioTarget())
-    p_segment.add_argument("--k-cmi", dest="k_cmi", type=float)
+    p_segment.add_argument("--k-cmi", dest="k_cmi", type=_K_CMI)
     p_segment.set_defaults(func=cmd_segment)
 
     p_dict = sub.add_parser("build-dict", help="build a dictionary from keyword pairs")

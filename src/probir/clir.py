@@ -131,8 +131,7 @@ def translate(tokens: Sequence[str], dictionary: BilingualDictionary,
 def document_expansion(query_bag: Mapping[str, int], source_index: Index,
                        n_docs: int = DEFAULT_EXPANSION_DOCS,
                        theta: float = DEFAULT_EXPANSION_THETA,
-                       expand_all: bool = False,
-                       k_q: float = 1000.0) -> dict[str, int]:
+                       expand_all: bool = False) -> dict[str, int]:
     """Append over-represented words of the top source-language documents.
 
     Original counts are preserved; appended words enter with count 1.  Docs
@@ -141,7 +140,7 @@ def document_expansion(query_bag: Mapping[str, int], source_index: Index,
     """
     if n_docs <= 0:
         return dict(query_bag)
-    first = bm11_retrieval(source_index, query_bag, n_docs, k_q=k_q)
+    first = bm11_retrieval(source_index, query_bag, n_docs)
     if first is None:
         return dict(query_bag)
     _, ranking = first

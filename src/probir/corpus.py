@@ -18,7 +18,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
 from .errors import DuplicateDocIdError, ParseError
 
@@ -76,7 +76,7 @@ def _is_content_word(token: str) -> bool:
 
 
 def default_stem(token: str) -> str:
-    """Small suffix-stripping rule set; replaceable via TokenizerConfig.stemmer."""
+    """Small suffix-stripping rule set, applied when stemming is on."""
     if len(token) > 4 and token.endswith("sses"):
         return token[:-2]
     if len(token) > 3 and token.endswith("ies"):
@@ -96,31 +96,19 @@ def default_stem(token: str) -> str:
 
 @dataclass(frozen=True)
 class TokenizerConfig:
-    """Tokenization contract shared by indexing and query processing.
-
-    ``stemmer`` may be a callable or a plain lookup table; it is consulted only
-    when ``stemming`` is on.  ``keep_token`` decides which word tokens are
-    content words (token mode only).
-    """
+    """Tokenization contract shared by indexing and query processing; every
+    field is stored in an index's ``tokenizer.json``."""
 
     mode: str = TOKEN_MODE
     stopwords: frozenset[str] = field(default_factory=frozenset)
     stemming: bool = False
-    stemmer: Callable[[str], str] | Mapping[str, str] | None = None
-    keep_token: Callable[[str], bool] | None = None
 
     def __post_init__(self):
         if self.mode not in (TOKEN_MODE, CHARACTER_MODE):
             raise ValueError(f"unknown tokenizer mode {self.mode!r}")
 
     def stem(self, token: str) -> str:
-        if not self.stemming:
-            return token
-        if self.stemmer is None:
-            return default_stem(token)
-        if callable(self.stemmer):
-            return self.stemmer(token)
-        return self.stemmer.get(token, token)
+        return default_stem(token) if self.stemming else token
 
     def is_stopword(self, term: str) -> bool:
         return term in self.stopwords
@@ -143,11 +131,10 @@ def tokenize(text: str, config: TokenizerConfig) -> list[str]:
         return []
     if config.mode == CHARACTER_MODE:
         return [ch for ch in text if _keep_character(ch)]
-    keep = config.keep_token or _is_content_word
     out = []
     for raw in _WORD_RE.findall(text.lower()):
         token = raw.strip("'")
-        if not token or not keep(token):
+        if not token or not _is_content_word(token):
             continue
         if config.is_stopword(token):
             continue

@@ -42,7 +42,6 @@ class FeedbackBParams:
     r: int | None = None        # None = auto-size per query
     alpha: float | None = None  # None = auto
     r_cap: int = 20
-    k_q: float = 1000.0
     filter_as_set: bool = False  # drop tf inside F(D_i) (tf := 1)
 
     def __post_init__(self):
@@ -214,14 +213,13 @@ def feedback_weights(query_bag: Mapping[str, int], top_docs: Sequence[str],
         alpha_value = params.alpha
     else:
         alpha_value = alpha(len(query_bag), union_size)
-    k_q = params.k_q
     weights: dict[str, float] = {}
     for word, tf_q in query_bag.items():
-        weights[word] = alpha_value * bm11_word_weight(index, word, tf_q, k_q)
+        weights[word] = alpha_value * bm11_word_weight(index, word, tf_q)
     for f in filtered:
         for word, tf in f.items():
             weights[word] = (weights.get(word, 0.0)
-                             + bm11_word_weight(index, word, tf, k_q) / r)
+                             + bm11_word_weight(index, word, tf) / r)
     return weights
 
 

@@ -285,9 +285,8 @@ def search_system_a(index: Index, topics: Sequence[Topic], qtype: QueryType,
 
 def search_topic_b(index: Index, query_id: str, bag: Mapping[str, int],
                    feedback: FeedbackBParams | None = None,
-                   cutoff: int = 1000,
-                   k_q: float = 1000.0) -> Ranking | None:
-    first = bm11_retrieval(index, bag, cutoff, query_id, k_q)
+                   cutoff: int = 1000) -> Ranking | None:
+    first = bm11_retrieval(index, bag, cutoff, query_id)
     if first is None:
         return None
     pruned, ranking = first
@@ -302,11 +301,9 @@ def search_system_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
                     cutoff: int = 1000,
                     mi_table: MiTable | None = None,
                     k_cmi: float | None = None) -> tuple[list[Ranking], list[str]]:
-    k_q = feedback.k_q if feedback is not None else 1000.0
-
     def search(topic: Topic) -> Ranking | None:
         _, bag = compile_bag(topic, qtype, config, mi_table, k_cmi)
-        return search_topic_b(index, topic.query_id, bag, feedback, cutoff, k_q)
+        return search_topic_b(index, topic.query_id, bag, feedback, cutoff)
 
     return _usable((topic.query_id, search(topic)) for topic in topics)
 

@@ -49,6 +49,8 @@ RARITY_OFF = 0
 RARITY_ALL = 1
 RARITY_TITLE = "t"
 
+BM11_K_Q = 1000.0  # System B's query-side tf saturation
+
 TOP_CATEGORY_DOCS = 100  # ranking prefix that defines the category ratio
 
 
@@ -148,19 +150,18 @@ def idf(df: int, n_docs: int) -> float:
     return math.log(n_docs / df)
 
 
-def bm11_query_weight(tf_q: int, idf_value: float, k_q: float = 1000.0) -> float:
+def bm11_query_weight(tf_q: int, idf_value: float, k_q: float = BM11_K_Q) -> float:
     """Query-side weight (k_q+1)·tf_q/(k_q+tf_q) · idf; equals idf at tf_q=1."""
     return (k_q + 1.0) * tf_q / (k_q + tf_q) * idf_value
 
 
-def bm11_word_weight(index: Index, word: str, tf_q: int,
-                     k_q: float = 1000.0) -> float:
+def bm11_word_weight(index: Index, word: str, tf_q: int) -> float:
     """q(w|Q) of one word with its collection IDF; 0.0 for a word the
     collection has never seen."""
     df = index.term_stats(word).df
     if df == 0:
         return 0.0
-    return bm11_query_weight(tf_q, idf(df, index.n_docs), k_q)
+    return bm11_query_weight(tf_q, idf(df, index.n_docs))
 
 
 def query_tf_saturation(tf_q: int, k_q_a: float) -> float:
@@ -481,20 +482,18 @@ def bm11_rank(index: Index, weights: Mapping[str, float], cutoff: int,
                 cutoff, query_id)
 
 
-def bm11_weights(index: Index, bag: Mapping[str, int],
-                 k_q: float = 1000.0) -> dict[str, float]:
+def bm11_weights(index: Index, bag: Mapping[str, int]) -> dict[str, float]:
     """Query-side weights q(w|Q) for every bag word the collection knows."""
-    return {word: bm11_word_weight(index, word, tf_q, k_q)
+    return {word: bm11_word_weight(index, word, tf_q)
             for word, tf_q in prune_vector(index, bag).items()}
 
 
 def bm11_retrieval(index: Index, bag: Mapping[str, int], cutoff: int,
-                   query_id: str = "", k_q: float = 1000.0
-                   ) -> tuple[dict[str, int], Ranking] | None:
+                   query_id: str = "") -> tuple[dict[str, int], Ranking] | None:
     """The BM11 first retrieval shared by search, the feedback sweep and
     document expansion: the bag pruned to the words the collection knows,
     and its ranking.  None when the collection knows no word of the bag."""
-    weights = bm11_weights(index, bag, k_q)
+    weights = bm11_weights(index, bag)
     if not weights:
         return None
     pruned = {word: bag[word] for word in weights}

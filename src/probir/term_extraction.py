@@ -60,13 +60,12 @@ class ExtractionConfig:
 
 def split_phrases(text: str, config: TokenizerConfig) -> list[list[str]]:
     """Token-mode phrase extraction; rejected tokens break the current run."""
-    keep = config.keep_token or _is_content_word
     phrases: list[list[str]] = []
     current: list[str] = []
     for chunk in _PHRASE_BOUNDARY_RE.split(text.lower()):
         for raw in _WORD_RE.findall(chunk):
             token = raw.strip("'")
-            if token and keep(token) and not config.is_stopword(token):
+            if token and _is_content_word(token) and not config.is_stopword(token):
                 current.append(config.stem(token))
             elif current:
                 phrases.append(current)

@@ -32,6 +32,7 @@ from probir.feedback_b import (
 from probir.index import load_index
 from probir.pipeline import clir_topic, search_topic_b
 from probir.scoring import (
+    BM11_K_Q,
     RARITY_ALL,
     Ranking,
     ScoringParamsA,
@@ -204,7 +205,7 @@ def monolith_feedback_b(rows, query_bag, params, cutoff):
     for t in tokens.values():
         df.update(set(t))
     theta = params.theta if params.theta is not None else THETA_BY_P[params.p_level]
-    k_q = params.k_q
+    k_q = BM11_K_Q
 
     def q_weight(word, tf_q):
         d = df.get(word, 0)
@@ -317,8 +318,7 @@ def test_02_feedback_b_monolith_equivalence():
         if not bag:
             continue
         for params in configs:
-            got = search_topic_b(index, "q", bag, params,
-                                 cutoff=len(rows), k_q=params.k_q)
+            got = search_topic_b(index, "q", bag, params, cutoff=len(rows))
             want = monolith_feedback_b(rows, bag, params, cutoff=len(rows))
             assert got.doc_ids() == tuple(d for d, _ in want)
             for (_, a), (_, b) in zip(got.items, want):

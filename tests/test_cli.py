@@ -1,12 +1,23 @@
 """End-to-end command surface tests driving cli.main in tmp directories."""
 
+import argparse
+import contextlib
 import hashlib
 import io
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from probir.cli import main, parse_config_file, SEARCH_DEFAULTS
+from probir.cli import (
+    SEARCH_OPTIONS,
+    SWEEP_OPTIONS,
+    build_parser,
+    main,
+    parse_config_file,
+)
 from probir.errors import ParseError
 from probir.evaluation import parse_run_file
 
@@ -468,18 +479,288 @@ class TestConfigParsing:
             "theta = 1.5\n"
             "terms = lattice\n",
             encoding="utf-8")
-        values = parse_config_file(conf, SEARCH_DEFAULTS)
+        values = parse_config_file(conf, SEARCH_OPTIONS)
         assert values == {"cutoff": 50, "k_down": 0.3, "feedback": True,
                           "location": False, "theta": 1.5, "terms": "lattice"}
+
+    def test_values_are_typed_by_their_row(self, tmp_path):
+        conf = tmp_path / "c.conf"
+        conf.write_text("k_nq = t\nr = 3\nalpha = auto\n", encoding="utf-8")
+        assert parse_config_file(conf, SEARCH_OPTIONS) == {
+            "k_nq": "t", "r": 3, "alpha": "auto"}
+        conf.write_text("k-nq = 1\nr = auto\nalpha = 1\n", encoding="utf-8")
+        assert parse_config_file(conf, SEARCH_OPTIONS) == {
+            "k_nq": 1, "r": "auto", "alpha": 1.0}
+        conf.write_text("p = 0.1,0.05\nr = 1,auto\n", encoding="utf-8")
+        assert parse_config_file(conf, SWEEP_OPTIONS) == {
+            "p": (0.1, 0.05), "r": (1, "auto")}
+
+    @pytest.mark.parametrize("line,message", [
+        ("terms = bogus", "terms: expected one of all, down, lattice, shortest"),
+        ("system = c", "system: expected one of a, b"),
+        ("cutoff = 1.5", "cutoff: expected int"),
+        ("k_cmi = nan", "k_cmi: must be a number"),
+        ("expand-docs = -1", "expand_docs: must be >= 0"),
+    ])
+    def test_bad_value_names_file_line_and_key(self, tmp_path, line, message):
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"# comment\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"c.conf:2: {message}"):
+            parse_config_file(conf, SEARCH_OPTIONS)
 
     def test_bad_boolean_rejected(self, tmp_path):
         conf = tmp_path / "c.conf"
         conf.write_text("feedback = maybe\n", encoding="utf-8")
         with pytest.raises(ParseError, match="bad boolean"):
-            parse_config_file(conf, SEARCH_DEFAULTS)
+            parse_config_file(conf, SEARCH_OPTIONS)
 
     def test_missing_equals_rejected(self, tmp_path):
         conf = tmp_path / "c.conf"
         conf.write_text("cutoff 50\n", encoding="utf-8")
         with pytest.raises(ParseError, match="expected key = value"):
-            parse_config_file(conf, SEARCH_DEFAULTS)
+            parse_config_file(conf, SEARCH_OPTIONS)
+
+
+def exit_code(argv) -> int:
+    """main's exit code; argparse refuses a flag by raising SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# The search and sweep flags as they were spelled before the option table:
+# flag -> (dest, default, as the text a user would type; a boolean switch's
+# default is the value itself and None means "not set").
+EARLIER_SEARCH_FLAGS = {
+    "--system": ("system", "b"), "--qtype": ("qtype", "short"),
+    "--terms": ("terms", "shortest"), "--k-down": ("k_down", "0.2"),
+    "--max-span": ("max_span", "6"), "--cutoff": ("cutoff", "1000"),
+    "--tag": ("tag", None), "--feedback": ("feedback", False),
+    "--kt": ("k_t", "1.0"), "--kq": ("k_q", "inf"), "--knq": ("k_nq", "0"),
+    "--kloc1": ("k_loc1", "1.2"), "--kloc2": ("k_loc2", "0.1"),
+    "--kcat": ("k_cat", "0.1"), "--location": ("location", True),
+    "--category": ("category", True), "--length-bonus": ("length_bonus", True),
+    "--query-rarity": ("query_rarity", True), "--kr": ("kr", "5"),
+    "--kaf": ("kaf", "0.7"), "--kp": ("kp", "0.9"), "--kafw": ("kafw", "0.5"),
+    "--kp-literal": ("kp_literal", False), "--p": ("p", "0.10"),
+    "--theta": ("theta", None), "--R": ("r", "auto"),
+    "--alpha": ("alpha", "auto"), "--r-cap": ("r_cap", "20"),
+    "--translate": ("translate", None),
+    "--expand-source": ("expand_source", None),
+    "--expand-docs": ("expand_docs", "5"), "--expand-all": ("expand_all", False),
+    "--passthrough": ("passthrough", False), "--k-cmi": ("k_cmi", None),
+}
+EARLIER_SWEEP_FLAGS = {
+    "--qtype": ("qtype", "short"), "--cutoff": ("cutoff", "1000"),
+    "--p": ("p", "0.10,0.05,0.01"), "--R": ("r", "1,3,5,7,10,15,auto"),
+    "--alpha": ("alpha", "0.5,1.0,1.5,auto"), "--k-cmi": ("k_cmi", None),
+}
+
+
+TRANSLATE_WITH_A = "translate runs System B; it cannot be combined with system a"
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command,options,earlier,required", [
+        ("search", SEARCH_OPTIONS, EARLIER_SEARCH_FLAGS, []),
+        ("sweep", SWEEP_OPTIONS, EARLIER_SWEEP_FLAGS, ["--qrels", "q"]),
+    ])
+    def test_every_earlier_flag_keeps_its_spelling_and_default(
+            self, command, options, earlier, required):
+        parser = build_parser()
+        base = [command, "--index", "i", "--topics", "t", *required]
+        assert {option.flag for option in options} == set(earlier)
+        assert len({option.key for option in options}) == len(options)
+        unset = parser.parse_args(base)
+        for option in options:
+            dest, default = earlier[option.flag]
+            assert option.key == dest
+            assert not hasattr(unset, dest)  # the table's default applies
+            if isinstance(default, bool):
+                assert option.default is default
+                assert getattr(parser.parse_args([*base, option.flag]), dest) is True
+                if default:
+                    negated = option.flag.replace("--", "--no-", 1)
+                    assert getattr(parser.parse_args([*base, negated]),
+                                   dest) is False
+            elif default is None:
+                assert option.default is None
+            else:
+                assert option.default == option.parse(default)
+                parsed = parser.parse_args([*base, f"{option.flag}={default}"])
+                assert getattr(parsed, dest) == option.default
+
+    def test_header_echoes_only_the_options_the_system_reads(self, workspace):
+        build(workspace)
+        plain = search(workspace, "b.txt", "--system", "b")
+        ignored = search(workspace, "b_kt.txt", "--system", "b", "--kt", "2",
+                         "--kloc1", "3")
+        assert plain.read_bytes() == ignored.read_bytes()
+        b_keys = {line.split()[1] for line in plain.read_text().splitlines()
+                  if line.startswith("# ")}
+        a_run = search(workspace, "a.txt", "--system", "a")
+        a_keys = {line.split()[1] for line in a_run.read_text().splitlines()
+                  if line.startswith("# ")}
+        assert {"k_t", "terms", "kr"} <= a_keys
+        assert not {"k_t", "terms", "kr"} & b_keys
+        assert {"alpha", "r", "translate"} <= b_keys
+        assert not {"alpha", "r", "translate"} & a_keys
+        assert {"system", "qtype", "cutoff", "feedback", "k_cmi"} <= a_keys & b_keys
+        assert "tag" not in a_keys | b_keys
+
+    def _search_exit(self, workspace, capsys, *flags, index="idx"):
+        out = workspace / "run.txt"
+        code = exit_code(["search", "--index", str(workspace / index),
+                          "--topics", str(workspace / "topics.jsonl"),
+                          "--out", str(out), *flags])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("conf,flags,message", [
+        ("terms = bogus\n", [], "bad.conf:1: terms: expected one of"),
+        ("system = c\n", [], "bad.conf:1: system: expected one of a, b"),
+        ("tag = my run\n", [], "bad.conf:1: tag: must be one word"),
+        ("system = a\ntranslate = dict.tsv\n", [], TRANSLATE_WITH_A),
+        ("", ["--system", "a", "--translate", "dict.tsv"], TRANSLATE_WITH_A),
+    ])
+    def test_bad_value_exits_2(self, workspace, capsys, conf, flags, message):
+        build(workspace)
+        (workspace / "bad.conf").write_text(conf, encoding="utf-8")
+        code, err = self._search_exit(workspace, capsys, "--config",
+                                      str(workspace / "bad.conf"), *flags)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert message in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--k-cmi", "nan"], "argument --k-cmi: must be a number, got 'nan'"),
+        (["--expand-docs=-1"], "argument --expand-docs: must be >= 0, got '-1'"),
+        (["--cutoff", "0"], "argument --cutoff: must be >= 1, got '0'"),
+    ])
+    def test_out_of_range_flag_exits_2(self, workspace, capsys, flags, message):
+        build(workspace, "--mode", "character")
+        code, err = self._search_exit(workspace, capsys, "--system", "a", *flags)
+        assert code == 2
+        assert f"error: {message}" in err
+
+    def test_sweep_and_segment_refuse_nan_k_cmi(self, workspace, capsys,
+                                                 monkeypatch):
+        build(workspace, "--mode", "character")
+        code = exit_code(["sweep", "--index", str(workspace / "idx"),
+                          "--topics", str(workspace / "topics.jsonl"),
+                          "--qrels", str(workspace / "qrels.txt"),
+                          "--k-cmi", "nan"])
+        assert code == 2
+        assert "error: argument --k-cmi: must be a number" in capsys.readouterr().err
+        monkeypatch.setattr("sys.stdin", io.StringIO("abcd\n"))
+        assert exit_code(["segment", "--k-cmi", "nan"]) == 2
+        assert "error: argument --k-cmi: must be a number" in capsys.readouterr().err
+
+    def test_nan_k_cmi_in_mi_json_exits_2(self, workspace, capsys):
+        index = build(workspace, "--mode", "character")
+        payload = json.loads((index / "mi.json").read_text(encoding="utf-8"))
+        payload["k_cmi"] = math.nan
+        (index / "mi.json").write_text(json.dumps(payload), encoding="utf-8")
+        code, err = self._search_exit(workspace, capsys, "--system", "a")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "mi.json" in err and "k_cmi must be finite" in err
+
+
+def _numeric(option) -> bool:
+    try:
+        return type(option.parse("1")) in (int, float)
+    except argparse.ArgumentTypeError:
+        return False
+
+
+NUMERIC_OPTIONS = [option for option in SEARCH_OPTIONS if _numeric(option)]
+EDGE_TEXTS = ["nan", "inf", "-inf", "0", "-1", "1000000000"]
+
+
+@st.composite
+def numeric_settings(draw):
+    """Some numeric rows, each at an edge value or its default, each given
+    as a flag or as a config-file line."""
+    chosen = draw(st.lists(st.sampled_from(NUMERIC_OPTIONS), min_size=1,
+                           max_size=5, unique_by=lambda option: option.key))
+    settings_ = []
+    for option in chosen:
+        texts = EDGE_TEXTS + ([str(option.default)]
+                              if option.default is not None else [])
+        settings_.append((option, draw(st.sampled_from(texts)),
+                          draw(st.booleans())))
+    return settings_
+
+
+@pytest.fixture(scope="module")
+def indexes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("indexes")
+    write_jsonl(root / "docs.jsonl", DOCS)
+    write_jsonl(root / "topics.jsonl", TOPICS)
+    for name, mode in (("tok", "token"), ("char", "character")):
+        assert main(["index", "--docs", str(root / "docs.jsonl"),
+                     "--out", str(root / name), "--mode", mode]) == 0
+    return root
+
+
+def _search_edges(root, system, feedback, index_name, chosen) -> int:
+    """Run search with ``chosen`` (option, text, as_flag) settings; check
+    that it exits 0 with finite scores or 2 with an error line and no run
+    file, and return the exit code."""
+    out = root / "run.txt"
+    conf = root / "edge.conf"
+    for path in (out, conf):
+        if path.exists():
+            path.unlink()
+    argv = ["search", "--index", str(root / index_name),
+            "--topics", str(root / "topics.jsonl"), "--out", str(out),
+            "--system", system]
+    if feedback:
+        argv.append("--feedback")
+    lines = []
+    for option, text, as_flag in chosen:
+        if as_flag:
+            argv.append(f"{option.flag}={text}")
+        else:
+            lines.append(f"{option.key} = {text}\n")
+    if lines:
+        conf.write_text("".join(lines), encoding="utf-8")
+        argv += ["--config", str(conf)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = exit_code(argv)
+    if code == 0:
+        scores = [float(line.split()[4])
+                  for line in out.read_text(encoding="utf-8").splitlines()
+                  if not line.startswith("#")]
+        assert scores and all(math.isfinite(score) for score in scores), argv
+    else:
+        assert code == 2, argv
+        assert any(line.startswith("error:") or ": error: " in line
+                   for line in err.getvalue().splitlines()), argv
+        assert not out.exists(), argv
+    return code
+
+
+def test_each_numeric_option_at_each_edge_value(indexes):
+    # One row at a time, under both systems with feedback on, as a flag and
+    # as a config line: both spellings must end the same way.
+    for option in NUMERIC_OPTIONS:
+        index_name = "char" if option.key == "k_cmi" else "tok"
+        for text in EDGE_TEXTS:
+            for system in ("a", "b"):
+                codes = {_search_edges(indexes, system, True, index_name,
+                                       [(option, text, as_flag)])
+                         for as_flag in (True, False)}
+                assert len(codes) == 1, (option.key, text, system)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(system=st.sampled_from(["a", "b"]), feedback=st.booleans(),
+       index_name=st.sampled_from(["tok", "char"]), chosen=numeric_settings())
+def test_numeric_options_exit_0_with_finite_scores_or_2_with_error(
+        indexes, system, feedback, index_name, chosen):
+    _search_edges(indexes, system, feedback, index_name, chosen)

@@ -33,10 +33,6 @@ class TestTokenize:
         config = TokenizerConfig(stopwords=frozenset({"material"}), stemming=True)
         assert tokenize("material materials", config) == ["material"]
 
-    def test_stemming_applies_lookup_table(self):
-        config = TokenizerConfig(stemming=True, stemmer={"running": "run"})
-        assert tokenize("running walked", config) == ["run", "walked"]
-
     def test_character_mode_strips_space_and_punctuation(self):
         config = TokenizerConfig(mode=CHARACTER_MODE)
         assert tokenize("ab, cd.", config) == ["a", "b", "c", "d"]

@@ -3,8 +3,9 @@
 Subcommands: index, search, sweep, segment, build-dict, translate, eval.
 Search and sweep options come from one table of rows (key, flag, default,
 parser); flags override `key = value` config-file values, which override the
-defaults.  A run file's `#` header echoes the options its system reads, and
-its tag is hashed from them, so a run is reproducible from its own header.
+defaults.  A run file's `#` header echoes the set options its system reads,
+and its tag is hashed from them, so a run is reproducible from its own
+header: its option lines, less the `# `, are a config file.
 """
 
 from __future__ import annotations
@@ -385,6 +386,8 @@ def cmd_search(args) -> int:
             source_tok = _load_tokenizer(cfg["expand_source"])
             source_index = load_index(cfg["expand_source"], source_tok.mode)
             source_mi, source_kcmi = _load_mi(cfg["expand_source"])
+            if cfg["k_cmi"] is not None:
+                source_kcmi = cfg["k_cmi"]
         theta = THETA_BY_P[0.10] if source_index is not None else None
 
         rankings = []
@@ -422,8 +425,10 @@ def cmd_search(args) -> int:
             mi_table, k_cmi,
         )
 
+    # an unset option (None) is left out, so the header reads back as a
+    # config file
     echo = {option.key: cfg[option.key] for option in SEARCH_OPTIONS
-            if cfg["system"] in option.systems}
+            if cfg["system"] in option.systems and cfg[option.key] is not None}
     echo["index"] = str(args.index)
     echo["topics"] = str(args.topics)
     tag = cfg["tag"] or run_tag(echo)

@@ -9,7 +9,7 @@ After a first retrieval, the top k_r documents reshape the query:
 
 Both read one table of rank-weighted counts per topic (``TopDocCounts``):
 a single walk over the top documents' bags tells every unit the ranks it
-occurs at, and only terms of several units are looked up one by one.
+occurs at, and any other term's ranks are read from its postings.
 
 The second retrieval reuses the extended scorer with the modulated IDFs;
 adopted terms enter with weight 1, tf_q 1, and no query-membership bonus.
@@ -74,10 +74,12 @@ class TopDocCounts:
     """Rank-weighted document counts of terms over one ranking's top docs.
 
     One walk over the documents' unit bags gives every unit the ranks it
-    occurs at; a term of several units, or one no top document holds, is
-    looked up with ``Index.occurs``.  Each term's count is computed once and
-    shared by ``expansion_terms`` and ``feedback_vector``.  The ranks are
-    summed in rank order, so a count is the float a per-document walk gives.
+    occurs at; a term of several units, or one no top document holds, tests
+    each top document against ``Index.postings``, which ``expansion_terms``
+    and ``feedback_vector`` read (through ``term_stats``) anyway.  Each
+    term's count is computed once and shared by ``expansion_terms`` and
+    ``feedback_vector``.  The ranks are summed in rank order, so a count is
+    the float a per-document walk gives.
     """
 
     def __init__(self, index: Index, top_docs: Sequence[str], k_afw: float):
@@ -102,9 +104,10 @@ class TopDocCounts:
         """Ranks (1-based, ascending) of the top docs holding the term."""
         found = self._ranks.get(term)
         if found is None:
+            postings = self.index.postings(term)
             found = self._ranks[term] = [
                 rank_pos for rank_pos, doc_id in enumerate(self.docs, start=1)
-                if self.index.occurs(doc_id, term)
+                if doc_id in postings
             ]
         return found
 
@@ -154,7 +157,8 @@ def expansion_terms(top_docs: Sequence[str], index: Index, k_r: int,
     of its rank-weighted document count under the collection rate is at most
     1 - k_p (or, under kp_literal, when the tail itself reaches k_p).
     ``counts``, when given, are the same top k_r docs' counts, which the
-    caller reads again afterwards.
+    caller reads again afterwards.  Candidates share a tail when they share
+    (df, n_obs), so each tail is summed once per call.
     """
     docs = top_docs[:k_r]
     if not docs:
@@ -165,6 +169,7 @@ def expansion_terms(top_docs: Sequence[str], index: Index, k_r: int,
         candidates = counts.units
     selected = set()
     n = index.n_docs
+    tails: dict[tuple[int, int], float] = {}
     for term in candidates:
         count = counts.count(term)
         n_obs = math.floor(count + ROUND_EPS)
@@ -174,7 +179,9 @@ def expansion_terms(top_docs: Sequence[str], index: Index, k_r: int,
         p0 = df / n
         if p0 >= 1.0:
             continue
-        tail = binomial_tail(len(docs), p0, n_obs)
+        tail = tails.get((df, n_obs))
+        if tail is None:
+            tail = tails[df, n_obs] = binomial_tail(len(docs), p0, n_obs)
         if (tail >= k_p) if kp_literal else (1.0 - tail >= k_p):
             selected.add(term)
     return selected

@@ -86,7 +86,7 @@ def _run_tf(entry, units) -> int:
 
 
 class _Doc:
-    __slots__ = ("title", "body", "category", "tf", "length", "first_body")
+    __slots__ = ("title", "body", "category", "tf", "length", "first")
 
     def __init__(self, title, body, category):
         self.title = title
@@ -96,8 +96,10 @@ class _Doc:
         # the bag iterates in first-occurrence order, title then body
         self.tf = Counter(title)
         self.tf.update(body)
-        # unit -> first 1-based body position: the earliest write wins
-        self.first_body = dict(zip(reversed(body), range(len(body), 0, -1)))
+        # unit -> IN_TITLE, or its first 1-based body position: the earliest
+        # body write wins, and the title's writes come last
+        self.first = dict(zip(reversed(body), range(len(body), 0, -1)))
+        self.first.update(dict.fromkeys(title, IN_TITLE))
 
 
 class Index:
@@ -194,18 +196,6 @@ class Index:
             return 0
         return _run_tf(entry, units)
 
-    def occurs(self, doc_id: str, term: str) -> bool:
-        """Whether ``term`` occurs in one document: ``doc_tf > 0`` without
-        counting the occurrences."""
-        entry = self._entry(doc_id)
-        if term in entry.tf:  # a single unit of this document
-            return True
-        units = self._units(term)
-        if len(units) < 2:
-            return False
-        return bool(_sequence_starts(entry.title, units)
-                    or _sequence_starts(entry.body, units))
-
     def candidate_docs(self, term: str) -> set[str]:
         """Documents holding every unit of ``term``: a superset of the docs
         where it occurs, whose tf ``doc_tf`` then counts.  The empty term
@@ -261,10 +251,9 @@ class Index:
         """IN_TITLE if the term appears in the title, else the first body
         position (1-based), else None."""
         entry = self._entry(doc_id)
-        if term in entry.tf:  # a single unit of this document
-            if term in entry.title:
-                return IN_TITLE
-            return entry.first_body[term]
+        first = entry.first.get(term)
+        if first is not None:  # a single unit of this document
+            return first
         units = self._units(term)
         if len(units) < 2:
             return None
@@ -272,6 +261,16 @@ class Index:
             return IN_TITLE
         starts = _sequence_starts(entry.body, units)
         return starts[0] if starts else None
+
+    def first_positions(self, term: str) -> list:
+        """``first_position`` of the term in each document of
+        ``postings(term)``, in the postings' order."""
+        posting = self._postings.get(term)
+        if posting is None:  # a term of several units, or unseen
+            return [self.first_position(doc_id, term)
+                    for doc_id in self.postings(term)]
+        docs = self._docs
+        return [docs[doc_id].first[term] for doc_id in posting]
 
     # -- persistence -------------------------------------------------------
 

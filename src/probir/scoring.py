@@ -17,14 +17,21 @@ postings.  ``bm11_rank`` is System B's one ranking; ``bm11_retrieval``, the
 first retrieval that search, the feedback sweep and cross-lingual document
 expansion share, and the feedback pass both rank through it.
 
-System A ranks in two steps.  ``system_a_sums`` adds up the term
-contributions per document, each term's computed once from its postings
-(``Index.postings``) and the per-document tables of ``SystemATables``, with
-the factors multiplied in the oracle's order.  ``system_a_lookup`` turns
-the sums into the per-document score ``rank`` asks for: it adds the length
-bonus and multiplies by K_cat, counted once per category
-(``category_factors``).  The term sums do not depend on K_cat, so a topic's
-neutral pass and category pass share them.
+System A ranks in two steps.  ``system_a_sums`` walks each term's postings
+(``Index.postings``) and adds every posting's addend straight into one
+accumulator: the term's IDF, TF_q, rarity and K_loc array
+(``_term_factors``) are computed once per term, each document's length
+norm comes from ``SystemATables``, and the factors are multiplied in the
+oracle's order.  ``system_a_contributions`` keeps the same product as a
+doc -> addend map for the lattice, which reads a span's addends more than
+once.  ``system_a_lookup`` turns the sums into the per-document score
+``rank`` asks for: it adds the length bonus and multiplies by K_cat,
+counted once per category (``category_factors``).  The term sums do not
+depend on K_cat, so a topic's neutral pass and category pass share them.
+
+Both systems select a ranking's top documents from (-score, doc_id) pairs
+with a heap, with no key function per document.
+
 ``score_bm11``, ``score_system_a`` and ``k_category`` are only the plain
 per-document oracles of the fast paths; neither system ranks through them.
 
@@ -39,6 +46,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ZeroDocumentFrequencyError
@@ -327,7 +335,8 @@ class SystemATables:
         self.index = index
         self.k_t, self.k_loc1, self.k_loc2 = params.k_t, params.k_loc1, params.k_loc2
         avg_len = index.avg_len
-        lengths = {doc_id: index.doc_len(doc_id) for doc_id in index.doc_ids()}
+        self.lengths = lengths = {doc_id: index.doc_len(doc_id)
+                                  for doc_id in index.doc_ids()}
         self.norms = {doc_id: params.k_t * length / avg_len
                       for doc_id, length in lengths.items()}
         self.bonuses = {doc_id: length_bonus(length, avg_len)
@@ -344,15 +353,44 @@ class SystemATables:
 
     def location_factors(self, term: str) -> array:
         """``k_location`` of the term's ``first_position`` in each document
-        of ``Index.postings(term)``, in the postings' order."""
+        of ``Index.postings(term)``, in the postings' order: its expression
+        evaluated inline over ``Index.first_positions``, the same float.  A
+        document of the postings holds the term, so no position is None."""
         factors = self._location.get(term)
         if factors is None:
             index = self.index
-            factors = self._location[term] = array("d", (
-                k_location(index.first_position(doc_id, term),
-                           index.doc_len(doc_id), self.k_loc1, self.k_loc2)
-                for doc_id in index.postings(term)))
+            k_loc1, k_loc2, lengths = self.k_loc1, self.k_loc2, self.lengths
+            factors = self._location[term] = array("d", [
+                k_loc1 if first == IN_TITLE
+                else 1.0 + k_loc2 * (lengths[doc_id] - 2 * first) / lengths[doc_id]
+                for doc_id, first in zip(index.postings(term),
+                                         index.first_positions(term))])
         return factors
+
+
+def _term_factors(tables: SystemATables, term: str, tf_q: int,
+                  params: ScoringParamsA, qstats: QuerySetStats | None,
+                  idf_map: Mapping[str, float] | None):
+    """What a term's addend in the extended score shares across documents:
+    its postings, IDF (``idf_map``'s when it has the term), TF_q, the K_loc
+    of each posting and the rarity factor; None for an unseen term.  A
+    factor that is off is 1.0, and multiplying by 1.0 leaves every float as
+    it is."""
+    tables.check(params)
+    index = tables.index
+    postings = index.postings(term)
+    if not postings:
+        return None
+    if idf_map is not None and term in idf_map:
+        term_idf = idf_map[term]
+    else:
+        term_idf = idf(len(postings), index.n_docs)
+    k_locs = (tables.location_factors(term) if params.use_location
+              else repeat(1.0))
+    rarity = (query_rarity_factor(term, qstats, params.k_nq)
+              if params.use_query_rarity else 1.0)
+    return (postings, term_idf, query_tf_saturation(tf_q, params.k_q_a), k_locs,
+            rarity)
 
 
 def system_a_contributions(tables: SystemATables, term: str, weight: float,
@@ -363,33 +401,19 @@ def system_a_contributions(tables: SystemATables, term: str, weight: float,
     """``system_a_term_contribution`` of ``term`` for every document in its
     postings, doc_id -> addend; every other document's addend is 0.0.
 
-    The IDF, TF_q and rarity are computed once for the term, and each
-    posting's TF factor and K_loc come from ``tables``; the factors are
-    multiplied in ``system_a_term_contribution``'s order, so each addend is
-    the same float.  A factor that is off multiplies by 1.0, which leaves
-    every float as it is.
+    The term's factors come from ``_term_factors`` and each posting's TF
+    factor from ``tables``; they are multiplied in
+    ``system_a_term_contribution``'s order, as in ``system_a_sums``, so each
+    addend is the same float.
     """
-    tables.check(params)
-    index = tables.index
-    postings = index.postings(term)
-    if not postings:
+    factors = _term_factors(tables, term, tf_q, params, qstats, idf_map)
+    if factors is None:
         return {}
-    if idf_map is not None and term in idf_map:
-        term_idf = idf_map[term]
-    else:
-        term_idf = idf(len(postings), index.n_docs)
-    tf_q_factor = query_tf_saturation(tf_q, params.k_q_a)
-    rarity = (query_rarity_factor(term, qstats, params.k_nq)
-              if params.use_query_rarity else 1.0)
+    postings, term_idf, tf_q_factor, k_locs, rarity = factors
     norms = tables.norms
-    if params.use_location:
-        return {doc_id: tf / (tf + norms[doc_id]) * term_idf * tf_q_factor
-                * k_loc * rarity * weight
-                for (doc_id, tf), k_loc in zip(postings.items(),
-                                               tables.location_factors(term))}
     return {doc_id: tf / (tf + norms[doc_id]) * term_idf * tf_q_factor
-            * rarity * weight
-            for doc_id, tf in postings.items()}
+            * k_loc * rarity * weight
+            for (doc_id, tf), k_loc in zip(postings.items(), k_locs)}
 
 
 def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]],
@@ -401,17 +425,23 @@ def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]]
     some term reaches: ``score_system_a``'s sum before the length bonus and
     K_cat, which are left to ``system_a_lookup``.
 
-    Terms are visited in vector order and each adds its addends to the
-    accumulator, so every document gets ``score_system_a``'s additions in
-    its order.  ``acc`` holds sums to start from (the lattice's path scores)
-    and is added to in place.
+    Terms are visited in vector order and each adds its addends, the
+    products of ``system_a_contributions``, straight into the accumulator,
+    so every document gets ``score_system_a``'s additions in its order.
+    ``acc`` holds sums to start from (the lattice's path scores) and is
+    added to in place.
     """
     acc = {} if acc is None else acc
     get = acc.get
+    norms = tables.norms
     for term, (weight, tf_q) in vector.items():
-        for doc_id, value in system_a_contributions(tables, term, weight, tf_q,
-                                                    params, qstats, idf_map).items():
-            acc[doc_id] = get(doc_id, 0.0) + value
+        factors = _term_factors(tables, term, tf_q, params, qstats, idf_map)
+        if factors is None:
+            continue
+        postings, term_idf, tf_q_factor, k_locs, rarity = factors
+        for (doc_id, tf), k_loc in zip(postings.items(), k_locs):
+            acc[doc_id] = get(doc_id, 0.0) + (tf / (tf + norms[doc_id]) * term_idf
+                                              * tf_q_factor * k_loc * rarity * weight)
     return acc
 
 
@@ -439,15 +469,14 @@ def system_a_lookup(tables: SystemATables, sums: Mapping[str, float],
     return lambda doc_id: (get(doc_id, 0.0) + bonus[doc_id]) * table[category[doc_id]]
 
 
-def _rank_order(pair: tuple[str, float]) -> tuple[float, str]:
-    return -pair[1], pair[0]
-
-
-def _top(scored: Iterable[tuple[str, float]], cutoff: int,
+def _top(scored: Iterable[tuple[float, str]], cutoff: int,
          query_id: str) -> Ranking:
-    """The first ``cutoff`` (doc_id, score) pairs by (score desc, doc_id
-    asc), selected with a heap rather than a full sort."""
-    return Ranking(query_id, tuple(heapq.nsmallest(cutoff, scored, key=_rank_order)))
+    """The first ``cutoff`` documents by (score desc, doc_id asc), from
+    (-score, doc_id) pairs, which order that way as they are: selected with
+    a heap rather than a full sort, and with no key call per document.  Each
+    score is negated back, which is exact, ±0.0 included."""
+    return Ranking(query_id, tuple([(doc_id, -negated) for negated, doc_id
+                                    in heapq.nsmallest(cutoff, scored)]))
 
 
 def rank(index: Index, scorer: Callable[[str], float], cutoff: int,
@@ -455,7 +484,7 @@ def rank(index: Index, scorer: Callable[[str], float], cutoff: int,
     """Score every document, order by (score desc, doc_id asc), truncate."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    return _top([(doc_id, scorer(doc_id)) for doc_id in index.doc_ids()],
+    return _top([(-scorer(doc_id), doc_id) for doc_id in index.doc_ids()],
                 cutoff, query_id)
 
 
@@ -478,7 +507,7 @@ def bm11_rank(index: Index, weights: Mapping[str, float], cutoff: int,
             if tf:
                 acc[doc_id] = acc.get(doc_id, 0.0) + tf_factor(
                     tf, index.doc_len(doc_id), index.avg_len, k_t) * weight
-    return _top([(doc_id, acc.get(doc_id, 0.0)) for doc_id in index.doc_ids()],
+    return _top([(-acc.get(doc_id, 0.0), doc_id) for doc_id in index.doc_ids()],
                 cutoff, query_id)
 
 

@@ -380,6 +380,39 @@ class TestTranslationFlow:
         assert "# warning_0 = query q2: no usable terms; skipped" in text
         assert "warning: query q2: no usable terms" in capsys.readouterr().err
 
+    def test_k_cmi_segments_the_query_of_a_character_source_index(
+            self, workspace):
+        """With --expand-source, the query is segmented in the source
+        index's mode: --k-cmi=inf splits every two-character fragment,
+        --k-cmi=-inf keeps it, and the dictionary translates the two ways
+        apart."""
+        write_jsonl(workspace / "src.jsonl", [
+            {"doc_id": f"s{i:02d}", "title": "", "body": body}
+            for i, body in enumerate(["東京大学", "東京都", "京都大学",
+                                      "大阪大学", "東京", "東北大学"] * 3)])
+        assert main(["index", "--docs", str(workspace / "src.jsonl"),
+                     "--out", str(workspace / "src_idx"),
+                     "--mode", "character"]) == 0
+        write_jsonl(workspace / "pairs.jsonl", [
+            {"id": "1", "source": ["東京"], "target": ["solar"]},
+            {"id": "2", "source": ["東"], "target": ["salt"]},
+            {"id": "3", "source": ["京"], "target": ["water"]}])
+        assert main(["build-dict", "--pairs", str(workspace / "pairs.jsonl"),
+                     "--out", str(workspace / "dict.tsv")]) == 0
+        write_jsonl(workspace / "topics.jsonl", [
+            {"query_id": "q1", "title": "東京", "description": "東京"}])
+        build(workspace)
+
+        def top_doc(k_cmi):
+            out = search(workspace, f"run{k_cmi}.txt",
+                         "--translate", str(workspace / "dict.tsv"),
+                         "--expand-source", str(workspace / "src_idx"),
+                         "--expand-docs", "0", f"--k-cmi={k_cmi}")
+            return parse_run_file(out)["q1"][0]
+
+        assert top_doc("-inf") == "d1"  # 東京: solar
+        assert top_doc("inf") in ("d4", "d5")  # 東 京: salt water
+
     def test_bad_pairs_line_exits_2(self, workspace, capsys):
         (workspace / "pairs.jsonl").write_text("{oops\n", encoding="utf-8")
         code = main(["build-dict", "--pairs", str(workspace / "pairs.jsonl"),
@@ -604,10 +637,26 @@ class TestOptionTable:
                   if line.startswith("# ")}
         assert {"k_t", "terms", "kr"} <= a_keys
         assert not {"k_t", "terms", "kr"} & b_keys
-        assert {"alpha", "r", "translate"} <= b_keys
-        assert not {"alpha", "r", "translate"} & a_keys
-        assert {"system", "qtype", "cutoff", "feedback", "k_cmi"} <= a_keys & b_keys
+        assert {"alpha", "r", "r_cap"} <= b_keys
+        assert not {"alpha", "r", "r_cap"} & a_keys
+        assert {"system", "qtype", "cutoff", "feedback"} <= a_keys & b_keys
         assert "tag" not in a_keys | b_keys
+        # unset options are left out
+        assert not {"theta", "translate", "expand_source", "k_cmi"} & (a_keys | b_keys)
+
+    @pytest.mark.parametrize("system", ["a", "b"])
+    def test_header_option_lines_read_back_as_a_config_file(self, workspace,
+                                                            system):
+        build(workspace)
+        run = search(workspace, "run.txt", "--system", system)
+        keys = {option.key for option in SEARCH_OPTIONS}
+        lines = [line[2:] for line in run.read_text().splitlines()
+                 if line.startswith("# ") and line.split()[1] in keys]
+        assert lines
+        (workspace / "header.conf").write_text("\n".join(lines) + "\n")
+        again = search(workspace, "again.txt", "--config",
+                       str(workspace / "header.conf"))
+        assert again.read_bytes() == run.read_bytes()
 
     def _search_exit(self, workspace, capsys, *flags, index="idx"):
         out = workspace / "run.txt"

@@ -45,13 +45,15 @@ from corpus_builders import make_index, random_token_rows, random_vocab
 from oracles import lattice_oracle
 
 ALPHABET = "abcde"
+TITLE_ONLY = {"token": "ttttttttt", CHARACTER_MODE: "t"}  # in no body
 SEEDS = st.integers(0, 2**32 - 1)
 CATEGORIES = ["x", "y", "z", None]
 MODES = st.sampled_from(["token", CHARACTER_MODE])
 
 
 def corpus(rng, mode, max_docs=9):
-    """A categorised index and its words, plus words no document holds."""
+    """A categorised index and its words, plus words no document holds and
+    a unit that only titles hold."""
     if mode == CHARACTER_MODE:
         def text(low, high):
             return "".join(rng.choices(ALPHABET, k=rng.randint(low, high)))
@@ -63,7 +65,11 @@ def corpus(rng, mode, max_docs=9):
         rows = random_token_rows(rng, rng.randint(1, max_docs), vocab,
                                  max_len=15, categories=CATEGORIES)
         words = vocab + ["zzzz"]
-    return make_index(rows, mode=mode), words
+    title_only = TITLE_ONLY[mode]
+    rows = [(doc_id, term_joiner(mode).join([title, title_only])
+             if rng.random() < 0.5 else title, body, category)
+            for doc_id, title, body, category in rows]
+    return make_index(rows, mode=mode), words + [title_only]
 
 
 def terms_of(rng, mode, words):
@@ -109,8 +115,9 @@ class TestTables:
         index, words = corpus(rng, mode)
         terms = terms_of(rng, mode, words)
         params = ScoringParamsA(
-            k_t=rng.choice([0.3, 0.7, 1.0, 1.7]),  # not only powers of two
-            k_loc1=rng.choice([1.0, 1.2, 3.0]), k_loc2=rng.choice([0.0, 0.1, 0.9]))
+            # not only powers of two
+            k_t=rng.choice([0.3, 0.7, 1.0, 1.7]), k_loc1=rng.choice([1.0, 1.2, 3.0]),
+            k_loc2=rng.choice([0.0, 0.1, 0.37, 0.9]))
         for idx in built_and_loaded(index):
             tables = SystemATables(idx, params)
             docs = idx.doc_ids()
@@ -124,6 +131,8 @@ class TestTables:
                 for d, tf in postings.items():
                     assert tf / (tf + tables.norms[d]) == tf_factor(
                         tf, idx.doc_len(d), idx.avg_len, params.k_t)
+                assert idx.first_positions(term) == [
+                    idx.first_position(d, term) for d in postings]
                 factors = tables.location_factors(term)
                 # one value per posting, in the postings' order
                 assert list(factors) == [

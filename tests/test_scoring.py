@@ -334,6 +334,57 @@ class TestRank:
         assert base.doc_ids() == other.doc_ids()
 
 
+def full_sort(scores, cutoff):
+    """The first ``cutoff`` (doc_id, score) pairs of a full sort by
+    (-score, doc_id), each score shown by its repr so that 0.0 and -0.0
+    differ."""
+    ordered = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
+    return [(doc_id, repr(score)) for doc_id, score in ordered[:cutoff]]
+
+
+def exact(ranking):
+    return [(doc_id, repr(score)) for doc_id, score in ranking.items]
+
+
+class TestTopK:
+    """The heap selection of ``rank`` and ``bm11_rank`` against a full sort,
+    with tied scores, both zeros, negative scores and every cutoff."""
+
+    SCORES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+                       st.floats(-1e6, 1e6))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rank_equals_a_full_sort(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        # documents not in doc_id order, so a tie is not broken by position
+        doc_ids = data.draw(st.permutations([f"d{i:02d}" for i in range(n)]),
+                            label="doc_ids")
+        index = make_index([(doc_id, "", "x") for doc_id in doc_ids])
+        scores = {doc_id: data.draw(self.SCORES, label=doc_id) for doc_id in doc_ids}
+        cutoff = data.draw(st.integers(1, n + 2), label="cutoff")
+        got = rank(index, scores.__getitem__, cutoff, "q")
+        assert exact(got) == full_sort(scores, cutoff)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bm11_rank_equals_a_full_sort(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        vocab = random_vocab(rng, rng.randint(2, 4))
+        # short documents over a few words, so that some score the same
+        rows = random_token_rows(rng, rng.randint(1, 12), vocab, max_len=3)
+        rng.shuffle(rows)
+        index = make_index(rows)
+        weights = {word: data.draw(self.SCORES, label=word)
+                   for word in data.draw(st.lists(st.sampled_from(vocab),
+                                                  unique=True), label="words")}
+        cutoff = data.draw(st.integers(1, index.n_docs + 2), label="cutoff")
+        scores = {doc_id: score_bm11(index, doc_id, weights)
+                  for doc_id in index.doc_ids()}
+        got = bm11_rank(index, weights, cutoff, "q")
+        assert exact(got) == full_sort(scores, cutoff)
+
+
 def oracle_bm11_ranking(rows, bag, k_q=1000.0):
     """Every document scored as Σ tf/(tf + len/avg)·weight over the bag, in
     bag order, sorted by (-score, doc_id); also each document's words."""

@@ -139,15 +139,17 @@ class TestOneWalkFeedbackA:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, mode=st.sampled_from(["token", CHARACTER_MODE]))
-    def test_occurs_is_a_positive_doc_tf(self, seed, mode):
+    def test_ranks_equal_a_positive_doc_tf_scan(self, seed, mode):
+        """Units, runs of several units and terms no document holds, read
+        from the one walk or from the postings."""
         rng = random.Random(seed)
         index, terms = corpus(rng, mode)
-        for doc_id in index.doc_ids():
-            for term in terms + [""]:
-                assert index.occurs(doc_id, term) == (index.doc_tf(doc_id, term) > 0)
         docs = top_documents(rng, index)
         counts = TopDocCounts(index, docs, 0.5)
-        for term in terms:
+        for term in terms + [""]:
+            assert counts.ranks(term) == [
+                rank_pos for rank_pos, doc_id in enumerate(docs, start=1)
+                if index.doc_tf(doc_id, term) > 0], term
             assert counts.ratio(term) == oracles.weighted_doc_ratios(
                 term, docs, index, 0.5)
 

@@ -65,9 +65,10 @@ def afw(rank_pos: int, k_r: int, k_afw: float) -> float:
     return (k_afw + 1.0) - 2.0 * k_afw * (rank_pos - 1) / (k_r - 1)
 
 
-def weighted_doc_count(ranks: Iterable[int], k: int, k_afw: float) -> float:
-    """Sum of afw over the ranks (of k top docs) at which a term occurs."""
-    return sum(afw(r, k, k_afw) for r in ranks)
+def weighted_doc_count(ranks: Iterable[int], weights: Mapping[int, float]) -> float:
+    """Sum of afw over the ranks at which a term occurs, read from
+    ``weights`` (rank -> afw of the top docs), in rank order."""
+    return sum(map(weights.__getitem__, ranks))
 
 
 class TopDocCounts:
@@ -78,14 +79,14 @@ class TopDocCounts:
     each top document against ``Index.postings``, which ``expansion_terms``
     and ``feedback_vector`` read (through ``term_stats``) anyway.  Each
     term's count is computed once and shared by ``expansion_terms`` and
-    ``feedback_vector``.  The ranks are summed in rank order, so a count is
-    the float a per-document walk gives.
+    ``feedback_vector``.  The k afw weights are computed once, and a
+    count sums them in rank order, so it is the float a per-document walk
+    gives.
     """
 
     def __init__(self, index: Index, top_docs: Sequence[str], k_afw: float):
         self.index = index
         self.docs = tuple(top_docs)
-        self.k_afw = k_afw
         self._ranks: dict[str, list[int]] = {}
         for rank_pos, doc_id in enumerate(self.docs, start=1):
             for unit in index.doc_terms(doc_id):
@@ -97,8 +98,9 @@ class TopDocCounts:
         self.units = tuple(self._ranks)  # every unit of the top docs
         self._counts: dict[str, float] = {}
         k = len(self.docs)
+        self._afw = {r: afw(r, k, k_afw) for r in range(1, k + 1)}
         # Σ afw over all ranks is exactly k, but sum the terms for float fidelity.
-        self._afw_total = sum(afw(r, k, k_afw) for r in range(1, k + 1))
+        self._afw_total = sum(self._afw.values())
 
     def ranks(self, term: str) -> list[int]:
         """Ranks (1-based, ascending) of the top docs holding the term."""
@@ -115,8 +117,8 @@ class TopDocCounts:
         """Σ afw over the top docs containing the term."""
         value = self._counts.get(term)
         if value is None:
-            value = self._counts[term] = weighted_doc_count(
-                self.ranks(term), len(self.docs), self.k_afw)
+            value = self._counts[term] = weighted_doc_count(self.ranks(term),
+                                                            self._afw)
         return value
 
     def ratio(self, term: str) -> float:

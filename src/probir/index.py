@@ -77,12 +77,17 @@ def _sequence_starts(haystack: Sequence[str], needle: Sequence[str]) -> list[int
         return starts
 
 
-def _run_tf(entry, units) -> int:
-    """Non-overlapping occurrences of a run of two or more units in one
-    document's title and body."""
-    width = len(units)
-    return (count_nonoverlapping(_sequence_starts(entry.title, units), width)
-            + count_nonoverlapping(_sequence_starts(entry.body, units), width))
+def _run_starts(entry, units) -> tuple[list[int], list[int]]:
+    """Start positions of a run of two or more units in one document's
+    title and in its body."""
+    return _sequence_starts(entry.title, units), _sequence_starts(entry.body, units)
+
+
+def _run_tf(title_starts, body_starts, width) -> int:
+    """Non-overlapping occurrences of a run of ``width`` units from its
+    ``_run_starts``."""
+    return (count_nonoverlapping(title_starts, width)
+            + count_nonoverlapping(body_starts, width))
 
 
 class _Doc:
@@ -119,6 +124,7 @@ class Index:
         self._category_counts: Counter = Counter()
         # built on first use and kept
         self._term_postings: dict[str, dict[str, int]] = {}  # terms of 2+ units
+        self._term_firsts: dict[str, list] = {}  # their first_positions
         self._term_stats: dict[str, TermStats] = {}
 
     # -- construction ----------------------------------------------------
@@ -194,7 +200,7 @@ class Index:
         units = self._units(term)
         if len(units) < 2:  # a single unit absent from this document
             return 0
-        return _run_tf(entry, units)
+        return _run_tf(*_run_starts(entry, units), len(units))
 
     def candidate_docs(self, term: str) -> set[str]:
         """Documents holding every unit of ``term``: a superset of the docs
@@ -214,8 +220,9 @@ class Index:
     def postings(self, term: str) -> Mapping[str, int]:
         """doc_id -> tf of every document the term occurs in; empty for an
         unseen term.  A single unit's is the stored map; a longer term's is
-        counted once over ``candidate_docs`` and kept.  Callers must not
-        mutate it."""
+        counted once over ``candidate_docs`` and kept, with its first
+        positions (see ``first_positions``) from the same scan.  Callers
+        must not mutate it."""
         posting = self._postings.get(term)
         if posting is not None:  # a single unit
             return posting
@@ -226,11 +233,16 @@ class Index:
                 return {}
             docs = self._docs
             posting = {}
+            firsts = []
             for doc_id in self.candidate_docs(term):
-                tf = _run_tf(docs[doc_id], units)
+                title_starts, body_starts = _run_starts(docs[doc_id], units)
+                tf = _run_tf(title_starts, body_starts, len(units))
                 if tf:
                     posting[doc_id] = tf
-            # kept only once complete, so no reader sees a partial map
+                    firsts.append(IN_TITLE if title_starts else body_starts[0])
+            # kept only once complete, and the first positions before the
+            # map, so no reader sees a partial map or a map without them
+            self._term_firsts[term] = firsts
             self._term_postings[term] = posting
         return posting
 
@@ -264,11 +276,13 @@ class Index:
 
     def first_positions(self, term: str) -> list:
         """``first_position`` of the term in each document of
-        ``postings(term)``, in the postings' order."""
+        ``postings(term)``, in the postings' order.  A longer term's list is
+        kept from the scan that counted its postings; callers must not
+        mutate it."""
         posting = self._postings.get(term)
         if posting is None:  # a term of several units, or unseen
-            return [self.first_position(doc_id, term)
-                    for doc_id in self.postings(term)]
+            self.postings(term)  # counts a longer term's first positions
+            return self._term_firsts.get(term, [])
         docs = self._docs
         return [docs[doc_id].first[term] for doc_id in posting]
 

@@ -1,13 +1,19 @@
 """Unsupervised word segmentation for unsegmented scripts.
 
 Adjacent-character pointwise mutual information (add-one smoothed, natural
-log) drives a two-phase splitter: phase 1 repeatedly breaks the globally
-weakest adjacent pair until no fragment exceeds two characters; phase 2
-splits each remaining two-character fragment whose internal PMI falls at or
-below a threshold k_cmi.  The threshold is calibrated on a sample so the
-resulting 1-char:2-char word proportion lands closest to a target ratio
-(7:3 unless overridden).  A hybrid mode re-splits the output of an external
-tokenizer instead of raw sentences.
+log) drives a two-phase splitter.  Phase 1 splits every fragment longer
+than two characters at its own weakest adjacent pair (the leftmost on
+ties) and repeats on both halves, until no fragment exceeds two
+characters.  That gives the fragments of the classic loop that keeps
+breaking the globally weakest pair: a split never changes the pairs of
+another fragment, and the globally weakest pair is also the weakest of its
+own fragment, so both loops make the same splits, only in another order.
+Phase 2 splits each remaining two-character fragment whose internal PMI
+falls at or below a threshold k_cmi.  The PMI of each adjacent pair of a
+sentence is computed once and read by both phases.  The threshold is
+calibrated on a sample so the resulting 1-char:2-char word proportion
+lands closest to a target ratio (7:3 unless overridden).  A hybrid mode
+re-splits the output of an external tokenizer instead of raw sentences.
 """
 
 from __future__ import annotations
@@ -86,38 +92,61 @@ def pmi(table: MiTable, x: str, y: str) -> float:
     return math.log(p_pair / (p_x * p_y))
 
 
+def _pair_pmis(sentence: str, table: MiTable) -> list[float]:
+    """``pmi`` of every adjacent pair: entry k is that of sentence[k:k + 2].
+
+    The same expression as ``pmi``, with each character's probability
+    computed once per sentence."""
+    v = table.vocab_size
+    if v == 0:
+        return [0.0] * max(len(sentence) - 1, 0)
+    unigram, bigram = table.unigrams.get, table.bigrams.get
+    uni_total = table.total_unigrams + v
+    bi_total = table.total_bigrams + v * v
+    probs = [(unigram(ch, 0) + 1) / uni_total for ch in sentence]
+    log = math.log
+    return [log(((bigram(sentence[k : k + 2], 0) + 1) / bi_total)
+                / (probs[k] * probs[k + 1]))
+            for k in range(len(sentence) - 1)]
+
+
+def _phase1_spans(pmis: Sequence[float], n: int) -> list[tuple[int, int]]:
+    """Phase 1's fragments of an n-character sentence as (start, stop)
+    offsets, left to right, from its ``_pair_pmis``.
+
+    A fragment longer than two characters splits at its first pair of
+    least PMI.  An explicit stack, not recursion, so a body thousands of
+    characters long never reaches the recursion limit; the left half is
+    pushed last, so fragments come off the stack in sentence order."""
+    spans = []
+    stack = [(0, n)] if n else []
+    while stack:
+        start, stop = stack.pop()
+        if stop - start <= 2:
+            spans.append((start, stop))
+            continue
+        cut = min(range(start, stop - 1), key=pmis.__getitem__) + 1
+        stack.append((cut, stop))
+        stack.append((start, cut))
+    return spans
+
+
 def segment_phase1(sentence: str, table: MiTable) -> list[str]:
-    """Split the globally weakest adjacent pair (leftmost on ties) inside any
-    fragment longer than two characters, until all fragments have length <= 2."""
-    if not sentence:
-        return []
-    fragments = [sentence]
-    while True:
-        weakest = None  # (pmi, global_offset, fragment_idx, split_pos)
-        offset = 0
-        for idx, frag in enumerate(fragments):
-            if len(frag) > 2:
-                for k in range(1, len(frag)):
-                    value = pmi(table, frag[k - 1], frag[k])
-                    key = (value, offset + k)
-                    if weakest is None or key < weakest[0]:
-                        weakest = (key, idx, k)
-            offset += len(frag)
-        if weakest is None:
-            return fragments
-        _, idx, k = weakest
-        frag = fragments[idx]
-        fragments[idx : idx + 1] = [frag[:k], frag[k:]]
+    """Split the weakest adjacent pair (leftmost on ties) of every fragment
+    longer than two characters, until all fragments have length <= 2."""
+    spans = _phase1_spans(_pair_pmis(sentence, table), len(sentence))
+    return [sentence[start:stop] for start, stop in spans]
 
 
 def segment(sentence: str, table: MiTable, k_cmi: float) -> list[str]:
     """Full segmentation: phase 1, then threshold-split 2-char fragments."""
+    pmis = _pair_pmis(sentence, table)
     words = []
-    for frag in segment_phase1(sentence, table):
-        if len(frag) == 2 and pmi(table, frag[0], frag[1]) <= k_cmi:
-            words.extend(frag)
+    for start, stop in _phase1_spans(pmis, len(sentence)):
+        if stop - start == 2 and pmis[start] <= k_cmi:
+            words.extend(sentence[start:stop])
         else:
-            words.append(frag)
+            words.append(sentence[start:stop])
     return words
 
 
@@ -136,14 +165,15 @@ def hybrid_segment(sentence: str, tokenizer: Callable[[str], list[str]],
 def _sample_fragments(sample: Iterable[str], table: MiTable) -> tuple[int, list[float]]:
     """Phase-1 the sample; return (1-char word count, PMIs of 2-char fragments)."""
     ones = 0
-    pair_pmis = []
+    two_pmis = []
     for sentence in sample:
-        for frag in segment_phase1(sentence, table):
-            if len(frag) == 1:
+        pmis = _pair_pmis(sentence, table)
+        for start, stop in _phase1_spans(pmis, len(sentence)):
+            if stop - start == 1:
                 ones += 1
             else:
-                pair_pmis.append(pmi(table, frag[0], frag[1]))
-    return ones, pair_pmis
+                two_pmis.append(pmis[start])
+    return ones, two_pmis
 
 
 def calibrate_kcmi(sample: Sequence[str], table: MiTable,
@@ -155,11 +185,11 @@ def calibrate_kcmi(sample: Sequence[str], table: MiTable,
     distinct observed PMI (split everything at or below it); equally close
     candidates resolve to the smaller threshold.
     """
-    ones_base, pair_pmis = _sample_fragments(sample, table)
-    if not pair_pmis:
+    ones_base, two_pmis = _sample_fragments(sample, table)
+    if not two_pmis:
         raise CalibrationError("sample produced no two-character fragments")
-    values = sorted(set(pair_pmis))
-    counts = Counter(pair_pmis)
+    values = sorted(set(two_pmis))
+    counts = Counter(two_pmis)
     candidates = [values[0] - 1.0] + values
     best = None  # (distance, threshold)
     split = 0
@@ -167,7 +197,7 @@ def calibrate_kcmi(sample: Sequence[str], table: MiTable,
         if threshold in counts:
             split += counts[threshold]
         ones = ones_base + 2 * split
-        twos = len(pair_pmis) - split
+        twos = len(two_pmis) - split
         share = ones / (ones + twos)
         key = (abs(share - target.one_char_share), threshold)
         if best is None or key < best:

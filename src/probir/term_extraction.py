@@ -194,10 +194,22 @@ def lattice_best_score(rows: Sequence[Sequence[Mapping[str, float]]],
     for all the documents together, one span at a time.  A best prefix
     score is the first largest of its candidate sums, taken in the path
     DP's order; the path DP's tie-breaks only choose among equal floats.
+
+    A span no document holds (an empty map) offers its prefix row itself
+    as its candidates, not ``score + 0.0`` for each score.  That is the
+    same float: every prefix score is a sum that starts at +0.0 and adds
+    contributions >= +0.0, so it is never -0.0, the one float for which
+    ``x + 0.0`` is not ``x``.
     """
     best = [[0.0] * len(doc_ids)]
     for row in rows:
-        sums = [[score + get(doc_id, 0.0) for doc_id, score in zip(doc_ids, prefix)]
-                for prefix, get in zip(best, [addends.get for addends in row])]
+        sums = []
+        for prefix, addends in zip(best, row):
+            if addends:
+                get = addends.get
+                sums.append([score + get(doc_id, 0.0)
+                             for doc_id, score in zip(doc_ids, prefix)])
+            else:
+                sums.append(prefix)
         best.append(list(map(max, *sums)) if len(sums) > 1 else sums[0])
     return best[-1]

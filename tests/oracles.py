@@ -3,12 +3,16 @@
 Each recomputes what it needs the direct way: System A's lattice scorer
 document by document, its feedback counts with one ``Index.doc_tf`` per
 (term, top document), a bag word's relevance one word at a time, auto-R
-with a fresh ``TopDocBag`` per prefix, and the sweep with every cell run on
-its own.  The property tests compare the fast paths with them for equality.
+with a fresh ``TopDocBag`` per prefix, the sweep with every cell run on
+its own, and segmentation by the global weakest-pair loop with one ``pmi``
+call per pair per pass.  The property tests compare the fast paths with
+them for equality.
 """
 
 import math
+from collections import Counter
 
+from probir.errors import CalibrationError
 from probir.feedback_a import ROUND_EPS, afw, binomial_tail, feedback_idf
 from probir.feedback_b import (
     AUTO,
@@ -26,6 +30,7 @@ from probir.scoring import (
     length_bonus,
     system_a_term_contribution,
 )
+from probir.segmentation import pmi
 from probir.term_extraction import lattice_best_path
 
 
@@ -206,3 +211,79 @@ def lattice_oracle(index, compiled, params, qstats, first_ranking, idf_map,
         return total
 
     return scorer
+
+
+
+def segment_phase1(sentence, table):
+    """Phase 1 by the global loop: split the globally weakest adjacent pair
+    (leftmost on ties) inside any fragment longer than two characters, each
+    pair's PMI from ``pmi``, until all fragments have length <= 2."""
+    if not sentence:
+        return []
+    fragments = [sentence]
+    while True:
+        weakest = None  # (pmi, global_offset, fragment_idx, split_pos)
+        offset = 0
+        for idx, frag in enumerate(fragments):
+            if len(frag) > 2:
+                for k in range(1, len(frag)):
+                    value = pmi(table, frag[k - 1], frag[k])
+                    key = (value, offset + k)
+                    if weakest is None or key < weakest[0]:
+                        weakest = (key, idx, k)
+            offset += len(frag)
+        if weakest is None:
+            return fragments
+        _, idx, k = weakest
+        frag = fragments[idx]
+        fragments[idx : idx + 1] = [frag[:k], frag[k:]]
+
+
+def threshold_split(fragments, table, k_cmi):
+    """Phase 2 over phase-1 fragments: each 2-char fragment whose ``pmi``
+    is at or below k_cmi split in two."""
+    words = []
+    for frag in fragments:
+        if len(frag) == 2 and pmi(table, frag[0], frag[1]) <= k_cmi:
+            words.extend(frag)
+        else:
+            words.append(frag)
+    return words
+
+
+def segment(sentence, table, k_cmi):
+    return threshold_split(segment_phase1(sentence, table), table, k_cmi)
+
+
+def calibration_scan(fragment_lists, table, target):
+    """The calibrated threshold from the phase-1 fragments of each sample
+    sentence, each 2-char fragment's PMI from ``pmi``."""
+    ones_base = 0
+    pair_pmis = []
+    for fragments in fragment_lists:
+        for frag in fragments:
+            if len(frag) == 1:
+                ones_base += 1
+            else:
+                pair_pmis.append(pmi(table, frag[0], frag[1]))
+    if not pair_pmis:
+        raise CalibrationError("sample produced no two-character fragments")
+    values = sorted(set(pair_pmis))
+    counts = Counter(pair_pmis)
+    best = None  # (distance, threshold)
+    split = 0
+    for threshold in [values[0] - 1.0] + values:
+        if threshold in counts:
+            split += counts[threshold]
+        ones = ones_base + 2 * split
+        twos = len(pair_pmis) - split
+        share = ones / (ones + twos)
+        key = (abs(share - target.one_char_share), threshold)
+        if best is None or key < best:
+            best = key
+    return best[1]
+
+
+def calibrate_kcmi(sample, table, target):
+    return calibration_scan([segment_phase1(s, table) for s in sample], table,
+                            target)

@@ -102,9 +102,13 @@ class TestTables:
         terms = terms_of(rng, mode, words)
         for idx in built_and_loaded(index):
             for term in terms:
+                # asked first, so that a longer term's scan is counted here
+                firsts = idx.first_positions(term)
                 holding = {d: tf for d in idx.doc_ids()
                            if (tf := idx.doc_tf(d, term)) > 0}
                 assert dict(idx.postings(term)) == holding, term
+                assert firsts == [idx.first_position(d, term)
+                                  for d in idx.postings(term)], term
                 assert idx.term_stats(term) == TermStats(len(holding),
                                                          sum(holding.values()))
 

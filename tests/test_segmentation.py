@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from probir.corpus import Document, DocumentCollection
 from probir.errors import CalibrationError, EmptyCollectionError
@@ -16,6 +17,8 @@ from probir.segmentation import (
     segment,
     segment_phase1,
 )
+
+import oracles
 
 
 def four_pair_table():
@@ -249,3 +252,80 @@ class TestPartitionProperties:
                 for k in grid
             ]
             assert counts == sorted(counts)
+
+
+# -- the fast phase 1 against the global weakest-pair loop -------------------
+
+# 3 to 6 characters, so that PMI ties are common
+ALPHABETS = st.integers(3, 6).map(lambda size: "abcdef"[:size])
+
+
+@st.composite
+def segmentation_cases(draw):
+    """A table from a few sentences (none at all gives an empty vocabulary),
+    a sample over the same alphabet, a threshold and a target ratio."""
+    alphabet = draw(ALPHABETS)
+    table = build_mi_table_from_sentences(
+        draw(st.lists(st.text(alphabet, max_size=10), max_size=6)))
+    sample = draw(st.lists(st.text(alphabet, max_size=40), max_size=5))
+    k_cmi = draw(st.one_of(
+        st.floats(allow_nan=False),  # ±inf included
+        st.sampled_from([-math.inf, math.inf]),
+        # a pair's own PMI, so that "at or below" meets equality
+        st.tuples(st.sampled_from(alphabet), st.sampled_from(alphabet))
+        .map(lambda pair: pmi(table, *pair))))
+    a, b = draw(st.tuples(st.integers(0, 9), st.integers(0, 9))
+                .filter(lambda ab: sum(ab) > 0))
+    return table, sample, k_cmi, RatioTarget(a, b)
+
+
+def calibrated_or_error(calibrate, sample, table, target):
+    try:
+        return calibrate(sample, table, target)
+    except CalibrationError:
+        return CalibrationError
+
+
+class TestAgainstGlobalLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(case=segmentation_cases())
+    @example(case=(build_mi_table_from_sentences([]), ["", "a", "ab", "abcab"],
+                   0.0, RatioTarget()))
+    @example(case=(four_pair_table(), ["", "g", "ab", "abcdefgh"], -math.inf,
+                   RatioTarget(1, 1)))
+    def test_phase1_segment_and_calibration_equal_the_oracle(self, case):
+        table, sample, k_cmi, target = case
+        for sentence in sample:
+            assert segment_phase1(sentence, table) == oracles.segment_phase1(
+                sentence, table)
+            assert segment(sentence, table, k_cmi) == oracles.segment(
+                sentence, table, k_cmi)
+        assert calibrated_or_error(calibrate_kcmi, sample, table, target) == (
+            calibrated_or_error(oracles.calibrate_kcmi, sample, table, target))
+
+    def test_long_sentence_equals_the_oracle(self):
+        # 3 000 characters, as long as a whole document body, which
+        # feedback segments as one string
+        table = build_mi_table_from_sentences(["abcab", "ccab", "ba", "a"])
+        sentence = "".join(random.Random(3000).choices("abc", k=3000))
+        fragments = oracles.segment_phase1(sentence, table)
+        assert segment_phase1(sentence, table) == fragments
+        for k_cmi in (-math.inf, 0.0, math.inf):
+            assert segment(sentence, table, k_cmi) == oracles.threshold_split(
+                fragments, table, k_cmi)
+        for target in (RatioTarget(), RatioTarget(1, 1)):
+            assert calibrate_kcmi([sentence], table, target) == (
+                oracles.calibration_scan([fragments], table, target))
+
+    def test_long_sentence_of_ties_splits_leftmost_first(self):
+        # an empty vocabulary gives every pair PMI 0.0, so the global loop
+        # cuts the leftmost pair each time: 2 999 splits, each inside the
+        # last one's right half, far past the recursion limit if each
+        # split were a call
+        table = build_mi_table_from_sentences([])
+        sentence = "".join(random.Random(3001).choices("abcdef", k=3001))
+        want = list(sentence[:-2]) + [sentence[-2:]]
+        assert segment_phase1(sentence, table) == want
+        assert segment(sentence, table, 0.0) == list(sentence)
+        assert segment(sentence, table, -1.0) == want
+        assert calibrate_kcmi([sentence], table, RatioTarget(0, 1)) == -1.0

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probir.corpus import TokenizerConfig
 from probir.term_extraction import (
@@ -15,6 +16,7 @@ from probir.term_extraction import (
     down_weighted_terms,
     extract_terms,
     lattice_best_path,
+    lattice_best_score,
     shortest_terms,
     split_phrases,
 )
@@ -223,3 +225,44 @@ class TestLatticeBestPath:
             want_terms, want_score = best_path_by_enumeration(phrase, contribution)
             assert got_terms == want_terms, (trial, phrase)
             assert got_score == pytest.approx(want_score, abs=1e-12)
+
+
+DOC_IDS = ("d1", "d2", "d3", "d4")
+# contributions are >= +0.0; equal values make tied paths common
+CONTRIBUTIONS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5]),
+                          st.floats(min_value=0.0, allow_infinity=False))
+
+
+@st.composite
+def lattice_rows(draw):
+    """A phrase over three letters, the documents, and a doc -> contribution
+    map per term, three of four of them empty (a term no document holds)."""
+    phrase = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=8))
+    docs = list(DOC_IDS[:draw(st.integers(1, len(DOC_IDS)))])
+    maps = {}
+    for i in range(1, len(phrase) + 1):
+        for j in range(i):
+            term = "".join(phrase[j:i])
+            if term not in maps:
+                held = draw(st.integers(0, 3)) == 0
+                maps[term] = draw(st.dictionaries(
+                    st.sampled_from(docs), CONTRIBUTIONS,
+                    min_size=1)) if held else {}
+    return phrase, docs, maps
+
+
+class TestLatticeBestScore:
+    @settings(max_examples=200, deadline=None)
+    @given(case=lattice_rows())
+    def test_mostly_empty_rows_equal_the_path_dp(self, case):
+        """An empty span's candidates are its prefix row itself; the path
+        DP adds 0.0 to each prefix score instead.  Both give the same float
+        because a prefix score is a sum of contributions >= +0.0 that starts
+        at +0.0: it is never -0.0, the one float that ``+ 0.0`` changes."""
+        phrase, docs, maps = case
+        rows = [[maps["".join(phrase[j:i])] for j in range(i)]
+                for i in range(1, len(phrase) + 1)]
+        want = [lattice_best_path(phrase, lambda term: maps[term].get(doc, 0.0),
+                                  max_span=len(phrase), joiner="")[1]
+                for doc in docs]
+        assert lattice_best_score(rows, docs) == want

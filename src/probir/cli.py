@@ -38,7 +38,7 @@ from .errors import EmptyQueryError, IndexLoadError, ParseError, ProbirError
 from .evaluation import evaluate_run, load_qrels, parse_run_file
 from .feedback_a import FeedbackAParams
 from .feedback_b import AUTO, THETA_BY_P, FeedbackBParams
-from .index import build_index, load_index
+from .index import Index, build_index, load_index
 from .pipeline import (
     clir_topic,
     format_run,
@@ -313,6 +313,16 @@ def _load_mi(index_dir) -> tuple[MiTable, float] | tuple[None, None]:
         return table, k_cmi
 
 
+def _open_index(index_dir, k_cmi: float | None
+                ) -> tuple[TokenizerConfig, Index, MiTable | None, float | None]:
+    """An index with its tokenizer and MI table, and ``k_cmi``, or the
+    stored threshold when that is None (None again for a token index)."""
+    tok_config = _load_tokenizer(index_dir)
+    index = load_index(index_dir, tok_config.mode)
+    mi_table, stored_kcmi = _load_mi(index_dir)
+    return tok_config, index, mi_table, stored_kcmi if k_cmi is None else k_cmi
+
+
 def _parse_ratio(text: str) -> RatioTarget:
     try:
         a, b = text.split(":")
@@ -367,10 +377,7 @@ def cmd_search(args) -> int:
     if cfg["translate"] and cfg["system"] == "a":
         raise ValueError("translate runs System B; it cannot be combined "
                          "with system a")
-    tok_config = _load_tokenizer(args.index)
-    index = load_index(args.index, tok_config.mode)
-    mi_table, stored_kcmi = _load_mi(args.index)
-    k_cmi = cfg["k_cmi"] if cfg["k_cmi"] is not None else stored_kcmi
+    tok_config, index, mi_table, k_cmi = _open_index(args.index, cfg["k_cmi"])
     topics = load_topics(args.topics)
     qtype = QueryType(cfg["qtype"])
     cutoff = cfg["cutoff"]
@@ -379,15 +386,11 @@ def cmd_search(args) -> int:
     if cfg["translate"]:
         dictionary = load_dictionary(cfg["translate"])
         feedback = _feedback_b_params(cfg) if cfg["feedback"] else None
-        source_index = None
-        source_tok = tok_config
-        source_mi, source_kcmi = mi_table, k_cmi
+        source_tok, source_index, source_mi, source_kcmi = (
+            tok_config, None, mi_table, k_cmi)
         if cfg["expand_source"]:
-            source_tok = _load_tokenizer(cfg["expand_source"])
-            source_index = load_index(cfg["expand_source"], source_tok.mode)
-            source_mi, source_kcmi = _load_mi(cfg["expand_source"])
-            if cfg["k_cmi"] is not None:
-                source_kcmi = cfg["k_cmi"]
+            source_tok, source_index, source_mi, source_kcmi = _open_index(
+                cfg["expand_source"], cfg["k_cmi"])
         theta = THETA_BY_P[0.10] if source_index is not None else None
 
         rankings = []
@@ -447,10 +450,7 @@ def cmd_search(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args, SWEEP_OPTIONS)
-    tok_config = _load_tokenizer(args.index)
-    index = load_index(args.index, tok_config.mode)
-    mi_table, stored_kcmi = _load_mi(args.index)
-    k_cmi = cfg["k_cmi"] if cfg["k_cmi"] is not None else stored_kcmi
+    tok_config, index, mi_table, k_cmi = _open_index(args.index, cfg["k_cmi"])
     topics = load_topics(args.topics)
     qrels = load_qrels(args.qrels)
     report = sweep_b(index, topics, QueryType(cfg["qtype"]), tok_config, qrels,

@@ -11,8 +11,10 @@ Both read one table of rank-weighted counts per topic (``TopDocCounts``):
 a single walk over the top documents' bags tells every unit the ranks it
 occurs at, and any other term's ranks are read from its postings.
 
-The second retrieval reuses the extended scorer with the modulated IDFs;
-adopted terms enter with weight 1, tf_q 1, and no query-membership bonus.
+``feedback_vector`` gives the second retrieval its terms and modulated
+IDFs; ``pipeline.search_topic_a`` ranks them with the same extended scorer
+as the first, for every term strategy.  Adopted terms enter with weight 1,
+tf_q 1, and no query-membership bonus.
 """
 
 from __future__ import annotations
@@ -23,15 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .index import Index
 from .scoring import (
-    QuerySetStats,
-    Ranking,
-    ScoringParamsA,
-    SystemATables,
     idf,
-    rank,
-    score_system_a,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
-    system_a_lookup,
-    system_a_sums,
+    rank, score_system_a,  # noqa: F401  (not called; perfbench/tracing.py wraps them here)
 )
 
 ROUND_EPS = 0.5  # n_obs = floor(weighted count + 0.5)
@@ -217,26 +212,3 @@ def feedback_vector(query_vector: Mapping[str, tuple[float, int]],
                                      params.k_af, idf(stats.df, n))
     return vector, idf_map
 
-
-def run_feedback_a(query_vector: Mapping[str, tuple[float, int]],
-                   first_ranking: Ranking, index: Index,
-                   params: FeedbackAParams, scoring_params: ScoringParamsA,
-                   qstats: QuerySetStats | None = None,
-                   cutoff: int = 1000,
-                   candidates: Iterable[str] | None = None,
-                   tables: SystemATables | None = None) -> Ranking:
-    """Second retrieval with modulated IDFs and adopted terms.
-
-    With the category factor on, K_cat is measured against
-    ``first_ranking``, the ranking whose top documents feed back.
-    ``tables`` are the index's ``SystemATables`` for scoring_params, built
-    here when not given.
-    """
-    top_docs = first_ranking.doc_ids()[:params.k_r]
-    vector, idf_map = feedback_vector(query_vector, top_docs, index, params,
-                                      candidates)
-    if tables is None:
-        tables = SystemATables(index, scoring_params)
-    sums = system_a_sums(tables, vector, scoring_params, qstats, idf_map)
-    return rank(index, system_a_lookup(tables, sums, scoring_params, first_ranking),
-                cutoff, first_ranking.query_id)

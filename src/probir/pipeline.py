@@ -3,7 +3,9 @@
 The extended-scorer pipeline ranks in up to three passes per topic: a
 category-neutral pass, a category-aware pass measured against it, and an
 optional feedback pass.  The first two share one set of term sums; only
-K_cat differs between them.  The parameter-light pipeline is a single BM11 pass
+K_cat differs between them.  Every term strategy, the lattice included,
+takes the same three passes, and the feedback pass adds the adopted terms
+to the query's.  The parameter-light pipeline is a single BM11 pass
 with optional probabilistic feedback.  Cross-lingual search compiles the
 query in the source language, optionally document-expands it there, then
 translates and retrieves monolingually.
@@ -32,7 +34,7 @@ from .corpus import (
     tokenize,
 )
 from .errors import EmptyQueryError
-from .feedback_a import FeedbackAParams, feedback_vector, run_feedback_a
+from .feedback_a import FeedbackAParams, feedback_vector
 from .feedback_b import AUTO, FeedbackBParams, PrefixBags, run_feedback_b
 from .index import Index
 from .scoring import (
@@ -113,20 +115,17 @@ class CompiledTopicA:
         self.max_span = extraction.max_span
         self.lattice = extraction.strategy == LATTICE
         self.phrases = compile_phrases(topic, qtype, config, mi_table, k_cmi)
-        if self.lattice:
-            # Path terms come from all contiguous patterns; the same set
-            # carries query-frequency statistics and feedback reweighting.
-            self.vector = all_term_patterns(self.phrases, extraction.max_span,
-                                            joiner)
-        else:
-            self.vector = extract_terms(self.phrases, extraction, joiner)
-        title_phrases = compile_phrases(topic, QueryType.VERY_SHORT, config,
-                                        mi_table, k_cmi)
-        if self.lattice:
-            self.title_terms = set(all_term_patterns(title_phrases,
-                                                     extraction.max_span, joiner))
-        else:
-            self.title_terms = set(extract_terms(title_phrases, extraction, joiner))
+
+        def terms(phrases):
+            if self.lattice:
+                # Path terms come from all contiguous patterns; the same set
+                # carries query-frequency statistics and feedback reweighting.
+                return all_term_patterns(phrases, extraction.max_span, joiner)
+            return extract_terms(phrases, extraction, joiner)
+
+        self.vector = terms(self.phrases)
+        self.title_terms = set(terms(compile_phrases(
+            topic, QueryType.VERY_SHORT, config, mi_table, k_cmi)))
 
 
 def _lattice_sums(tables: SystemATables, compiled: CompiledTopicA,
@@ -207,39 +206,36 @@ def search_topic_a(index: Index, compiled: CompiledTopicA,
                    doc_words: dict[str, frozenset[str]] | None = None,
                    tables: SystemATables | None = None
                    ) -> Ranking | None:
-    """Rank one topic; None when no query term survives pruning.
+    """Rank one topic; None when no query term survives pruning, whatever
+    the term strategy.
 
     The category pass measures K_cat against the neutral pass's ranking;
     the feedback pass measures it against the ranking feedback starts from,
-    the category pass's when the category factor is on.
+    the category pass's when the category factor is on.  The feedback pass
+    is the same scorer over the query's terms (the lattice's paths, or the
+    flat vector) plus the adopted terms, with the modulated IDFs.
 
     ``doc_words`` is a character-mode memo of segmented top documents,
     shared across the topics of one (mi_table, k_cmi); ``tables`` are the
     index's ``SystemATables`` for params, shared across topics the same
     way, and built here when not given."""
     vector = prune_vector(index, compiled.vector)
-    if not vector and not compiled.lattice:
-        return None
-    if compiled.lattice and not compiled.phrases:
+    if not vector:
         return None
     if tables is None:
         tables = SystemATables(index, params)
 
-    def sums_for(idf_map=None, extra=None):
+    def sums_for(idf_map, extra):
         if compiled.lattice:
-            return _lattice_sums(tables, compiled, params, qstats, idf_map,
-                                 extra or {})
-        full = dict(vector)
-        if extra:
-            full.update(extra)
-        return system_a_sums(tables, full, params, qstats, idf_map)
+            return _lattice_sums(tables, compiled, params, qstats, idf_map, extra)
+        return system_a_sums(tables, vector | extra, params, qstats, idf_map)
 
     def ranking_for(sums, p: ScoringParamsA, reference=None):
         return rank(index, system_a_lookup(tables, sums, p, reference), cutoff,
                     compiled.query_id)
 
     # The term sums do not depend on K_cat: both passes rank the same sums.
-    sums = sums_for()
+    sums = sums_for(None, {})
     first = ranking_for(sums, replace(params, use_category=False))
     if params.use_category:
         first = ranking_for(sums, params, reference=first)
@@ -253,13 +249,12 @@ def search_topic_a(index: Index, compiled: CompiledTopicA,
             raise ValueError("character-mode feedback needs mi_table and k_cmi")
         candidates = _char_feedback_candidates(
             index, top_docs, mi_table, k_cmi, {} if doc_words is None else doc_words)
-    if compiled.lattice:
-        fb_vector, idf_map = feedback_vector(vector, top_docs, index, feedback,
-                                             candidates)
-        extra = {t: w for t, w in fb_vector.items() if t not in vector}
-        return ranking_for(sums_for(idf_map, extra), params, reference=first)
-    return run_feedback_a(vector, first, index, feedback, params, qstats,
-                          cutoff, candidates, tables)
+    fb_vector, idf_map = feedback_vector(vector, top_docs, index, feedback,
+                                         candidates)
+    # The query terms come first in fb_vector, then the sorted adopted ones,
+    # so ``vector | adopted`` is fb_vector, in its order.
+    adopted = {t: w for t, w in fb_vector.items() if t not in vector}
+    return ranking_for(sums_for(idf_map, adopted), params, reference=first)
 
 
 def search_system_a(index: Index, topics: Sequence[Topic], qtype: QueryType,

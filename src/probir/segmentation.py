@@ -8,12 +8,13 @@ characters.  That gives the fragments of the classic loop that keeps
 breaking the globally weakest pair: a split never changes the pairs of
 another fragment, and the globally weakest pair is also the weakest of its
 own fragment, so both loops make the same splits, only in another order.
+Those splits are the inner nodes of the pair PMIs' Cartesian tree, which
+one left-to-right pass finds, so phase 1 takes linear time.
 Phase 2 splits each remaining two-character fragment whose internal PMI
 falls at or below a threshold k_cmi.  The PMI of each adjacent pair of a
 sentence is computed once and read by both phases.  The threshold is
 calibrated on a sample so the resulting 1-char:2-char word proportion
-lands closest to a target ratio (7:3 unless overridden).  A hybrid mode
-re-splits the output of an external tokenizer instead of raw sentences.
+lands closest to a target ratio (7:3 unless overridden).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import DocumentCollection, split_sentences
 from .errors import CalibrationError, EmptyCollectionError
@@ -114,20 +115,31 @@ def _phase1_spans(pmis: Sequence[float], n: int) -> list[tuple[int, int]]:
     """Phase 1's fragments of an n-character sentence as (start, stop)
     offsets, left to right, from its ``_pair_pmis``.
 
-    A fragment longer than two characters splits at its first pair of
-    least PMI.  An explicit stack, not recursion, so a body thousands of
-    characters long never reaches the recursion limit; the left half is
-    pushed last, so fragments come off the stack in sentence order."""
+    Splitting a fragment at its first pair of least PMI and recursing on
+    both halves builds the Cartesian tree of the pair PMIs, leftmost minima
+    as roots: a pair's subtree is the fragment it splits.  So a pair is cut
+    exactly when its node has a child, that is when its fragment holds
+    more than two characters.  A monotone stack builds the tree in one
+    left-to-right pass: each pair pops the pairs of strictly greater PMI
+    (its left subtree, whose last root becomes its child) and becomes the
+    right child of the pair left on top."""
+    cut = [False] * len(pmis)
+    stack: list[int] = []
+    for k, value in enumerate(pmis):
+        while stack and pmis[stack[-1]] > value:
+            stack.pop()
+            cut[k] = True
+        if stack:
+            cut[stack[-1]] = True
+        stack.append(k)
     spans = []
-    stack = [(0, n)] if n else []
-    while stack:
-        start, stop = stack.pop()
-        if stop - start <= 2:
-            spans.append((start, stop))
-            continue
-        cut = min(range(start, stop - 1), key=pmis.__getitem__) + 1
-        stack.append((cut, stop))
-        stack.append((start, cut))
+    start = 0
+    for k, is_cut in enumerate(cut):
+        if is_cut:
+            spans.append((start, k + 1))
+            start = k + 1
+    if n:
+        spans.append((start, n))
     return spans
 
 
@@ -147,18 +159,6 @@ def segment(sentence: str, table: MiTable, k_cmi: float) -> list[str]:
             words.extend(sentence[start:stop])
         else:
             words.append(sentence[start:stop])
-    return words
-
-
-def hybrid_segment(sentence: str, tokenizer: Callable[[str], list[str]],
-                   table: MiTable, k_cmi: float) -> list[str]:
-    """Tokenize first, then re-split each token by the MI rules."""
-    words = []
-    for token in tokenizer(sentence):
-        if len(token) <= 1:
-            words.append(token)
-        else:
-            words.extend(segment(token, table, k_cmi))
     return words
 
 

@@ -12,6 +12,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 import scipy.stats
@@ -20,7 +21,7 @@ from probir.cli import main as cli_main
 from probir.clir import BilingualDictionary, translate
 from probir.corpus import QueryType, Topic, TokenizerConfig
 from probir.evaluation import average_precision, evaluate_run, r_precision
-from probir.feedback_a import FeedbackAParams, binomial_tail, afw, run_feedback_a
+from probir.feedback_a import FeedbackAParams, binomial_tail, afw
 from probir.feedback_b import (
     THETA_BY_P,
     FeedbackBParams,
@@ -30,7 +31,7 @@ from probir.feedback_b import (
     _auto_r_core,
 )
 from probir.index import load_index
-from probir.pipeline import clir_topic, search_topic_b
+from probir.pipeline import clir_topic, search_topic_a, search_topic_b
 from probir.scoring import (
     BM11_K_Q,
     RARITY_ALL,
@@ -348,8 +349,10 @@ def test_03_degenerate_identities():
         vector = {w: (1.0, 1) for w in words}
         first = rank(index, lambda d: score_system_a(index, d, vector,
                                                      no_category), 100)
-        again = run_feedback_a(vector, first, index,
-                               FeedbackAParams(k_af=0.0, k_p=1.0), no_category)
+        compiled = SimpleNamespace(query_id="q", vector=vector, phrases=[],
+                                   lattice=False, max_span=6, joiner=" ")
+        again = search_topic_a(index, compiled, no_category, None,
+                               FeedbackAParams(k_af=0.0, k_p=1.0), cutoff=100)
         assert again.items == first.items
         checked_a += 1
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from probir.cli import (
     SEARCH_OPTIONS,
     SWEEP_OPTIONS,
+    _open_index,
     build_parser,
     main,
     parse_config_file,
@@ -106,6 +107,21 @@ class TestIndexCommand:
                      "--out", str(workspace / "idx")])
         assert code == 2
         assert "error: no such file:" in capsys.readouterr().err
+
+    def test_opened_index_takes_the_stored_k_cmi_unless_one_is_given(
+            self, workspace):
+        char_dir = build(workspace, "--mode", "character")
+        stored = json.loads((char_dir / "mi.json").read_text(encoding="utf-8"))
+        tok_config, index, table, k_cmi = _open_index(char_dir, None)
+        assert (tok_config.mode, index.mode, index.n_docs) == (
+            "character", "character", 6)
+        assert (table.unigrams, k_cmi) == (stored["unigrams"], stored["k_cmi"])
+        assert _open_index(char_dir, -1.5)[2:] == (table, -1.5)
+        token_dir = workspace / "tok"
+        assert main(["index", "--docs", str(workspace / "docs.jsonl"),
+                     "--out", str(token_dir)]) == 0
+        assert _open_index(token_dir, None)[2:] == (None, None)
+        assert _open_index(token_dir, 0.5)[2:] == (None, 0.5)
 
 
 class TestSearchCommand:

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from scipy import stats
@@ -12,13 +13,19 @@ from probir.feedback_a import (
     expansion_terms,
     feedback_idf,
     feedback_vector,
-    run_feedback_a,
 )
+from probir.pipeline import search_topic_a
 from probir.scoring import ScoringParamsA, rank, score_system_a
 
 from corpus_builders import make_index, random_token_rows, random_vocab
 
 NO_CATEGORY = ScoringParamsA(use_category=False)
+
+
+def flat_topic(vector):
+    """A compiled topic whose flat query vector is ``vector``."""
+    return SimpleNamespace(query_id="q", vector=vector, phrases=[], lattice=False,
+                           max_span=6, joiner=" ")
 
 
 class TestAfw:
@@ -220,6 +227,8 @@ class TestFeedbackVector:
 
 
 class TestRunFeedbackA:
+    """A's feedback pass, run by ``search_topic_a`` after its first pass."""
+
     def test_degenerate_params_reproduce_first_ranking(self):
         rng = random.Random(90125)
         vocab = random_vocab(rng, 15)
@@ -234,9 +243,8 @@ class TestRunFeedbackA:
                 continue
             first = rank(index, lambda d: score_system_a(index, d, vector,
                                                          NO_CATEGORY), 100)
-            again = run_feedback_a(vector, first, index,
-                                   FeedbackAParams(k_af=0.0, k_p=1.0),
-                                   NO_CATEGORY)
+            again = search_topic_a(index, flat_topic(vector), NO_CATEGORY, None,
+                                   FeedbackAParams(k_af=0.0, k_p=1.0), cutoff=100)
             assert again.items == first.items  # scores equal bit for bit
 
     def test_shared_discriminative_term_promotes_carriers(self):
@@ -256,7 +264,11 @@ class TestRunFeedbackA:
         params = FeedbackAParams(k_r=3, k_p=0.9, k_afw=0.5)
         assert "treasure" in expansion_terms(first.doc_ids()[:3], index,
                                              3, 0.9, 0.5)
-        second = run_feedback_a(vector, first, index, params, NO_CATEGORY)
+        # the pass feedback starts from is the oracle's ranking
+        assert search_topic_a(index, flat_topic(vector), NO_CATEGORY, None,
+                              cutoff=30).items == first.items
+        second = search_topic_a(index, flat_topic(vector), NO_CATEGORY, None,
+                                params, cutoff=30)
         before = first.doc_ids().index("z1")
         after = second.doc_ids().index("z1")
         assert after < before
@@ -266,8 +278,8 @@ class TestRunFeedbackA:
         vector = {"alpha": (1.0, 1)}
         first = rank(index, lambda d: score_system_a(index, d, vector,
                                                      NO_CATEGORY), 2)
-        second = run_feedback_a(vector, first, index, FeedbackAParams(k_r=50),
-                                NO_CATEGORY)
+        second = search_topic_a(index, flat_topic(vector), NO_CATEGORY, None,
+                                FeedbackAParams(k_r=50), cutoff=2)
         assert len(second) == 2
 
     def test_params_validation(self):

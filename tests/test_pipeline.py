@@ -173,10 +173,10 @@ class TestSearchSystemA:
         rankings, warnings = search_system_a(
             self.index, topics, QueryType.VERY_SHORT, TOK,
             ExtractionConfig(LATTICE), self.params)
-        # the unknown word still forms a phrase; scores may all be length
-        # bonus only, but the topic is not skipped
-        assert len(rankings) == 1
-        assert warnings == []
+        # the unknown word still forms a phrase, but no term of it is in the
+        # collection, so the lattice skips the topic like every strategy
+        assert rankings == []
+        assert warnings == ["query q1: no usable terms; skipped"]
 
     def test_multiword_extraction_runs(self):
         topics = [topic("q1", "alpha gamma delta")]

@@ -1,7 +1,7 @@
-"""The index's postings, System A's per-document tables and its
-shared-sums passes, against the plain per-document lookups and oracles, on
-random token and character corpora, built and after ``save``/``load_index``.
-Every comparison is exact."""
+"""The index's postings, System A's per-document tables, its shared-sums
+passes and its feedback pass, against the plain per-document lookups and
+oracles, on random token and character corpora, built and after
+``save``/``load_index``.  Every comparison is exact."""
 
 import math
 import random
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probir.corpus import CHARACTER_MODE
+from probir.feedback_a import FeedbackAParams
 from probir.index import TermStats, load_index
 from probir.pipeline import search_topic_a, term_joiner
 from probir.scoring import (
@@ -33,7 +34,10 @@ from probir.scoring import (
     score_system_a,
     tf_factor,
 )
+from probir.segmentation import build_mi_table_from_sentences
 from probir.term_extraction import (
+    ALL_PATTERNS,
+    DOWN_WEIGHT,
     LATTICE,
     SHORTEST,
     ExtractionConfig,
@@ -42,7 +46,7 @@ from probir.term_extraction import (
 )
 
 from corpus_builders import make_index, random_token_rows, random_vocab
-from oracles import lattice_oracle
+import oracles
 
 ALPHABET = "abcde"
 TITLE_ONLY = {"token": "ttttttttt", CHARACTER_MODE: "t"}  # in no body
@@ -189,6 +193,50 @@ def draw_params(data, rng, terms):
     return params, build_query_set_stats(queries)
 
 
+def draw_topic(data, rng, mode, strategy, words):
+    """A compiled topic of one to three phrases over ``words``."""
+    joiner = term_joiner(mode)
+    phrases = [rng.choices(words, k=rng.randint(1, 4))
+               for _ in range(rng.randint(1, 3))]
+    max_span = data.draw(st.integers(1, 3), label="max_span")
+    if strategy == LATTICE:
+        vector = all_term_patterns(phrases, max_span, joiner)
+    else:
+        vector = extract_terms(phrases, ExtractionConfig(strategy, max_span=max_span),
+                               joiner)
+    return SimpleNamespace(query_id="q", vector=vector, phrases=phrases,
+                           lattice=strategy == LATTICE, max_span=max_span,
+                           joiner=joiner)
+
+
+def oracle_ranking(index, compiled, vector, p, qstats, reference, cutoff,
+                   idf_map=None, adopted=None):
+    """The plain scorer's ranking: the lattice over the topic's phrases plus
+    the adopted terms, or ``score_system_a`` over ``vector``."""
+    if compiled.lattice:
+        scorer = oracles.lattice_oracle(index, compiled, p, qstats, reference,
+                                        idf_map, adopted or {})
+    else:
+        def scorer(doc_id):
+            return score_system_a(index, doc_id, vector, p, qstats, reference,
+                                  idf_map)
+    return rank(index, scorer, cutoff, "q")
+
+
+def shared_tables(data, rng, index, params, qstats, words, compiled, cutoff):
+    """None, or tables an earlier lattice topic has ranked with."""
+    if not data.draw(st.booleans(), label="shared tables"):
+        return None
+    tables = SystemATables(index, params)
+    earlier = [rng.choices(words, k=rng.randint(1, 4))]
+    search_topic_a(index, SimpleNamespace(
+        query_id="e",
+        vector=all_term_patterns(earlier, compiled.max_span, compiled.joiner),
+        phrases=earlier, lattice=True, max_span=compiled.max_span,
+        joiner=compiled.joiner), params, qstats, cutoff=cutoff, tables=tables)
+    return tables
+
+
 class TestSharedSums:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), mode=MODES, strategy=st.sampled_from([SHORTEST, LATTICE]))
@@ -199,50 +247,76 @@ class TestSharedSums:
         with fresh tables or with tables an earlier topic has used."""
         rng = random.Random(data.draw(SEEDS, label="seed"))
         index, words = corpus(rng, mode)
-        joiner = term_joiner(mode)
-        phrases = [rng.choices(words, k=rng.randint(1, 4))
-                   for _ in range(rng.randint(1, 3))]
-        max_span = data.draw(st.integers(1, 3), label="max_span")
-        if strategy == LATTICE:
-            vector = all_term_patterns(phrases, max_span, joiner)
-        else:
-            vector = extract_terms(phrases, ExtractionConfig(strategy, max_span=max_span),
-                                   joiner)
-        compiled = SimpleNamespace(query_id="q", vector=vector, phrases=phrases,
-                                   lattice=strategy == LATTICE,
-                                   max_span=max_span, joiner=joiner)
-        params, qstats = draw_params(data, rng, sorted(vector))
+        compiled = draw_topic(data, rng, mode, strategy, words)
+        params, qstats = draw_params(data, rng, sorted(compiled.vector))
         neutral_params = replace(params, use_category=False)
         # a cutoff below the collection size, so that the neutral ranking's
         # categories can differ from the collection's and K_cat from 1
         n = rng.randint(1, index.n_docs)
-        pruned = prune_vector(index, vector)
-
-        def oracle_ranking(p, reference):
-            if compiled.lattice:
-                scorer = lattice_oracle(index, compiled, p, qstats, reference,
-                                        None, {})
-            else:
-                def scorer(doc_id):
-                    return score_system_a(index, doc_id, pruned, p, qstats,
-                                          reference)
-            return rank(index, scorer, n, "q")
-
-        tables = None
-        if data.draw(st.booleans(), label="shared tables"):
-            tables = SystemATables(index, params)
-            earlier = [rng.choices(words, k=rng.randint(1, 4))]
-            search_topic_a(index, SimpleNamespace(
-                query_id="e", vector=all_term_patterns(earlier, max_span, joiner),
-                phrases=earlier, lattice=True, max_span=max_span, joiner=joiner),
-                params, qstats, cutoff=n, tables=tables)
+        pruned = prune_vector(index, compiled.vector)
+        tables = shared_tables(data, rng, index, params, qstats, words, compiled, n)
         neutral = search_topic_a(index, compiled, neutral_params, qstats, cutoff=n,
                                  tables=tables)
         both = search_topic_a(index, compiled, params, qstats, cutoff=n,
                               tables=tables)
-        if not compiled.lattice and not pruned:
+        if not pruned:
+            # no term the collection knows: skipped, the lattice too
             assert neutral is None and both is None
             return
-        want_neutral = oracle_ranking(neutral_params, None)
+        want_neutral = oracle_ranking(index, compiled, pruned, neutral_params,
+                                      qstats, None, n)
         assert neutral.items == want_neutral.items
-        assert both.items == oracle_ranking(params, want_neutral).items
+        assert both.items == oracle_ranking(index, compiled, pruned, params,
+                                            qstats, want_neutral, n).items
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), mode=MODES,
+           strategy=st.sampled_from([SHORTEST, ALL_PATTERNS, DOWN_WEIGHT, LATTICE]))
+    def test_feedback_pass_equals_plain_oracle(self, data, mode, strategy):
+        """``search_topic_a``'s feedback ranking, for every term strategy,
+        equals the plain scorer over the oracle feedback vector and IDF map
+        (the lattice with the adopted terms as extra terms), with K_cat
+        measured against the ranking feedback starts from."""
+        rng = random.Random(data.draw(SEEDS, label="seed"))
+        # more documents than the first-pass test, so that fewer terms occur
+        # in every one and more are adopted
+        index, words = corpus(rng, mode, max_docs=rng.choice([9, 30]))
+        compiled = draw_topic(data, rng, mode, strategy, words)
+        params, qstats = draw_params(data, rng, sorted(compiled.vector))
+        params = replace(params, use_category=data.draw(st.booleans(),
+                                                        label="category"))
+        feedback = FeedbackAParams(
+            k_r=data.draw(st.integers(1, 6), label="k_r"),
+            k_af=data.draw(st.sampled_from([0.0, 0.7, -0.5, 2.0]), label="k_af"),
+            k_p=data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), label="k_p"),
+            k_afw=data.draw(st.sampled_from([0.0, 0.5, 0.9]), label="k_afw"),
+            kp_literal=data.draw(st.booleans(), label="kp_literal"))
+        table = k_cmi = None
+        if mode == CHARACTER_MODE:
+            texts = [text for d in index.doc_ids() for text in index.doc_text(d)]
+            table = build_mi_table_from_sentences(texts)
+            k_cmi = data.draw(st.sampled_from([-math.inf, 0.0, 1.0, math.inf]),
+                              label="k_cmi")
+        n = rng.randint(1, index.n_docs)
+        pruned = prune_vector(index, compiled.vector)
+        tables = shared_tables(data, rng, index, params, qstats, words, compiled, n)
+        got = search_topic_a(index, compiled, params, qstats, feedback, cutoff=n,
+                             mi_table=table, k_cmi=k_cmi, tables=tables)
+        if not pruned:
+            assert got is None
+            return
+        first = oracle_ranking(index, compiled, pruned,
+                               replace(params, use_category=False), qstats, None, n)
+        if params.use_category:
+            first = oracle_ranking(index, compiled, pruned, params, qstats, first, n)
+        top_docs = first.doc_ids()[:feedback.k_r]
+        candidates = None
+        if mode == CHARACTER_MODE:
+            candidates = {word for d in top_docs for text in index.doc_text(d)
+                          for word in oracles.segment(text, table, k_cmi)}
+        vector, idf_map = oracles.feedback_vector(pruned, top_docs, index,
+                                                  feedback, candidates)
+        adopted = {t: w for t, w in vector.items() if t not in pruned}
+        want = oracle_ranking(index, compiled, vector, params, qstats, first, n,
+                              idf_map, adopted)
+        assert got.items == want.items

@@ -12,7 +12,6 @@ from probir.segmentation import (
     build_mi_table,
     build_mi_table_from_sentences,
     calibrate_kcmi,
-    hybrid_segment,
     pmi,
     segment,
     segment_phase1,
@@ -128,26 +127,6 @@ class TestSegment:
         mid = (pmi(table, "a", "b") + pmi(table, "c", "d")) / 2
         assert pmi(table, "c", "d") < mid < pmi(table, "a", "b")
         assert segment("abcd", table, mid) == ["ab", "c", "d"]
-
-
-class TestHybridSegment:
-    @staticmethod
-    def tokenizer(sentence):
-        return sentence.split()
-
-    def test_short_tokens_pass_through(self):
-        table = four_pair_table()
-        got = hybrid_segment("ab cd e", self.tokenizer, table, -math.inf)
-        assert got == ["ab", "cd", "e"]
-
-    def test_long_tokens_resplit(self):
-        table = collocation_table()
-        got = hybrid_segment("abcd ab", self.tokenizer, table, -math.inf)
-        assert got == ["ab", "cd", "ab"]
-
-    def test_empty(self):
-        table = four_pair_table()
-        assert hybrid_segment("", self.tokenizer, table, 0.0) == []
 
 
 def scan_thresholds(pair_pmis, ones_base, target_share):
@@ -317,15 +296,24 @@ class TestAgainstGlobalLoop:
             assert calibrate_kcmi([sentence], table, target) == (
                 oracles.calibration_scan([fragments], table, target))
 
-    def test_long_sentence_of_ties_splits_leftmost_first(self):
+    @staticmethod
+    def assert_ties_split_leftmost_first(length, seed):
         # an empty vocabulary gives every pair PMI 0.0, so the global loop
-        # cuts the leftmost pair each time: 2 999 splits, each inside the
-        # last one's right half, far past the recursion limit if each
-        # split were a call
+        # cuts the leftmost pair each time: length - 2 splits, each inside
+        # the last one's right half
         table = build_mi_table_from_sentences([])
-        sentence = "".join(random.Random(3001).choices("abcdef", k=3001))
+        sentence = "".join(random.Random(seed).choices("abcdef", k=length))
         want = list(sentence[:-2]) + [sentence[-2:]]
         assert segment_phase1(sentence, table) == want
         assert segment(sentence, table, 0.0) == list(sentence)
         assert segment(sentence, table, -1.0) == want
         assert calibrate_kcmi([sentence], table, RatioTarget(0, 1)) == -1.0
+
+    def test_long_sentence_of_ties_splits_leftmost_first(self):
+        # far past the recursion limit if each split were a call
+        self.assert_ties_split_leftmost_first(3001, seed=3001)
+
+    def test_hundred_thousand_ties_split_leftmost_first(self):
+        # a long document body of repeated text, which feedback segments
+        # as one string: linear, where a scan per split would take minutes
+        self.assert_ties_split_leftmost_first(100000, seed=100000)

@@ -37,9 +37,10 @@ from .corpus import (
 from .errors import EmptyQueryError, IndexLoadError, ParseError, ProbirError
 from .evaluation import evaluate_run, load_qrels, parse_run_file
 from .feedback_a import FeedbackAParams
-from .feedback_b import AUTO, THETA_BY_P, FeedbackBParams
+from .feedback_b import AUTO, FeedbackBParams
 from .index import Index, build_index, load_index
 from .pipeline import (
+    Analyzer,
     clir_topic,
     format_run,
     run_tag,
@@ -305,22 +306,31 @@ def _load_mi(index_dir) -> tuple[MiTable, float] | tuple[None, None]:
         return None, None
     with _sidecar(path):
         payload = json.loads(path.read_text(encoding="utf-8"))
-        table = MiTable(payload["unigrams"], payload["bigrams"],
-                        payload["total_unigrams"], payload["total_bigrams"])
+        maps = (payload["unigrams"], payload["bigrams"])
+        totals = (payload["total_unigrams"], payload["total_bigrams"])
+        if not (all(isinstance(counts, dict) for counts in maps) and all(
+                type(n) is int and n >= 0
+                for n in (*maps[0].values(), *maps[1].values(), *totals))):
+            raise TypeError("unigrams and bigrams must be objects of counts, "
+                            "and every count an integer >= 0")
+        table = MiTable(*maps, *totals)
         k_cmi = float(payload["k_cmi"])
         if not math.isfinite(k_cmi):
             raise ValueError(f"k_cmi must be finite, got {k_cmi}")
         return table, k_cmi
 
 
-def _open_index(index_dir, k_cmi: float | None
-                ) -> tuple[TokenizerConfig, Index, MiTable | None, float | None]:
-    """An index with its tokenizer and MI table, and ``k_cmi``, or the
-    stored threshold when that is None (None again for a token index)."""
+def _open_index(index_dir, k_cmi: float | None) -> tuple[Index, Analyzer]:
+    """An index with its analyzer: its tokenizer and MI table, and
+    ``k_cmi``, or the stored threshold when that is None."""
     tok_config = _load_tokenizer(index_dir)
     index = load_index(index_dir, tok_config.mode)
     mi_table, stored_kcmi = _load_mi(index_dir)
-    return tok_config, index, mi_table, stored_kcmi if k_cmi is None else k_cmi
+    if tok_config.mode == CHARACTER_MODE and mi_table is None:
+        raise IndexLoadError(f"{_mi_path(index_dir)}: missing; a character "
+                             "index needs its MI table")
+    return index, Analyzer(tok_config, mi_table,
+                           stored_kcmi if k_cmi is None else k_cmi)
 
 
 def _parse_ratio(text: str) -> RatioTarget:
@@ -377,7 +387,7 @@ def cmd_search(args) -> int:
     if cfg["translate"] and cfg["system"] == "a":
         raise ValueError("translate runs System B; it cannot be combined "
                          "with system a")
-    tok_config, index, mi_table, k_cmi = _open_index(args.index, cfg["k_cmi"])
+    index, analyzer = _open_index(args.index, cfg["k_cmi"])
     topics = load_topics(args.topics)
     qtype = QueryType(cfg["qtype"])
     cutoff = cfg["cutoff"]
@@ -386,23 +396,20 @@ def cmd_search(args) -> int:
     if cfg["translate"]:
         dictionary = load_dictionary(cfg["translate"])
         feedback = _feedback_b_params(cfg) if cfg["feedback"] else None
-        source_tok, source_index, source_mi, source_kcmi = (
-            tok_config, None, mi_table, k_cmi)
+        source_index, source = None, analyzer
         if cfg["expand_source"]:
-            source_tok, source_index, source_mi, source_kcmi = _open_index(
-                cfg["expand_source"], cfg["k_cmi"])
-        theta = THETA_BY_P[0.10] if source_index is not None else None
+            source_index, source = _open_index(cfg["expand_source"],
+                                               cfg["k_cmi"])
 
         rankings = []
         for topic in topics:
             try:
                 ranking = clir_topic(
-                    topic, qtype, source_tok, dictionary, index,
-                    source_index=source_index, expansion_theta=theta,
-                    expansion_docs=cfg["expand_docs"],
+                    topic, qtype, source, dictionary, index,
+                    source_index=source_index, expansion_docs=cfg["expand_docs"],
                     expand_all=cfg["expand_all"],
                     passthrough=cfg["passthrough"], feedback=feedback,
-                    cutoff=cutoff, mi_table=source_mi, k_cmi=source_kcmi,
+                    cutoff=cutoff,
                 )
             except EmptyQueryError as exc:
                 warnings.append(str(exc))
@@ -418,14 +425,13 @@ def cmd_search(args) -> int:
                                     cfg["kafw"], cfg["kp_literal"])
                     if cfg["feedback"] else None)
         rankings, warnings = search_system_a(
-            index, topics, qtype, tok_config, extraction,
-            _scoring_params(cfg), feedback, cutoff, mi_table, k_cmi,
+            index, topics, qtype, analyzer, extraction,
+            _scoring_params(cfg), feedback, cutoff,
         )
     else:
         feedback = _feedback_b_params(cfg) if cfg["feedback"] else None
         rankings, warnings = search_system_b(
-            index, topics, qtype, tok_config, feedback, cutoff,
-            mi_table, k_cmi,
+            index, topics, qtype, analyzer, feedback, cutoff,
         )
 
     # an unset option (None) is left out, so the header reads back as a
@@ -450,12 +456,11 @@ def cmd_search(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args, SWEEP_OPTIONS)
-    tok_config, index, mi_table, k_cmi = _open_index(args.index, cfg["k_cmi"])
+    index, analyzer = _open_index(args.index, cfg["k_cmi"])
     topics = load_topics(args.topics)
     qrels = load_qrels(args.qrels)
-    report = sweep_b(index, topics, QueryType(cfg["qtype"]), tok_config, qrels,
-                     cfg["p"], cfg["r"], cfg["alpha"], cfg["cutoff"],
-                     mi_table, k_cmi)
+    report = sweep_b(index, topics, QueryType(cfg["qtype"]), analyzer, qrels,
+                     cfg["p"], cfg["r"], cfg["alpha"], cfg["cutoff"])
     text = report.format()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

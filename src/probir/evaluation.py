@@ -43,7 +43,11 @@ def load_qrels(path) -> dict[str, dict[str, int]]:
                                  f"bad grade {raw_grade!r}") from None
             if grade < 0:
                 raise ParseError(str(path), line_no, "grade must be >= 0")
-            qrels.setdefault(query_id, {})[doc_id] = grade
+            grades = qrels.setdefault(query_id, {})
+            if doc_id in grades:
+                raise ParseError(str(path), line_no,
+                                 f"doc {doc_id!r} judged twice for query {query_id!r}")
+            grades[doc_id] = grade
     return qrels
 
 

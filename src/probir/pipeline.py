@@ -1,5 +1,9 @@
 """End-to-end retrieval pipelines and run-file plumbing.
 
+Every pipeline reads text through the index's ``Analyzer``, the one place
+that knows the index's mode: it gives a topic's phrases, the joiner of a
+term's words and the feedback candidates of top documents.
+
 The extended-scorer pipeline ranks in up to three passes per topic: a
 category-neutral pass, a category-aware pass measured against it, and an
 optional feedback pass.  The first two share one set of term sums; only
@@ -31,7 +35,6 @@ from .corpus import (
     TokenizerConfig,
     selected_parts,
     split_sentences,
-    tokenize,
 )
 from .errors import EmptyQueryError
 from .feedback_a import FeedbackAParams, feedback_vector
@@ -66,38 +69,61 @@ from .term_extraction import (
 )
 
 
-def term_joiner(mode: str) -> str:
-    return "" if mode == CHARACTER_MODE else " "
+class Analyzer:
+    """How text becomes one index's words: its tokenizer and, in character
+    mode, the MI table and threshold k_cmi that segment each sentence; a memo
+    keeps each document's segmented words for the index it last served."""
 
+    def __init__(self, config: TokenizerConfig, mi_table: MiTable | None = None,
+                 k_cmi: float | None = None):
+        self.config = config
+        self.character = config.mode == CHARACTER_MODE
+        if self.character and (mi_table is None or k_cmi is None):
+            raise ValueError("character mode needs mi_table and k_cmi")
+        self.mi_table = mi_table
+        self.k_cmi = k_cmi
+        self.joiner = "" if self.character else " "
+        self._memo_index: Index | None = None
+        self._doc_words: dict[str, frozenset[str]] = {}
 
-def compile_phrases(topic: Topic, qtype: QueryType, config: TokenizerConfig,
-                    mi_table: MiTable | None = None,
-                    k_cmi: float | None = None) -> list[list[str]]:
-    """Query text as phrases: token runs, or segmented words per sentence."""
-    phrases: list[list[str]] = []
-    for part in selected_parts(topic, qtype):
-        if config.mode == CHARACTER_MODE:
-            if mi_table is None or k_cmi is None:
-                raise ValueError("character mode needs mi_table and k_cmi")
+    def phrases(self, topic: Topic, qtype: QueryType) -> list[list[str]]:
+        """Query text as phrases: token runs, or segmented words per sentence."""
+        phrases: list[list[str]] = []
+        for part in selected_parts(topic, qtype):
+            if not self.character:
+                phrases.extend(split_phrases(part, self.config))
+                continue
             for sentence in split_sentences(part):
-                words = segment(sentence, mi_table, k_cmi)
+                words = segment(sentence, self.mi_table, self.k_cmi)
                 if words:
                     phrases.append(words)
-        else:
-            phrases.extend(split_phrases(part, config))
-    return phrases
+        return phrases
+
+    def feedback_candidates(self, index: Index, top_docs: Sequence[str]
+                            ) -> set[str] | None:
+        """Feedback candidates: the segmented words of the top documents'
+        stored texts in character mode, None (the index's words) in token mode."""
+        if not self.character:
+            return None
+        if index is not self._memo_index:
+            self._memo_index, self._doc_words = index, {}
+        words: set[str] = set()
+        for doc_id in top_docs:
+            found = self._doc_words.get(doc_id)
+            if found is None:
+                found = self._doc_words[doc_id] = frozenset(
+                    word for text in index.doc_text(doc_id)
+                    for word in segment(text, self.mi_table, self.k_cmi))
+            words.update(found)
+        return words
 
 
-def compile_bag(topic: Topic, qtype: QueryType, config: TokenizerConfig,
-                mi_table: MiTable | None = None,
-                k_cmi: float | None = None) -> tuple[list[str], Counter]:
-    """Query as an ordered word list plus its count bag."""
-    if config.mode == CHARACTER_MODE:
-        sequence: list[str] = []
-        for phrase in compile_phrases(topic, qtype, config, mi_table, k_cmi):
-            sequence.extend(phrase)
-    else:
-        sequence = tokenize("\n".join(selected_parts(topic, qtype)), config)
+def compile_bag(topic: Topic, qtype: QueryType,
+                analyzer: Analyzer) -> tuple[list[str], Counter]:
+    """Query as an ordered word list plus its count bag: the topic's
+    phrases, flattened."""
+    sequence = [word for phrase in analyzer.phrases(topic, qtype)
+                for word in phrase]
     return sequence, Counter(sequence)
 
 
@@ -107,14 +133,13 @@ def compile_bag(topic: Topic, qtype: QueryType, config: TokenizerConfig,
 class CompiledTopicA:
     """Everything the extended scorer needs for one topic."""
 
-    def __init__(self, topic: Topic, qtype: QueryType, config: TokenizerConfig,
-                 extraction: ExtractionConfig, mi_table=None, k_cmi=None):
+    def __init__(self, topic: Topic, qtype: QueryType, analyzer: Analyzer,
+                 extraction: ExtractionConfig):
         self.query_id = topic.query_id
-        joiner = term_joiner(config.mode)
-        self.joiner = joiner
+        joiner = self.joiner = analyzer.joiner
         self.max_span = extraction.max_span
         self.lattice = extraction.strategy == LATTICE
-        self.phrases = compile_phrases(topic, qtype, config, mi_table, k_cmi)
+        self.phrases = analyzer.phrases(topic, qtype)
 
         def terms(phrases):
             if self.lattice:
@@ -124,8 +149,7 @@ class CompiledTopicA:
             return extract_terms(phrases, extraction, joiner)
 
         self.vector = terms(self.phrases)
-        self.title_terms = set(terms(compile_phrases(
-            topic, QueryType.VERY_SHORT, config, mi_table, k_cmi)))
+        self.title_terms = set(terms(analyzer.phrases(topic, QueryType.VERY_SHORT)))
 
 
 def _lattice_sums(tables: SystemATables, compiled: CompiledTopicA,
@@ -177,33 +201,11 @@ def build_qstats_a(compiled: Sequence[CompiledTopicA]) -> QuerySetStats:
     )
 
 
-def _char_feedback_candidates(index: Index, top_docs: Sequence[str],
-                              mi_table: MiTable, k_cmi: float,
-                              doc_words: dict[str, frozenset[str]]) -> set[str]:
-    """Expansion candidates in character mode: words from MI-segmenting the
-    stored title/body streams of the top documents.
-
-    ``doc_words`` memoises each document's words by doc_id; its owner keeps
-    one (mi_table, k_cmi) for as long as it keeps the memo."""
-    words: set[str] = set()
-    for doc_id in top_docs:
-        found = doc_words.get(doc_id)
-        if found is None:
-            title, body = index.doc_text(doc_id)
-            found = doc_words[doc_id] = frozenset(
-                segment(title, mi_table, k_cmi) + segment(body, mi_table, k_cmi))
-        words.update(found)
-    return words
-
-
-def search_topic_a(index: Index, compiled: CompiledTopicA,
+def search_topic_a(index: Index, analyzer: Analyzer, compiled: CompiledTopicA,
                    params: ScoringParamsA,
                    qstats: QuerySetStats | None,
                    feedback: FeedbackAParams | None = None,
                    cutoff: int = 1000,
-                   mi_table: MiTable | None = None,
-                   k_cmi: float | None = None,
-                   doc_words: dict[str, frozenset[str]] | None = None,
                    tables: SystemATables | None = None
                    ) -> Ranking | None:
     """Rank one topic; None when no query term survives pruning, whatever
@@ -215,10 +217,9 @@ def search_topic_a(index: Index, compiled: CompiledTopicA,
     is the same scorer over the query's terms (the lattice's paths, or the
     flat vector) plus the adopted terms, with the modulated IDFs.
 
-    ``doc_words`` is a character-mode memo of segmented top documents,
-    shared across the topics of one (mi_table, k_cmi); ``tables`` are the
-    index's ``SystemATables`` for params, shared across topics the same
-    way, and built here when not given."""
+    ``analyzer`` is the index's, and gives the feedback candidates;
+    ``tables`` are the index's ``SystemATables`` for params, shared across
+    topics, and built here when not given."""
     vector = prune_vector(index, compiled.vector)
     if not vector:
         return None
@@ -243,14 +244,9 @@ def search_topic_a(index: Index, compiled: CompiledTopicA,
         return first
 
     top_docs = first.doc_ids()[:feedback.k_r]
-    candidates = None
-    if index.mode == CHARACTER_MODE:
-        if mi_table is None or k_cmi is None:
-            raise ValueError("character-mode feedback needs mi_table and k_cmi")
-        candidates = _char_feedback_candidates(
-            index, top_docs, mi_table, k_cmi, {} if doc_words is None else doc_words)
-    fb_vector, idf_map = feedback_vector(vector, top_docs, index, feedback,
-                                         candidates)
+    fb_vector, idf_map = feedback_vector(
+        vector, top_docs, index, feedback,
+        analyzer.feedback_candidates(index, top_docs))
     # The query terms come first in fb_vector, then the sorted adopted ones,
     # so ``vector | adopted`` is fb_vector, in its order.
     adopted = {t: w for t, w in fb_vector.items() if t not in vector}
@@ -258,20 +254,16 @@ def search_topic_a(index: Index, compiled: CompiledTopicA,
 
 
 def search_system_a(index: Index, topics: Sequence[Topic], qtype: QueryType,
-                    config: TokenizerConfig, extraction: ExtractionConfig,
+                    analyzer: Analyzer, extraction: ExtractionConfig,
                     params: ScoringParamsA,
                     feedback: FeedbackAParams | None = None,
-                    cutoff: int = 1000,
-                    mi_table: MiTable | None = None,
-                    k_cmi: float | None = None) -> tuple[list[Ranking], list[str]]:
-    compiled = [CompiledTopicA(t, qtype, config, extraction, mi_table, k_cmi)
-                for t in topics]
+                    cutoff: int = 1000) -> tuple[list[Ranking], list[str]]:
+    compiled = [CompiledTopicA(t, qtype, analyzer, extraction) for t in topics]
     qstats = build_qstats_a(compiled)
-    doc_words: dict[str, frozenset[str]] = {}
     tables = SystemATables(index, params)
     return _usable((item.query_id,
-                    search_topic_a(index, item, params, qstats, feedback,
-                                   cutoff, mi_table, k_cmi, doc_words, tables))
+                    search_topic_a(index, analyzer, item, params, qstats,
+                                   feedback, cutoff, tables))
                    for item in compiled)
 
 
@@ -291,13 +283,11 @@ def search_topic_b(index: Index, query_id: str, bag: Mapping[str, int],
 
 
 def search_system_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
-                    config: TokenizerConfig,
+                    analyzer: Analyzer,
                     feedback: FeedbackBParams | None = None,
-                    cutoff: int = 1000,
-                    mi_table: MiTable | None = None,
-                    k_cmi: float | None = None) -> tuple[list[Ranking], list[str]]:
+                    cutoff: int = 1000) -> tuple[list[Ranking], list[str]]:
     def search(topic: Topic) -> Ranking | None:
-        _, bag = compile_bag(topic, qtype, config, mi_table, k_cmi)
+        _, bag = compile_bag(topic, qtype, analyzer)
         return search_topic_b(index, topic.query_id, bag, feedback, cutoff)
 
     return _usable((topic.query_id, search(topic)) for topic in topics)
@@ -319,22 +309,20 @@ def _usable(results: Iterable[tuple[str, Ranking | None]]
 # -- cross-lingual pipeline ----------------------------------------------------
 
 
-def clir_topic(topic: Topic, qtype: QueryType, config: TokenizerConfig,
+def clir_topic(topic: Topic, qtype: QueryType, analyzer: Analyzer,
                dictionary: BilingualDictionary, target_index: Index,
                source_index: Index | None = None,
-               expansion_theta: float | None = None,
                expansion_docs: int = 5,
                expand_all: bool = False,
                passthrough: bool = False,
                feedback: FeedbackBParams | None = None,
-               cutoff: int = 1000,
-               mi_table: MiTable | None = None,
-               k_cmi: float | None = None) -> Ranking | None:
-    """Compile -> (expand) -> translate -> retrieve for one topic."""
-    sequence, bag = compile_bag(topic, qtype, config, mi_table, k_cmi)
-    if source_index is not None and expansion_theta is not None:
+               cutoff: int = 1000) -> Ranking | None:
+    """Compile with the source language's analyzer -> expand, when there
+    is a ``source_index`` -> translate -> retrieve, for one topic."""
+    sequence, bag = compile_bag(topic, qtype, analyzer)
+    if source_index is not None:
         expanded = document_expansion(bag, source_index, expansion_docs,
-                                      expansion_theta, expand_all)
+                                      expand_all=expand_all)
         sequence = sequence + [w for w in expanded if w not in bag]
     translated = translate(sequence, dictionary, passthrough)
     if not translated:
@@ -378,11 +366,9 @@ class SweepReport:
 
 
 def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
-            config: TokenizerConfig, qrels: Mapping[str, Mapping[str, int]],
+            analyzer: Analyzer, qrels: Mapping[str, Mapping[str, int]],
             p_values: Sequence[float], r_values: Sequence,
-            alpha_values: Sequence, cutoff: int = 1000,
-            mi_table: MiTable | None = None,
-            k_cmi: float | None = None) -> SweepReport:
+            alpha_values: Sequence, cutoff: int = 1000) -> SweepReport:
     """Evaluate the feedback grid.
 
     Each topic's first retrieval and its prefix bags (with their relevance
@@ -391,7 +377,7 @@ def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
 
     prepared = []
     for topic in topics:
-        _, bag = compile_bag(topic, qtype, config, mi_table, k_cmi)
+        _, bag = compile_bag(topic, qtype, analyzer)
         first = bm11_retrieval(index, bag, cutoff, topic.query_id)
         if first is not None:
             pruned, ranking = first

@@ -133,14 +133,14 @@ def run_feedback_b(query_bag, first_ranking, index, params, cutoff=1000):
     return bm11_rank(index, weights, cutoff, first_ranking.query_id)
 
 
-def sweep_b(index, topics, qtype, config, qrels, p_values, r_values,
+def sweep_b(index, topics, qtype, analyzer, qrels, p_values, r_values,
             alpha_values, cutoff=1000):
     """The grid cell by cell: each cell reruns feedback from scratch."""
     from probir.evaluation import evaluate_run
 
     prepared = []
     for topic in topics:
-        _, bag = compile_bag(topic, qtype, config)
+        _, bag = compile_bag(topic, qtype, analyzer)
         first = bm11_retrieval(index, bag, cutoff, topic.query_id)
         if first is not None:
             prepared.append((topic.query_id, *first))

@@ -31,7 +31,7 @@ from probir.feedback_b import (
     _auto_r_core,
 )
 from probir.index import load_index
-from probir.pipeline import clir_topic, search_topic_a, search_topic_b
+from probir.pipeline import Analyzer, clir_topic, search_topic_a, search_topic_b
 from probir.scoring import (
     BM11_K_Q,
     RARITY_ALL,
@@ -351,7 +351,8 @@ def test_03_degenerate_identities():
                                                      no_category), 100)
         compiled = SimpleNamespace(query_id="q", vector=vector, phrases=[],
                                    lattice=False, max_span=6, joiner=" ")
-        again = search_topic_a(index, compiled, no_category, None,
+        again = search_topic_a(index, Analyzer(TokenizerConfig()), compiled,
+                               no_category, None,
                                FeedbackAParams(k_af=0.0, k_p=1.0), cutoff=100)
         assert again.items == first.items
         checked_a += 1
@@ -653,16 +654,15 @@ def test_09_qualitative_reproduction():
         dictionary.add_pair(f"stopic{i}", f"topic{i}")
         dictionary.add_pair(f"ssat{i}a", f"sat{i}a")
         dictionary.add_pair(f"ssat{i}b", f"sat{i}b")
-    config = TokenizerConfig()
+    analyzer = Analyzer(TokenizerConfig())
     plain_run = {}
     expanded_run = {}
     for i in range(5):
         topic = Topic(query_id=f"c{i}", title=f"stopic{i}")
-        plain = clir_topic(topic, QueryType.VERY_SHORT, config, dictionary,
+        plain = clir_topic(topic, QueryType.VERY_SHORT, analyzer, dictionary,
                            index, cutoff=cutoff)
-        expanded = clir_topic(topic, QueryType.VERY_SHORT, config, dictionary,
+        expanded = clir_topic(topic, QueryType.VERY_SHORT, analyzer, dictionary,
                               index, source_index=source_index,
-                              expansion_theta=THETA_BY_P[0.10],
                               expansion_docs=3, cutoff=cutoff)
         plain_run[f"c{i}"] = list(plain.doc_ids())
         expanded_run[f"c{i}"] = list(expanded.doc_ids())

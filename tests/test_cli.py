@@ -112,16 +112,20 @@ class TestIndexCommand:
             self, workspace):
         char_dir = build(workspace, "--mode", "character")
         stored = json.loads((char_dir / "mi.json").read_text(encoding="utf-8"))
-        tok_config, index, table, k_cmi = _open_index(char_dir, None)
-        assert (tok_config.mode, index.mode, index.n_docs) == (
+        index, analyzer = _open_index(char_dir, None)
+        assert (analyzer.config.mode, index.mode, index.n_docs) == (
             "character", "character", 6)
-        assert (table.unigrams, k_cmi) == (stored["unigrams"], stored["k_cmi"])
-        assert _open_index(char_dir, -1.5)[2:] == (table, -1.5)
+        assert (analyzer.mi_table.unigrams, analyzer.k_cmi) == (
+            stored["unigrams"], stored["k_cmi"])
+        given = _open_index(char_dir, -1.5)[1]
+        assert (given.mi_table, given.k_cmi) == (analyzer.mi_table, -1.5)
         token_dir = workspace / "tok"
         assert main(["index", "--docs", str(workspace / "docs.jsonl"),
                      "--out", str(token_dir)]) == 0
-        assert _open_index(token_dir, None)[2:] == (None, None)
-        assert _open_index(token_dir, 0.5)[2:] == (None, 0.5)
+        for k_cmi in (None, 0.5):
+            analyzer = _open_index(token_dir, k_cmi)[1]
+            assert (analyzer.joiner, analyzer.mi_table, analyzer.k_cmi) == (
+                " ", None, k_cmi)
 
 
 class TestSearchCommand:
@@ -283,9 +287,24 @@ class TestSearchCommand:
         ("mi.json", '{"unigrams": {}}'),
         ("mi.json", '{"unigrams": {}, "bigrams": {}, "total_unigrams": 0, '
                     '"total_bigrams": 0, "k_cmi": "x"}'),
+        ("mi.json", '{"unigrams": [1, 2], "bigrams": {}, "total_unigrams": 0, '
+                    '"total_bigrams": 0, "k_cmi": 0}'),
+        ("mi.json", '{"unigrams": {"a": "3"}, "bigrams": {}, '
+                    '"total_unigrams": 3, "total_bigrams": 0, "k_cmi": 0}'),
+        ("mi.json", '{"unigrams": {}, "bigrams": {"ab": -1}, '
+                    '"total_unigrams": 0, "total_bigrams": 0, "k_cmi": 0}'),
+        ("mi.json", '{"unigrams": {}, "bigrams": {}, "total_unigrams": "5", '
+                    '"total_bigrams": 0, "k_cmi": 0}'),
+        ("mi.json", '{"unigrams": {}, "bigrams": {}, "total_unigrams": 0, '
+                    '"total_bigrams": null, "k_cmi": 0}'),
+        ("mi.json", '{"unigrams": {}, "bigrams": {}, "total_unigrams": 0.5, '
+                    '"total_bigrams": 0, "k_cmi": 0}'),
+        ("mi.json", '{"unigrams": {}, "bigrams": {}, "total_unigrams": true, '
+                    '"total_bigrams": 0, "k_cmi": 0}'),
     ])
     def test_malformed_sidecar_exits_2(self, workspace, capsys, sidecar, text):
-        index = build(workspace)
+        # mi.json belongs to a character index
+        index = build(workspace, *["--mode", "character"] * (sidecar == "mi.json"))
         (index / sidecar).write_text(text, encoding="utf-8")
         code = main(["search", "--index", str(index),
                      "--topics", str(workspace / "topics.jsonl")])
@@ -293,6 +312,15 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert sidecar in err
+
+    def test_character_index_without_mi_json_exits_2(self, workspace, capsys):
+        index = build(workspace, "--mode", "character")
+        (index / "mi.json").unlink()
+        code = main(["search", "--index", str(index),
+                     "--topics", str(workspace / "topics.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "mi.json: missing" in err
 
     def test_stream_of_the_wrong_type_exits_2(self, workspace, capsys):
         index = build(workspace)

@@ -119,6 +119,17 @@ class TestLoaders:
         with pytest.raises(ParseError):
             load_qrels(path)
 
+    def test_qrels_repeated_judgment(self, tmp_path, capsys):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 2\nq2 0 d1 1\nq1 0 d1 0\n")
+        with pytest.raises(ParseError) as err:
+            load_qrels(path)
+        assert f"{path}:3:" in str(err.value)
+        run = tmp_path / "run.txt"
+        run.write_text("q1 Q0 d1 1 1 t\n")
+        assert main(["eval", "--run", str(run), "--qrels", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: doc 'd1' judged")
+
     def test_run_file_sorted_by_rank_field(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_text(

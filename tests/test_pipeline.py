@@ -7,22 +7,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probir.clir import KeywordPairRecord, build_dictionary
-from probir.corpus import CHARACTER_MODE, QueryType, Topic, TokenizerConfig
+from probir.corpus import (
+    CHARACTER_MODE,
+    QueryType,
+    Topic,
+    TokenizerConfig,
+    selected_parts,
+    tokenize,
+)
 from probir.errors import EmptyQueryError
 from probir.feedback_b import AUTO, FeedbackBParams
 from probir.pipeline import (
-    CompiledTopicA,
+    Analyzer,
     _lattice_sums,
     clir_topic,
     compile_bag,
-    compile_phrases,
     format_run,
     run_tag,
     search_system_a,
     search_system_b,
     search_topic_b,
     sweep_b,
-    term_joiner,
 )
 from probir.scoring import (
     RARITY_ALL,
@@ -47,16 +52,27 @@ from probir.term_extraction import (
     ExtractionConfig,
     all_term_patterns,
     extract_terms,
+    split_phrases,
 )
 
 from corpus_builders import make_index, random_token_rows, random_vocab
 from oracles import lattice_oracle
 
-TOK = TokenizerConfig()
+TOK = Analyzer(TokenizerConfig())
 
 
 def topic(query_id, title, description=""):
     return Topic(query_id=query_id, title=title, description=description)
+
+
+STOPWORDS = frozenset({"the", "isn't", "é", "über"})
+# whole words (stopwords in other cases and quoted, stemmable, numeric), and
+# runs of letters, non-ASCII ones whose lowercase is longer among them,
+# digits, apostrophes, punctuation and space
+TEXT_PIECES = st.one_of(
+    st.sampled_from(["the", "The", "'the'", "isn't", "Über", "classes",
+                     "running", "1990s", "x2", "42", "l'été"]),
+    st.text(alphabet="abeisßéİΣςü'0123456789 .,;:-!?()\"\n\t—«»", max_size=12))
 
 
 class TestCompileBag:
@@ -73,10 +89,29 @@ class TestCompileBag:
         sequence, _ = compile_bag(t, QueryType.LONG, TOK)
         assert sequence == ["alpha", "beta"]
 
+    @settings(max_examples=400, deadline=None)
+    @given(pieces=st.lists(TEXT_PIECES, max_size=10),
+           separator=st.sampled_from(["", " ", ", ", "'", "\n"]),
+           stopwords=st.booleans(), stemming=st.booleans())
+    def test_token_bag_is_the_tokenized_text(self, pieces, separator,
+                                             stopwords, stemming):
+        # compile_bag flattens the phrases in token mode too; it relies on
+        # the flattened phrases being tokenize's words, in order
+        config = TokenizerConfig(
+            stopwords=STOPWORDS if stopwords else frozenset(), stemming=stemming)
+        text = separator.join(pieces)
+        flattened = [word for phrase in split_phrases(text, config)
+                     for word in phrase]
+        assert flattened == tokenize(text, config)
+        # the bag tokenize gave when it read the parts joined by newlines
+        t = topic("q1", f"x{separator}{text}", text)
+        sequence, _ = compile_bag(t, QueryType.LONG, Analyzer(config))
+        assert sequence == tokenize("\n".join(selected_parts(t, QueryType.LONG)),
+                                    config)
+
     def test_character_mode_needs_statistics(self):
-        config = TokenizerConfig(mode=CHARACTER_MODE)
-        with pytest.raises(ValueError):
-            compile_phrases(topic("q1", "abcd"), QueryType.VERY_SHORT, config)
+        with pytest.raises(ValueError, match="needs mi_table and k_cmi"):
+            Analyzer(TokenizerConfig(mode=CHARACTER_MODE))
 
 
 class TestSearchSystemB:
@@ -253,7 +288,7 @@ class TestCompiledSystemA:
     def test_compiled_scorer_equals_oracle(self, data, mode, strategy):
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         index, phrases = self.corpus(rng, mode)
-        joiner = term_joiner(mode)
+        joiner = "" if mode == CHARACTER_MODE else " "
         max_span = data.draw(st.integers(1, 4), label="max_span")
         if strategy == LATTICE:
             vector = all_term_patterns(phrases, max_span, joiner)
@@ -330,18 +365,6 @@ class TestClirTopic:
         direct = search_topic_b(self.target, "q1", Counter(["cat", "bird"]))
         assert ranking.items == direct.items
 
-    def test_expansion_needs_both_source_index_and_theta(self):
-        source = make_index([
-            ("s1", "gato felino", "gato felino gato"),
-            ("s2", "otro tema", "nada interesante aqui"),
-        ])
-        plain = clir_topic(topic("q1", "gato"), QueryType.VERY_SHORT, TOK,
-                           self.dictionary, self.target)
-        gated = clir_topic(topic("q1", "gato"), QueryType.VERY_SHORT, TOK,
-                           self.dictionary, self.target, source_index=source,
-                           expansion_theta=None)
-        assert gated.items == plain.items
-
     def test_expansion_can_rescue_untranslatable_query(self):
         # "felino" never translates, but expansion pulls in "gato" from the
         # source-side neighbours, which does
@@ -355,8 +378,7 @@ class TestClirTopic:
                        self.dictionary, self.target)
         ranking = clir_topic(topic("q1", "felino"), QueryType.VERY_SHORT, TOK,
                              self.dictionary, self.target, source_index=source,
-                             expansion_theta=float("-inf"), expansion_docs=1,
-                             expand_all=True)
+                             expansion_docs=1, expand_all=True)
         assert "t1" in ranking.doc_ids()
 
 

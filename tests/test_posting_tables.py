@@ -12,10 +12,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from probir.corpus import CHARACTER_MODE
+from probir.corpus import CHARACTER_MODE, TokenizerConfig
 from probir.feedback_a import FeedbackAParams
 from probir.index import TermStats, load_index
-from probir.pipeline import search_topic_a, term_joiner
+from probir.pipeline import Analyzer, search_topic_a
 from probir.scoring import (
     RARITY_ALL,
     RARITY_OFF,
@@ -50,6 +50,7 @@ import oracles
 
 ALPHABET = "abcde"
 TITLE_ONLY = {"token": "ttttttttt", CHARACTER_MODE: "t"}  # in no body
+JOINER = {"token": " ", CHARACTER_MODE: ""}
 SEEDS = st.integers(0, 2**32 - 1)
 CATEGORIES = ["x", "y", "z", None]
 MODES = st.sampled_from(["token", CHARACTER_MODE])
@@ -70,7 +71,7 @@ def corpus(rng, mode, max_docs=9):
                                  max_len=15, categories=CATEGORIES)
         words = vocab + ["zzzz"]
     title_only = TITLE_ONLY[mode]
-    rows = [(doc_id, term_joiner(mode).join([title, title_only])
+    rows = [(doc_id, JOINER[mode].join([title, title_only])
              if rng.random() < 0.5 else title, body, category)
             for doc_id, title, body, category in rows]
     return make_index(rows, mode=mode), words + [title_only]
@@ -79,9 +80,19 @@ def corpus(rng, mode, max_docs=9):
 def terms_of(rng, mode, words):
     """Words, and runs of two or three words, some of which no document
     holds."""
-    joiner = term_joiner(mode)
+    joiner = JOINER[mode]
     return words + [joiner.join(rng.choices(words, k=rng.randint(2, 3)))
                     for _ in range(5)]
+
+
+def analyzer_for(index, k_cmi=0.0):
+    """The index's analyzer; a character index's MI table counts its stored
+    texts."""
+    if index.mode != CHARACTER_MODE:
+        return Analyzer(TokenizerConfig())
+    texts = [text for d in index.doc_ids() for text in index.doc_text(d)]
+    return Analyzer(TokenizerConfig(mode=CHARACTER_MODE),
+                    build_mi_table_from_sentences(texts), k_cmi)
 
 
 def built_and_loaded(index):
@@ -195,7 +206,7 @@ def draw_params(data, rng, terms):
 
 def draw_topic(data, rng, mode, strategy, words):
     """A compiled topic of one to three phrases over ``words``."""
-    joiner = term_joiner(mode)
+    joiner = JOINER[mode]
     phrases = [rng.choices(words, k=rng.randint(1, 4))
                for _ in range(rng.randint(1, 3))]
     max_span = data.draw(st.integers(1, 3), label="max_span")
@@ -223,13 +234,14 @@ def oracle_ranking(index, compiled, vector, p, qstats, reference, cutoff,
     return rank(index, scorer, cutoff, "q")
 
 
-def shared_tables(data, rng, index, params, qstats, words, compiled, cutoff):
+def shared_tables(data, rng, index, analyzer, params, qstats, words, compiled,
+                  cutoff):
     """None, or tables an earlier lattice topic has ranked with."""
     if not data.draw(st.booleans(), label="shared tables"):
         return None
     tables = SystemATables(index, params)
     earlier = [rng.choices(words, k=rng.randint(1, 4))]
-    search_topic_a(index, SimpleNamespace(
+    search_topic_a(index, analyzer, SimpleNamespace(
         query_id="e",
         vector=all_term_patterns(earlier, compiled.max_span, compiled.joiner),
         phrases=earlier, lattice=True, max_span=compiled.max_span,
@@ -254,10 +266,12 @@ class TestSharedSums:
         # categories can differ from the collection's and K_cat from 1
         n = rng.randint(1, index.n_docs)
         pruned = prune_vector(index, compiled.vector)
-        tables = shared_tables(data, rng, index, params, qstats, words, compiled, n)
-        neutral = search_topic_a(index, compiled, neutral_params, qstats, cutoff=n,
-                                 tables=tables)
-        both = search_topic_a(index, compiled, params, qstats, cutoff=n,
+        analyzer = analyzer_for(index)
+        tables = shared_tables(data, rng, index, analyzer, params, qstats, words,
+                               compiled, n)
+        neutral = search_topic_a(index, analyzer, compiled, neutral_params, qstats,
+                                 cutoff=n, tables=tables)
+        both = search_topic_a(index, analyzer, compiled, params, qstats, cutoff=n,
                               tables=tables)
         if not pruned:
             # no term the collection knows: skipped, the lattice too
@@ -291,17 +305,17 @@ class TestSharedSums:
             k_p=data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), label="k_p"),
             k_afw=data.draw(st.sampled_from([0.0, 0.5, 0.9]), label="k_afw"),
             kp_literal=data.draw(st.booleans(), label="kp_literal"))
-        table = k_cmi = None
+        k_cmi = 0.0
         if mode == CHARACTER_MODE:
-            texts = [text for d in index.doc_ids() for text in index.doc_text(d)]
-            table = build_mi_table_from_sentences(texts)
             k_cmi = data.draw(st.sampled_from([-math.inf, 0.0, 1.0, math.inf]),
                               label="k_cmi")
+        analyzer = analyzer_for(index, k_cmi)
         n = rng.randint(1, index.n_docs)
         pruned = prune_vector(index, compiled.vector)
-        tables = shared_tables(data, rng, index, params, qstats, words, compiled, n)
-        got = search_topic_a(index, compiled, params, qstats, feedback, cutoff=n,
-                             mi_table=table, k_cmi=k_cmi, tables=tables)
+        tables = shared_tables(data, rng, index, analyzer, params, qstats, words,
+                               compiled, n)
+        got = search_topic_a(index, analyzer, compiled, params, qstats, feedback,
+                             cutoff=n, tables=tables)
         if not pruned:
             assert got is None
             return
@@ -313,7 +327,7 @@ class TestSharedSums:
         candidates = None
         if mode == CHARACTER_MODE:
             candidates = {word for d in top_docs for text in index.doc_text(d)
-                          for word in oracles.segment(text, table, k_cmi)}
+                          for word in oracles.segment(text, analyzer.mi_table, k_cmi)}
         vector, idf_map = oracles.feedback_vector(pruned, top_docs, index,
                                                   feedback, candidates)
         adopted = {t: w for t, w in vector.items() if t not in pruned}

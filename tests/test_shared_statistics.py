@@ -21,7 +21,7 @@ from probir.feedback_b import (
     auto_r,
     run_feedback_b,
 )
-from probir.pipeline import _char_feedback_candidates, sweep_b
+from probir.pipeline import Analyzer, sweep_b
 from probir.segmentation import build_mi_table, segment
 from probir.scoring import Ranking, bm11_retrieval
 from probir.term_extraction import lattice_best_path, lattice_best_score
@@ -163,18 +163,22 @@ class TestSegmentationMemo:
         def text(low, high):
             return "".join(rng.choices(ALPHABET, k=rng.randint(low, high)))
         rows = [(f"c{i:02d}", text(0, 6), text(1, 25)) for i in range(rng.randint(1, 8))]
-        index = make_index(rows, mode=CHARACTER_MODE)
         table = build_mi_table(make_collection(rows))
-        memo = {}
-        for _ in range(3):
+        analyzer = Analyzer(TokenizerConfig(mode=CHARACTER_MODE), table, k_cmi)
+        # a second index under the same ids holds other texts: the memo
+        # serves the index it was filled from only
+        first = make_index(rows, mode=CHARACTER_MODE)
+        other = make_index([(doc_id, text(0, 6), text(1, 25)) for doc_id, _, _ in rows],
+                           mode=CHARACTER_MODE)
+        for index in (first, first, first, other, first):
             docs = top_documents(rng, index)
             want = set()
             for doc_id in docs:
                 title, body = index.doc_text(doc_id)
                 want.update(segment(title, table, k_cmi))
                 want.update(segment(body, table, k_cmi))
-            assert _char_feedback_candidates(index, docs, table, k_cmi, memo) == want
-            assert set(memo) >= set(docs)
+            assert analyzer.feedback_candidates(index, docs) == want
+            assert set(analyzer._doc_words) >= set(docs)
 
 
 def non_negative_zero(value):
@@ -328,10 +332,10 @@ class TestSweepB:
                  for t in topics}
         grid = ([0.10, 0.05], rng.sample([1, 2, 5, AUTO], 2),
                 rng.sample([1.0, 0.5, AUTO], 2))
-        config = TokenizerConfig()
-        got = sweep_b(index, topics, QueryType.VERY_SHORT, config, qrels, *grid,
+        analyzer = Analyzer(TokenizerConfig())
+        got = sweep_b(index, topics, QueryType.VERY_SHORT, analyzer, qrels, *grid,
                       cutoff=10)
-        want = oracles.sweep_b(index, topics, QueryType.VERY_SHORT, config, qrels,
+        want = oracles.sweep_b(index, topics, QueryType.VERY_SHORT, analyzer, qrels,
                                *grid, cutoff=10)
         assert got.format() == want.format()
         assert got.rows == want.rows

@@ -29,18 +29,21 @@ from .corpus import (
     TOKEN_MODE,
     QueryType,
     TokenizerConfig,
+    _read_jsonl,
+    is_run_id,
     load_documents,
     load_stopwords,
     load_topics,
     split_sentences,
 )
-from .errors import EmptyQueryError, IndexLoadError, ParseError, ProbirError
+from .errors import IndexLoadError, ParseError, ProbirError
 from .evaluation import evaluate_run, load_qrels, parse_run_file
 from .feedback_a import FeedbackAParams
 from .feedback_b import AUTO, FeedbackBParams
 from .index import Index, build_index, load_index
 from .pipeline import (
     Analyzer,
+    _usable,
     clir_topic,
     format_run,
     run_tag,
@@ -150,7 +153,7 @@ SEARCH_OPTIONS = (
     # names the run in its tag column, so one word; no system reads it, so
     # the header leaves it out
     Option("tag", "--tag", None,
-           _parsed(str, lambda text: text.split() == [text], "one word"), ""),
+           _parsed(str, is_run_id, "one word"), ""),
     Option("feedback", "--feedback", False, _boolean),
     # extended scorer
     Option("k_t", "--kt", 1.0, _FLOAT, "a"),
@@ -391,7 +394,6 @@ def cmd_search(args) -> int:
     topics = load_topics(args.topics)
     qtype = QueryType(cfg["qtype"])
     cutoff = cfg["cutoff"]
-    warnings: list[str] = []
 
     if cfg["translate"]:
         dictionary = load_dictionary(cfg["translate"])
@@ -401,23 +403,13 @@ def cmd_search(args) -> int:
             source_index, source = _open_index(cfg["expand_source"],
                                                cfg["k_cmi"])
 
-        rankings = []
-        for topic in topics:
-            try:
-                ranking = clir_topic(
-                    topic, qtype, source, dictionary, index,
-                    source_index=source_index, expansion_docs=cfg["expand_docs"],
-                    expand_all=cfg["expand_all"],
-                    passthrough=cfg["passthrough"], feedback=feedback,
-                    cutoff=cutoff,
-                )
-            except EmptyQueryError as exc:
-                warnings.append(str(exc))
-                continue
-            if ranking is None:
-                warnings.append(f"query {topic.query_id}: no usable terms; skipped")
-            else:
-                rankings.append(ranking)
+        # clir_topic is looked up in this module at each call: perfbench's
+        # topic timer wraps cli.clir_topic to time the whole topic
+        rankings, warnings = _usable(topics, lambda topic: clir_topic(
+            topic, qtype, source, dictionary, index,
+            source_index=source_index, expansion_docs=cfg["expand_docs"],
+            expand_all=cfg["expand_all"], passthrough=cfg["passthrough"],
+            feedback=feedback, cutoff=cutoff))
     elif cfg["system"] == "a":
         extraction = ExtractionConfig(TERM_STRATEGIES[cfg["terms"]],
                                       cfg["k_down"], cfg["max_span"])
@@ -494,20 +486,17 @@ def cmd_segment(args) -> int:
 
 def cmd_build_dict(args) -> int:
     records = []
-    path = Path(args.pairs)
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(path), line_no, f"bad JSON: {exc.msg}") from exc
-            records.append(KeywordPairRecord(
-                record_id=str(payload.get("id", line_no)),
-                source_keywords=tuple(payload.get("source", ())),
-                target_keywords=tuple(payload.get("target", ())),
-            ))
+    for line_no, payload in _read_jsonl(args.pairs):
+        keywords = []
+        for key in ("source", "target"):
+            words = payload.get(key, [])
+            if not (isinstance(words, list)
+                    and all(isinstance(word, str) for word in words)):
+                raise ParseError(args.pairs, line_no,
+                                 f"{key} must be a list of strings")
+            keywords.append(tuple(words))
+        records.append(KeywordPairRecord(str(payload.get("id", line_no)),
+                                         *keywords))
     dictionary = build_dictionary(records)
     dictionary.save(args.out)
     print(f"{len(dictionary)} source phrases -> {args.out}")

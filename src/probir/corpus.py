@@ -28,6 +28,12 @@ CHARACTER_MODE = "character"
 _WORD_RE = re.compile(r"[\w']+", re.UNICODE)
 
 
+def is_run_id(text: str) -> bool:
+    """Whether ``text`` can be one field of a whitespace-separated run or
+    qrels line: non-empty, with no whitespace."""
+    return text.split() == [text]
+
+
 @dataclass(frozen=True)
 class Document:
     """One retrievable unit: an id, a title, a body, optional metadata."""
@@ -40,6 +46,8 @@ class Document:
     def __post_init__(self):
         if not self.doc_id:
             raise ValueError("doc_id must be non-empty")
+        if not is_run_id(self.doc_id):
+            raise ValueError(f"doc_id {self.doc_id!r} contains whitespace")
         if not (self.title or self.body):
             raise ValueError(f"document {self.doc_id!r}: title and body are both empty")
 
@@ -58,6 +66,8 @@ class Topic:
     def __post_init__(self):
         if not self.query_id:
             raise ValueError("query_id must be non-empty")
+        if not is_run_id(self.query_id):
+            raise ValueError(f"query_id {self.query_id!r} contains whitespace")
         if not self.title:
             raise ValueError(f"topic {self.query_id!r}: title is empty")
 

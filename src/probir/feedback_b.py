@@ -12,8 +12,8 @@ selected vocabulary (stop when it accelerates), and α defaults to
 
 A ranking's top-i bags are built once per topic (``PrefixBags``), each from
 the one before, and each bag remembers the relevance of the words it was
-asked about: auto-R, the feedback weights of the chosen R and every cell of
-a parameter sweep read the same values.
+asked about: auto-R, the feedback weights of the R it chose or of a fixed
+R, and every cell of a parameter sweep read the same values.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class FeedbackBParams:
     r: int | None = None        # None = auto-size per query
     alpha: float | None = None  # None = auto
     r_cap: int = 20
-    filter_as_set: bool = False  # drop tf inside F(D_i) (tf := 1)
 
     def __post_init__(self):
         if self.theta is None and self.p_level not in THETA_BY_P:
@@ -113,11 +112,15 @@ class TopDocBag:
 
 
 class PrefixBags:
-    """The bags of a ranking's top-i documents, i = 0, 1, 2, …, built on
-    demand, each from the bag before it, and kept with their relevance."""
+    """A first ranking of ``index`` and the bags of its top-i documents,
+    i = 0, 1, 2, …, built on demand, each from the bag before it, and kept
+    with their relevance: everything one topic's feedback reads, whatever
+    its R, θ and α."""
 
-    def __init__(self, index: Index, doc_ids: Sequence[str]):
-        self.doc_ids = tuple(doc_ids)
+    def __init__(self, index: Index, ranking: Ranking):
+        self.index = index
+        self.ranking = ranking
+        self.doc_ids = ranking.doc_ids()
         self._bags = [TopDocBag(index, ())]
 
     def bag(self, i: int) -> TopDocBag:
@@ -131,12 +134,11 @@ class PrefixBags:
         return bags[i]
 
 
-def select_terms(doc_terms: Mapping[str, int], bag: TopDocBag, theta: float,
-                 as_set: bool = False) -> dict[str, int]:
-    """F(D_i): the document's words with relevance >= theta, tf preserved
-    (or collapsed to 1 under as_set)."""
+def select_terms(doc_terms: Mapping[str, int], bag: TopDocBag,
+                 theta: float) -> dict[str, int]:
+    """F(D_i): the document's words with relevance >= theta, tf preserved."""
     return {
-        word: 1 if as_set else tf
+        word: tf
         for word, tf in doc_terms.items()
         if bag.relevance(word) >= theta
     }
@@ -168,13 +170,10 @@ def _auto_r_core(size_of, limit: int) -> int:
     return limit
 
 
-def auto_r(ranking: Ranking, index: Index, theta: float, r_cap: int = 20,
-           prefixes: PrefixBags | None = None) -> int:
-    """R for the ranking (see ``_auto_r_core``).  ``prefixes`` are the
-    ranking's prefix bags, shared with the caller; built here when absent."""
-    limit = min(len(ranking), r_cap)
-    if prefixes is None:
-        prefixes = PrefixBags(index, ranking.doc_ids())
+def auto_r(prefixes: PrefixBags, theta: float, r_cap: int = 20) -> int:
+    """R for the ranking of ``prefixes`` (see ``_auto_r_core``), read from
+    its prefix bags."""
+    limit = min(len(prefixes.ranking), r_cap)
     cache: dict[int, int] = {0: 0}
 
     def size_of(i: int) -> int:
@@ -194,20 +193,15 @@ def alpha(n_query_words: int, n_selected_words: int) -> float:
     return n_selected_words ** (1.0 / n_query_words)
 
 
-def feedback_weights(query_bag: Mapping[str, int], top_docs: Sequence[str],
-                     index: Index, params: FeedbackBParams,
-                     bag: TopDocBag | None = None) -> dict[str, float]:
-    """q'(w|Q) over Q' = Q ∪ F(D_1) ∪ … ∪ F(D_R), as a weight map.
-
-    ``bag`` is the bag of ``top_docs`` when the caller already has it."""
+def feedback_weights(query_bag: Mapping[str, int], bag: TopDocBag,
+                     params: FeedbackBParams) -> dict[str, float]:
+    """q'(w|Q) over Q' = Q ∪ F(D_1) ∪ … ∪ F(D_R), as a weight map, where
+    D_1 … D_R are the documents of ``bag``."""
     theta = params.resolved_theta()
+    index, top_docs = bag.index, bag.doc_ids
     r = len(top_docs)
-    if bag is None:
-        bag = TopDocBag(index, top_docs)
-    filtered = [
-        select_terms(index.doc_terms(doc_id), bag, theta, params.filter_as_set)
-        for doc_id in top_docs
-    ]
+    filtered = [select_terms(index.doc_terms(doc_id), bag, theta)
+                for doc_id in top_docs]
     union_size = len({word for f in filtered for word in f})
     if params.alpha is not None:
         alpha_value = params.alpha
@@ -223,22 +217,16 @@ def feedback_weights(query_bag: Mapping[str, int], top_docs: Sequence[str],
     return weights
 
 
-def run_feedback_b(query_bag: Mapping[str, int], first_ranking: Ranking,
-                   index: Index, params: FeedbackBParams,
-                   cutoff: int = 1000,
-                   prefixes: PrefixBags | None = None) -> Ranking:
-    """Re-retrieve with feedback-mixed query weights.
-
-    ``prefixes`` are the first ranking's prefix bags; a caller that runs
-    several parameter settings on one ranking passes the same object."""
+def run_feedback_b(query_bag: Mapping[str, int], prefixes: PrefixBags,
+                   params: FeedbackBParams, cutoff: int = 1000) -> Ranking:
+    """Re-retrieve the ranking of ``prefixes`` with feedback-mixed query
+    weights, from the bag of its top R documents, R fixed or auto-sized.  A
+    caller that runs several parameter settings on one ranking passes the
+    same ``prefixes``."""
+    ranking = prefixes.ranking
     if params.r is not None:
-        r = min(params.r, len(first_ranking))
+        r = min(params.r, len(ranking))
     else:
-        if prefixes is None:
-            prefixes = PrefixBags(index, first_ranking.doc_ids())
-        r = auto_r(first_ranking, index, params.resolved_theta(), params.r_cap,
-                   prefixes)
-    top_docs = first_ranking.doc_ids()[:r]
-    weights = feedback_weights(query_bag, top_docs, index, params,
-                               prefixes.bag(r) if prefixes is not None else None)
-    return bm11_rank(index, weights, cutoff, first_ranking.query_id)
+        r = auto_r(prefixes, params.resolved_theta(), params.r_cap)
+    weights = feedback_weights(query_bag, prefixes.bag(r), params)
+    return bm11_rank(prefixes.index, weights, cutoff, ranking.query_id)

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import CHARACTER_MODE, TOKEN_MODE, DocumentCollection, TokenizerConfig, tokenize
+from .corpus import (
+    CHARACTER_MODE,
+    TOKEN_MODE,
+    DocumentCollection,
+    TokenizerConfig,
+    is_run_id,
+    tokenize,
+)
 from .errors import DocumentNotFoundError, EmptyCollectionError, IndexLoadError
 
 FORMAT_NAME = "probir-index"
@@ -378,7 +385,7 @@ def load_index(path, expected_mode: str | None = None) -> Index:
         for record in documents["docs"]:
             doc_id, category = record["doc_id"], record["category"]
             title, body = record["title"], record["body"]
-            if not isinstance(doc_id, str) or doc_id in index:
+            if not isinstance(doc_id, str) or not is_run_id(doc_id) or doc_id in index:
                 raise IndexLoadError(f"{path}: bad or repeated doc_id {doc_id!r}")
             if category is not None and not isinstance(category, str):
                 raise IndexLoadError(f"{path}: document {doc_id!r}: category is not a string")

@@ -24,8 +24,8 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .clir import BilingualDictionary, document_expansion, translate
 from .corpus import (
@@ -152,8 +152,7 @@ class CompiledTopicA:
         self.title_terms = set(terms(analyzer.phrases(topic, QueryType.VERY_SHORT)))
 
 
-def _lattice_sums(tables: SystemATables, compiled: CompiledTopicA,
-                  params: ScoringParamsA, qstats, idf_map,
+def _lattice_sums(tables: SystemATables, compiled: CompiledTopicA, idf_map,
                   extra_terms: Mapping[str, tuple[float, int]]
                   ) -> dict[str, float]:
     """doc_id -> Σ over phrases of the best lattice path's score, plus the
@@ -184,15 +183,14 @@ def _lattice_sums(tables: SystemATables, compiled: CompiledTopicA,
                     entry = vector.get(term)
                     addends = contributions[term] = system_a_contributions(
                         tables, term, 1.0, entry.tf_q if entry is not None else 1,
-                        params, qstats, idf_map)
+                        idf_map)
                 hits.update(addends)
                 row.append(addends)
             rows.append(row)
         docs = list(hits)
         for doc_id, path_score in zip(docs, lattice_best_score(rows, docs)):
             path_sums[doc_id] = path_sums.get(doc_id, 0.0) + path_score
-    return system_a_sums(tables, extra_terms, params, qstats, idf_map,
-                         acc=path_sums)
+    return system_a_sums(tables, extra_terms, idf_map, acc=path_sums)
 
 
 def build_qstats_a(compiled: Sequence[CompiledTopicA]) -> QuerySetStats:
@@ -201,15 +199,13 @@ def build_qstats_a(compiled: Sequence[CompiledTopicA]) -> QuerySetStats:
     )
 
 
-def search_topic_a(index: Index, analyzer: Analyzer, compiled: CompiledTopicA,
-                   params: ScoringParamsA,
-                   qstats: QuerySetStats | None,
+def search_topic_a(analyzer: Analyzer, compiled: CompiledTopicA,
+                   tables: SystemATables,
                    feedback: FeedbackAParams | None = None,
-                   cutoff: int = 1000,
-                   tables: SystemATables | None = None
-                   ) -> Ranking | None:
-    """Rank one topic; None when no query term survives pruning, whatever
-    the term strategy.
+                   cutoff: int = 1000) -> Ranking | None:
+    """Rank one topic over ``tables``' index with its params and query-set
+    statistics; None when no query term survives pruning, whatever the term
+    strategy.
 
     The category pass measures K_cat against the neutral pass's ranking;
     the feedback pass measures it against the ranking feedback starts from,
@@ -217,29 +213,27 @@ def search_topic_a(index: Index, analyzer: Analyzer, compiled: CompiledTopicA,
     is the same scorer over the query's terms (the lattice's paths, or the
     flat vector) plus the adopted terms, with the modulated IDFs.
 
-    ``analyzer`` is the index's, and gives the feedback candidates;
-    ``tables`` are the index's ``SystemATables`` for params, shared across
-    topics, and built here when not given."""
+    ``analyzer`` is the index's, and gives the feedback candidates."""
+    index = tables.index
     vector = prune_vector(index, compiled.vector)
     if not vector:
         return None
-    if tables is None:
-        tables = SystemATables(index, params)
 
     def sums_for(idf_map, extra):
         if compiled.lattice:
-            return _lattice_sums(tables, compiled, params, qstats, idf_map, extra)
-        return system_a_sums(tables, vector | extra, params, qstats, idf_map)
+            return _lattice_sums(tables, compiled, idf_map, extra)
+        return system_a_sums(tables, vector | extra, idf_map)
 
-    def ranking_for(sums, p: ScoringParamsA, reference=None):
-        return rank(index, system_a_lookup(tables, sums, p, reference), cutoff,
+    def ranking_for(sums, reference):
+        return rank(index, system_a_lookup(tables, sums, reference), cutoff,
                     compiled.query_id)
 
     # The term sums do not depend on K_cat: both passes rank the same sums.
     sums = sums_for(None, {})
-    first = ranking_for(sums, replace(params, use_category=False))
-    if params.use_category:
-        first = ranking_for(sums, params, reference=first)
+    first = ranking_for(sums, None)
+    reference = None  # what K_cat is measured against; None while it is off
+    if tables.params.use_category:
+        reference = first = ranking_for(sums, first)
     if feedback is None:
         return first
 
@@ -250,7 +244,7 @@ def search_topic_a(index: Index, analyzer: Analyzer, compiled: CompiledTopicA,
     # The query terms come first in fb_vector, then the sorted adopted ones,
     # so ``vector | adopted`` is fb_vector, in its order.
     adopted = {t: w for t, w in fb_vector.items() if t not in vector}
-    return ranking_for(sums_for(idf_map, adopted), params, reference=first)
+    return ranking_for(sums_for(idf_map, adopted), reference)
 
 
 def search_system_a(index: Index, topics: Sequence[Topic], qtype: QueryType,
@@ -259,12 +253,9 @@ def search_system_a(index: Index, topics: Sequence[Topic], qtype: QueryType,
                     feedback: FeedbackAParams | None = None,
                     cutoff: int = 1000) -> tuple[list[Ranking], list[str]]:
     compiled = [CompiledTopicA(t, qtype, analyzer, extraction) for t in topics]
-    qstats = build_qstats_a(compiled)
-    tables = SystemATables(index, params)
-    return _usable((item.query_id,
-                    search_topic_a(index, analyzer, item, params, qstats,
-                                   feedback, cutoff, tables))
-                   for item in compiled)
+    tables = SystemATables(index, params, build_qstats_a(compiled))
+    return _usable(compiled, lambda item: search_topic_a(analyzer, item, tables,
+                                                         feedback, cutoff))
 
 
 # -- parameter-light pipeline --------------------------------------------------
@@ -279,7 +270,7 @@ def search_topic_b(index: Index, query_id: str, bag: Mapping[str, int],
     pruned, ranking = first
     if feedback is None:
         return ranking
-    return run_feedback_b(pruned, ranking, index, feedback, cutoff)
+    return run_feedback_b(pruned, PrefixBags(index, ranking), feedback, cutoff)
 
 
 def search_system_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
@@ -290,17 +281,25 @@ def search_system_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
         _, bag = compile_bag(topic, qtype, analyzer)
         return search_topic_b(index, topic.query_id, bag, feedback, cutoff)
 
-    return _usable((topic.query_id, search(topic)) for topic in topics)
+    return _usable(topics, search)
 
 
-def _usable(results: Iterable[tuple[str, Ranking | None]]
+def _usable(topics: Iterable, search: Callable[..., Ranking | None]
             ) -> tuple[list[Ranking], list[str]]:
-    """Rankings of the topics that had one, and a warning for each other."""
+    """Each topic's ``search(topic)``, in topic order: the rankings of the
+    topics that had one, and a warning for each other, whether it ranked
+    nothing (None) or its query came out empty (``EmptyQueryError``).
+    A topic is anything with a ``query_id``."""
     rankings = []
     warnings = []
-    for query_id, ranking in results:
+    for topic in topics:
+        try:
+            ranking = search(topic)
+        except EmptyQueryError as exc:
+            warnings.append(str(exc))
+            continue
         if ranking is None:
-            warnings.append(f"query {query_id}: no usable terms; skipped")
+            warnings.append(f"query {topic.query_id}: no usable terms; skipped")
         else:
             rankings.append(ranking)
     return rankings, warnings
@@ -381,8 +380,7 @@ def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
         first = bm11_retrieval(index, bag, cutoff, topic.query_id)
         if first is not None:
             pruned, ranking = first
-            prepared.append((topic.query_id, pruned, ranking,
-                             PrefixBags(index, ranking.doc_ids())))
+            prepared.append((pruned, PrefixBags(index, ranking)))
 
     rows = []
     for p_level in p_values:
@@ -394,10 +392,9 @@ def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
                     alpha=None if alpha_value == AUTO else float(alpha_value),
                 )
                 run = {}
-                for query_id, bag, first, prefixes in prepared:
-                    ranking = run_feedback_b(bag, first, index, params, cutoff,
-                                             prefixes)
-                    run[query_id] = list(ranking.doc_ids())
+                for bag, prefixes in prepared:
+                    ranking = run_feedback_b(bag, prefixes, params, cutoff)
+                    run[ranking.query_id] = list(ranking.doc_ids())
                 report = evaluate_run(run, qrels)
                 rows.append(SweepRow(p_level, r_value, alpha_value,
                                      report.macro["ap_rigid"],

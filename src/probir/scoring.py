@@ -17,17 +17,20 @@ postings.  ``bm11_rank`` is System B's one ranking; ``bm11_retrieval``, the
 first retrieval that search, the feedback sweep and cross-lingual document
 expansion share, and the feedback pass both rank through it.
 
-System A ranks in two steps.  ``system_a_sums`` walks each term's postings
-(``Index.postings``) and adds every posting's addend straight into one
-accumulator: the term's IDF, TF_q, rarity and K_loc array
+System A ranks in two steps, and each reads the one ``SystemATables`` of
+its run: the index, the params and the query-set statistics, with the
+per-document tables built from them.  ``system_a_sums`` walks each term's
+postings (``Index.postings``) and adds every posting's addend straight into
+one accumulator: the term's IDF, TF_q, rarity and K_loc array
 (``_term_factors``) are computed once per term, each document's length
-norm comes from ``SystemATables``, and the factors are multiplied in the
+norm comes from the tables, and the factors are multiplied in the
 oracle's order.  ``system_a_contributions`` keeps the same product as a
 doc -> addend map for the lattice, which reads a span's addends more than
 once.  ``system_a_lookup`` turns the sums into the per-document score
-``rank`` asks for: it adds the length bonus and multiplies by K_cat,
-counted once per category (``category_factors``).  The term sums do not
-depend on K_cat, so a topic's neutral pass and category pass share them.
+``rank`` asks for: it adds the length bonus and multiplies by K_cat
+against the reference ranking it is given, counted once per category
+(``category_factors``).  The term sums do not depend on K_cat, so a
+topic's neutral pass and category pass share them.
 
 Both systems select a ranking's top documents from (-score, doc_id) pairs
 with a heap, with no key function per document.
@@ -318,11 +321,11 @@ def score_system_a(index: Index, doc_id: str,
 
 
 class SystemATables:
-    """What System A's term-at-a-time passes read besides the postings, for
-    one index and one (k_t, k_loc1, k_loc2): each document's length norm
-    k_t·length/avg_len (``tf_factor``'s denominator, the same float), length
-    bonus and category, and the K_loc of each term asked for, one value per
-    posting.
+    """One run's System A state: its index, params and query-set statistics,
+    and what its term-at-a-time passes read besides the postings: each
+    document's length norm k_t·length/avg_len (``tf_factor``'s denominator,
+    the same float), length bonus and category, and the K_loc of each term
+    asked for, one value per posting.
 
     A term's K_loc values are an array in the order of its postings, built
     on first use and kept for as long as the tables are:
@@ -331,9 +334,11 @@ class SystemATables:
     asked for by an earlier topic.
     """
 
-    def __init__(self, index: Index, params: ScoringParamsA):
+    def __init__(self, index: Index, params: ScoringParamsA,
+                 qstats: QuerySetStats | None = None):
         self.index = index
-        self.k_t, self.k_loc1, self.k_loc2 = params.k_t, params.k_loc1, params.k_loc2
+        self.params = params
+        self.qstats = qstats
         avg_len = index.avg_len
         self.lengths = lengths = {doc_id: index.doc_len(doc_id)
                                   for doc_id in index.doc_ids()}
@@ -344,13 +349,6 @@ class SystemATables:
         self.categories = {doc_id: index.doc_category(doc_id) for doc_id in lengths}
         self._location: dict[str, array] = {}
 
-    def check(self, params: ScoringParamsA) -> None:
-        """Refuse params whose k_t, k_loc1 or k_loc2 the tables were not
-        built for."""
-        if (params.k_t, params.k_loc1, params.k_loc2) != (self.k_t, self.k_loc1,
-                                                          self.k_loc2):
-            raise ValueError("SystemATables built for another k_t, k_loc1 or k_loc2")
-
     def location_factors(self, term: str) -> array:
         """``k_location`` of the term's ``first_position`` in each document
         of ``Index.postings(term)``, in the postings' order: its expression
@@ -359,7 +357,8 @@ class SystemATables:
         factors = self._location.get(term)
         if factors is None:
             index = self.index
-            k_loc1, k_loc2, lengths = self.k_loc1, self.k_loc2, self.lengths
+            k_loc1, k_loc2 = self.params.k_loc1, self.params.k_loc2
+            lengths = self.lengths
             factors = self._location[term] = array("d", [
                 k_loc1 if first == IN_TITLE
                 else 1.0 + k_loc2 * (lengths[doc_id] - 2 * first) / lengths[doc_id]
@@ -369,15 +368,13 @@ class SystemATables:
 
 
 def _term_factors(tables: SystemATables, term: str, tf_q: int,
-                  params: ScoringParamsA, qstats: QuerySetStats | None,
                   idf_map: Mapping[str, float] | None):
     """What a term's addend in the extended score shares across documents:
     its postings, IDF (``idf_map``'s when it has the term), TF_q, the K_loc
     of each posting and the rarity factor; None for an unseen term.  A
     factor that is off is 1.0, and multiplying by 1.0 leaves every float as
     it is."""
-    tables.check(params)
-    index = tables.index
+    index, params = tables.index, tables.params
     postings = index.postings(term)
     if not postings:
         return None
@@ -387,16 +384,14 @@ def _term_factors(tables: SystemATables, term: str, tf_q: int,
         term_idf = idf(len(postings), index.n_docs)
     k_locs = (tables.location_factors(term) if params.use_location
               else repeat(1.0))
-    rarity = (query_rarity_factor(term, qstats, params.k_nq)
+    rarity = (query_rarity_factor(term, tables.qstats, params.k_nq)
               if params.use_query_rarity else 1.0)
     return (postings, term_idf, query_tf_saturation(tf_q, params.k_q_a), k_locs,
             rarity)
 
 
 def system_a_contributions(tables: SystemATables, term: str, weight: float,
-                           tf_q: int, params: ScoringParamsA,
-                           qstats: QuerySetStats | None = None,
-                           idf_map: Mapping[str, float] | None = None
+                           tf_q: int, idf_map: Mapping[str, float] | None = None
                            ) -> dict[str, float]:
     """``system_a_term_contribution`` of ``term`` for every document in its
     postings, doc_id -> addend; every other document's addend is 0.0.
@@ -406,7 +401,7 @@ def system_a_contributions(tables: SystemATables, term: str, weight: float,
     ``system_a_term_contribution``'s order, as in ``system_a_sums``, so each
     addend is the same float.
     """
-    factors = _term_factors(tables, term, tf_q, params, qstats, idf_map)
+    factors = _term_factors(tables, term, tf_q, idf_map)
     if factors is None:
         return {}
     postings, term_idf, tf_q_factor, k_locs, rarity = factors
@@ -417,8 +412,6 @@ def system_a_contributions(tables: SystemATables, term: str, weight: float,
 
 
 def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]],
-                  params: ScoringParamsA,
-                  qstats: QuerySetStats | None = None,
                   idf_map: Mapping[str, float] | None = None,
                   acc: dict[str, float] | None = None) -> dict[str, float]:
     """doc_id -> Σ of the vector's term contributions, for every document
@@ -435,7 +428,7 @@ def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]]
     get = acc.get
     norms = tables.norms
     for term, (weight, tf_q) in vector.items():
-        factors = _term_factors(tables, term, tf_q, params, qstats, idf_map)
+        factors = _term_factors(tables, term, tf_q, idf_map)
         if factors is None:
             continue
         postings, term_idf, tf_q_factor, k_locs, rarity = factors
@@ -446,23 +439,20 @@ def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]]
 
 
 def system_a_lookup(tables: SystemATables, sums: Mapping[str, float],
-                    params: ScoringParamsA,
-                    first_ranking: Ranking | None = None
-                    ) -> Callable[[str], float]:
+                    reference: Ranking | None = None) -> Callable[[str], float]:
     """The doc_id -> score lookup of one ranking pass over ``system_a_sums``:
-    the sum, plus the length bonus, times K_cat against ``first_ranking``,
-    each switched by ``params``.  With the sums of a vector it equals
-    ``lambda d: score_system_a(index, d, vector, params, qstats,
-    first_ranking, idf_map)``."""
+    the sum, plus the length bonus when the tables' params switch it on,
+    times K_cat against ``reference`` when one is given.  With the sums of a
+    vector it equals ``lambda d: score_system_a(index, d, vector, params,
+    qstats, reference, idf_map)``, where the params' ``use_category`` says
+    whether a reference is given."""
     get = sums.get
-    bonus = tables.bonuses if params.use_length_bonus else None
-    if not params.use_category:
+    bonus = tables.bonuses if tables.params.use_length_bonus else None
+    if reference is None:
         if bonus is None:
             return lambda doc_id: get(doc_id, 0.0)
         return lambda doc_id: get(doc_id, 0.0) + bonus[doc_id]
-    if first_ranking is None:
-        raise ValueError("use_category requires the first-retrieval ranking")
-    table = category_factors(first_ranking, tables.index, params.k_cat)
+    table = category_factors(reference, tables.index, tables.params.k_cat)
     category = tables.categories
     if bonus is None:
         return lambda doc_id: get(doc_id, 0.0) * table[category[doc_id]]

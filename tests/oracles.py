@@ -128,8 +128,8 @@ def run_feedback_b(query_bag, first_ranking, index, params, cutoff=1000):
         r = min(params.r, len(first_ranking))
     else:
         r = auto_r(first_ranking, index, params.resolved_theta(), params.r_cap)
-    weights = feedback_weights(query_bag, first_ranking.doc_ids()[:r], index,
-                               params)
+    weights = feedback_weights(
+        query_bag, TopDocBag(index, first_ranking.doc_ids()[:r]), params)
     return bm11_rank(index, weights, cutoff, first_ranking.query_id)
 
 

@@ -25,6 +25,7 @@ from probir.feedback_a import FeedbackAParams, binomial_tail, afw
 from probir.feedback_b import (
     THETA_BY_P,
     FeedbackBParams,
+    PrefixBags,
     alpha,
     auto_r,
     run_feedback_b,
@@ -37,6 +38,7 @@ from probir.scoring import (
     RARITY_ALL,
     Ranking,
     ScoringParamsA,
+    SystemATables,
     bm11_query_weight,
     build_query_set_stats,
     idf,
@@ -280,8 +282,7 @@ def monolith_feedback_b(rows, query_bag, params, cutoff):
         for word in tokens[doc_id]:
             counts[word] = counts.get(word, 0) + 1
         filtered.append({
-            word: 1 if params.filter_as_set else tf
-            for word, tf in counts.items() if rel(word) >= theta
+            word: tf for word, tf in counts.items() if rel(word) >= theta
         })
     union = {word for f in filtered for word in f}
     if params.alpha is not None:
@@ -306,7 +307,7 @@ def test_02_feedback_b_monolith_equivalence():
         FeedbackBParams(p_level=0.10, r=2, alpha=1.0),
         FeedbackBParams(p_level=0.05, r_cap=5),
         FeedbackBParams(theta=0.5, r=3, alpha=0.7),
-        FeedbackBParams(p_level=0.01, filter_as_set=True),
+        FeedbackBParams(p_level=0.01),
     ]
     compared = 0
     worst = 0.0
@@ -351,8 +352,8 @@ def test_03_degenerate_identities():
                                                      no_category), 100)
         compiled = SimpleNamespace(query_id="q", vector=vector, phrases=[],
                                    lattice=False, max_span=6, joiner=" ")
-        again = search_topic_a(index, Analyzer(TokenizerConfig()), compiled,
-                               no_category, None,
+        again = search_topic_a(Analyzer(TokenizerConfig()), compiled,
+                               SystemATables(index, no_category),
                                FeedbackAParams(k_af=0.0, k_p=1.0), cutoff=100)
         assert again.items == first.items
         checked_a += 1
@@ -555,7 +556,7 @@ def test_08_auto_r_conformance():
         index = make_index(rows)
         ranking = Ranking("q", tuple((r[0], 1.0) for r in rows))
         cap = rng.choice([1, 2, 3, 5, 20])
-        r = auto_r(ranking, index, theta=THETA_BY_P[0.10], r_cap=cap)
+        r = auto_r(PrefixBags(index, ranking), theta=THETA_BY_P[0.10], r_cap=cap)
         assert 1 <= r <= min(len(ranking), cap)
     report(8, "growth-acceleration traces, first-iteration break, concave "
               "run-to-limit, short-ranking degeneracy, cap bound")

@@ -102,6 +102,22 @@ class TestIndexCommand:
         assert err.startswith("error:")
         assert "bad.jsonl:2: category must be a string or null" in err
 
+    def test_id_with_whitespace_exits_2(self, workspace, capsys):
+        # a run line "q 1 Q0 d 1 ..." would have seven fields
+        write_jsonl(workspace / "bad.jsonl", [DOCS[0], {**DOCS[1], "doc_id": "d 1"}])
+        code = main(["index", "--docs", str(workspace / "bad.jsonl"),
+                     "--out", str(workspace / "idx")])
+        assert code == 2
+        assert ("error: " + str(workspace / "bad.jsonl")
+                + ":2: doc_id 'd 1' contains whitespace") in capsys.readouterr().err
+        build(workspace)
+        write_jsonl(workspace / "bad_topics.jsonl", [{"query_id": "q 1",
+                                                      "title": "alpha"}])
+        code = main(["search", "--index", str(workspace / "idx"),
+                     "--topics", str(workspace / "bad_topics.jsonl")])
+        assert code == 2
+        assert ":1: query_id 'q 1' contains whitespace" in capsys.readouterr().err
+
     def test_missing_docs_file_exits_2(self, workspace, capsys):
         code = main(["index", "--docs", str(workspace / "nope.jsonl"),
                      "--out", str(workspace / "idx")])
@@ -424,6 +440,30 @@ class TestTranslationFlow:
         assert "# warning_0 = query q2: no usable terms; skipped" in text
         assert "warning: query q2: no usable terms" in capsys.readouterr().err
 
+    def test_skipped_topics_warn_in_topic_order(self, workspace, capsys):
+        """An untranslatable query and one the target index does not know
+        are each skipped with a warning, in topic order."""
+        write_jsonl(workspace / "pairs.jsonl",
+                    self.PAIRS + [{"id": "4", "source": ["mond"],
+                                   "target": ["lunar"]}])
+        main(["build-dict", "--pairs", str(workspace / "pairs.jsonl"),
+              "--out", str(workspace / "dict.tsv")])
+        write_jsonl(workspace / "topics.jsonl", [
+            {"query_id": "q1", "title": "mond", "description": "mond"},
+            {"query_id": "q2", "title": "sonne", "description": "sonne"},
+            {"query_id": "q3", "title": "nichts", "description": "nichts"}])
+        build(workspace)
+        out = search(workspace, "run.txt",
+                     "--translate", str(workspace / "dict.tsv"))
+        text = out.read_text(encoding="utf-8")
+        assert "# warning_0 = query q1: no usable terms; skipped" in text
+        assert ("# warning_1 = topic 'q3': nothing translatable in the query"
+                in text)
+        assert set(parse_run_file(out)) == {"q2"}
+        assert capsys.readouterr().err.splitlines()[-2:] == [
+            "warning: query q1: no usable terms; skipped",
+            "warning: topic 'q3': nothing translatable in the query"]
+
     def test_k_cmi_segments_the_query_of_a_character_source_index(
             self, workspace):
         """With --expand-source, the query is segmented in the source
@@ -462,7 +502,25 @@ class TestTranslationFlow:
         code = main(["build-dict", "--pairs", str(workspace / "pairs.jsonl"),
                      "--out", str(workspace / "dict.tsv")])
         assert code == 2
-        assert "bad JSON" in capsys.readouterr().err
+        assert "pairs.jsonl:1: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,reason", [
+        ("[1, 2]", "record is not an object"),
+        ('{"source": 5, "target": ["x"]}', "source must be a list of strings"),
+        # a string would be split into its characters
+        ('{"source": "ab c", "target": ["x"]}', "source must be a list of strings"),
+        ('{"source": ["a"], "target": [1]}', "target must be a list of strings"),
+    ])
+    def test_malformed_pair_exits_2(self, workspace, capsys, line, reason):
+        pairs = workspace / "pairs.jsonl"
+        pairs.write_text(json.dumps(self.PAIRS[0]) + "\n" + line + "\n",
+                         encoding="utf-8")
+        code = main(["build-dict", "--pairs", str(pairs),
+                     "--out", str(workspace / "dict.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"pairs.jsonl:2: {reason}" in err
+        assert not (workspace / "dict.tsv").exists()
 
 
 class TestSegmentCommand:

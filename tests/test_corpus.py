@@ -113,6 +113,24 @@ class TestLoaders:
             load_documents(path)
         assert ":2:" in str(err.value)
 
+    # a run or qrels line is split at whitespace, so an id holding some
+    # would shift the fields of every line it is written to
+    @pytest.mark.parametrize("bad_id", ["d 1", "d\t1", " d1", "d1\u3000"])
+    def test_whitespace_in_doc_id_names_line(self, tmp_path, bad_id):
+        path = tmp_path / "docs.jsonl"
+        rows = [{"doc_id": "a", "title": "T", "body": "B"},
+                {"doc_id": bad_id, "title": "T", "body": "B"}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ParseError, match=":2: doc_id .* contains whitespace"):
+            load_documents(path)
+
+    @pytest.mark.parametrize("bad_id", ["q 1", "q1\n"])
+    def test_whitespace_in_query_id_names_line(self, tmp_path, bad_id):
+        path = tmp_path / "topics.jsonl"
+        path.write_text(json.dumps({"query_id": bad_id, "title": "T"}) + "\n")
+        with pytest.raises(ParseError, match=":1: query_id .* contains whitespace"):
+            load_topics(path)
+
     def test_topics_and_stopwords(self, tmp_path):
         tpath = tmp_path / "topics.jsonl"
         tpath.write_text(json.dumps({"query_id": "q1", "title": "T",

@@ -16,7 +16,7 @@ from probir.feedback_a import (
     feedback_vector,
 )
 from probir.pipeline import Analyzer, search_topic_a
-from probir.scoring import ScoringParamsA, rank, score_system_a
+from probir.scoring import ScoringParamsA, SystemATables, rank, score_system_a
 
 from corpus_builders import make_index, random_token_rows, random_vocab
 
@@ -245,7 +245,8 @@ class TestRunFeedbackA:
                 continue
             first = rank(index, lambda d: score_system_a(index, d, vector,
                                                          NO_CATEGORY), 100)
-            again = search_topic_a(index, TOK, flat_topic(vector), NO_CATEGORY, None,
+            again = search_topic_a(TOK, flat_topic(vector),
+                                   SystemATables(index, NO_CATEGORY),
                                    FeedbackAParams(k_af=0.0, k_p=1.0), cutoff=100)
             assert again.items == first.items  # scores equal bit for bit
 
@@ -267,10 +268,10 @@ class TestRunFeedbackA:
         assert "treasure" in expansion_terms(first.doc_ids()[:3], index,
                                              3, 0.9, 0.5)
         # the pass feedback starts from is the oracle's ranking
-        assert search_topic_a(index, TOK, flat_topic(vector), NO_CATEGORY, None,
+        tables = SystemATables(index, NO_CATEGORY)
+        assert search_topic_a(TOK, flat_topic(vector), tables,
                               cutoff=30).items == first.items
-        second = search_topic_a(index, TOK, flat_topic(vector), NO_CATEGORY, None,
-                                params, cutoff=30)
+        second = search_topic_a(TOK, flat_topic(vector), tables, params, cutoff=30)
         before = first.doc_ids().index("z1")
         after = second.doc_ids().index("z1")
         assert after < before
@@ -280,7 +281,8 @@ class TestRunFeedbackA:
         vector = {"alpha": (1.0, 1)}
         first = rank(index, lambda d: score_system_a(index, d, vector,
                                                      NO_CATEGORY), 2)
-        second = search_topic_a(index, TOK, flat_topic(vector), NO_CATEGORY, None,
+        second = search_topic_a(TOK, flat_topic(vector),
+                                SystemATables(index, NO_CATEGORY),
                                 FeedbackAParams(k_r=50), cutoff=2)
         assert len(second) == 2
 

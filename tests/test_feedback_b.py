@@ -7,6 +7,7 @@ from probir.corpus import TokenizerConfig, tokenize
 from probir.feedback_b import (
     THETA_BY_P,
     FeedbackBParams,
+    PrefixBags,
     TopDocBag,
     _auto_r_core,
     alpha,
@@ -131,11 +132,6 @@ class TestSelectTerms:
         assert got == want
         assert "gold" in got  # bag-only, repeated: comfortably over 1.28
 
-    def test_set_mode_drops_frequencies(self):
-        index, bag = self.build()
-        terms = select_terms(index.doc_terms("a"), bag, -math.inf, as_set=True)
-        assert terms == {"gold": 1, "vault": 1, "codes": 1}
-
     def test_monotone_in_theta(self):
         index, bag = self.build()
         doc = index.doc_terms("a")
@@ -180,7 +176,7 @@ class TestAutoR:
             index = make_index(rows)
             ranking = Ranking("q", tuple((r[0], 1.0) for r in rows))
             cap = rng.choice([3, 5, 20])
-            r = auto_r(ranking, index, theta=1.281552, r_cap=cap)
+            r = auto_r(PrefixBags(index, ranking), theta=1.281552, r_cap=cap)
             assert 1 <= r <= min(len(ranking), cap)
 
 
@@ -271,7 +267,7 @@ def oracle_scores(rows, query_bag, top_docs, theta, alpha_value, k_q=1000.0):
 class TestFeedbackWeights:
     def test_query_only_words_scale_by_alpha(self):
         index = make_index([("a", "", "gold maps"), ("b", "", "dull text")])
-        weights = feedback_weights({"gold": 1}, ["a"], index,
+        weights = feedback_weights({"gold": 1}, TopDocBag(index, ["a"]),
                                    FeedbackBParams(theta=math.inf, alpha=2.5))
         assert weights == {
             "gold": 2.5 * bm11_query_weight(1, idf(1, 2), 1000.0)
@@ -284,9 +280,9 @@ class TestFeedbackWeights:
             ("c", "", "dull text filler one"),
             ("d", "", "dull text filler two"),
         ])
-        weights = feedback_weights({"plain": 1}, ["a", "b"], index,
-                                   FeedbackBParams(theta=1.0, alpha=1.0))
         bag = TopDocBag(index, ["a", "b"])
+        weights = feedback_weights({"plain": 1}, bag,
+                                   FeedbackBParams(theta=1.0, alpha=1.0))
         assert bag.relevance("gold") >= 1.0
         expected = (bm11_query_weight(3, idf(2, 4), 1000.0) / 2
                     + bm11_query_weight(1, idf(2, 4), 1000.0) / 2)
@@ -305,7 +301,7 @@ class TestFeedbackWeights:
             top = [r[0] for r in rows[:3]]
             theta = rng.choice([0.5, 1.281552, 2.0])
             a = rng.choice([1.0, 1.7])
-            weights = feedback_weights(query_bag, top, index,
+            weights = feedback_weights(query_bag, TopDocBag(index, top),
                                        FeedbackBParams(theta=theta, alpha=a))
             want = oracle_scores(rows, query_bag, top, theta, a)
             for doc_id in index.doc_ids():
@@ -331,7 +327,7 @@ class TestRunFeedbackB:
                 continue
             weights = self.bm11_query_weights(index, query_bag)
             first = rank(index, lambda d: score_bm11(index, d, weights), 50, "q")
-            again = run_feedback_b(query_bag, first, index,
+            again = run_feedback_b(query_bag, PrefixBags(index, first),
                                    FeedbackBParams(theta=math.inf, alpha=1.0, r=3))
             assert again.items == first.items  # bit-exact scores
 
@@ -347,10 +343,11 @@ class TestRunFeedbackB:
         first = rank(index, lambda d: score_bm11(index, d, weights), 4, "q")
         assert first.doc_ids()[0] == "a"
         params = FeedbackBParams(theta=-math.inf, alpha=1.0, r=1)
-        fb = feedback_weights(query_bag, first.doc_ids()[:1], index, params)
+        fb = feedback_weights(query_bag, TopDocBag(index, first.doc_ids()[:1]),
+                              params)
         # Q' = Q ∪ F(D_1) = words of the single top document plus the query
         assert set(fb) == {"gold", "vault"}
-        second = run_feedback_b(query_bag, first, index, params)
+        second = run_feedback_b(query_bag, PrefixBags(index, first), params)
         assert len(second) == 4
 
     def test_shared_vocabulary_cluster_rises(self):
@@ -366,7 +363,7 @@ class TestRunFeedbackB:
         weights = self.bm11_query_weights(index, query_bag)
         first = rank(index, lambda d: score_bm11(index, d, weights), 10, "q")
         before = first.doc_ids().index("r3")
-        second = run_feedback_b(query_bag, first, index,
+        second = run_feedback_b(query_bag, PrefixBags(index, first),
                                 FeedbackBParams(theta=1.0, alpha=1.0, r=2))
         after = second.doc_ids().index("r3")
         assert after < before
@@ -376,7 +373,7 @@ class TestRunFeedbackB:
         query_bag = {"gold": 1}
         weights = self.bm11_query_weights(index, query_bag)
         first = rank(index, lambda d: score_bm11(index, d, weights), 2, "q")
-        second = run_feedback_b(query_bag, first, index,
+        second = run_feedback_b(query_bag, PrefixBags(index, first),
                                 FeedbackBParams(theta=0.0, alpha=1.0, r=100))
         assert len(second) == 2
 

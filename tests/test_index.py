@@ -322,6 +322,7 @@ class TestSaveLoad:
         ("char_index", "category", 7, "category is not a string"),
         ("toy_index", "doc_id", "d2", "repeated doc_id"),
         ("toy_index", "doc_id", None, "bad or repeated doc_id"),
+        ("toy_index", "doc_id", "d 9", "bad or repeated doc_id"),
     ])
     def test_field_of_the_wrong_type_is_refused(self, request, tmp_path, index_name,
                                                 field, value, message):

@@ -298,37 +298,31 @@ class TestCompiledSystemA:
         terms = sorted(vector) + sorted({w for phrase in phrases for w in phrase})
         params, qstats, idf_map, first = self.draw_setting(data, rng, index, terms)
         extra = self.extra_terms(rng, terms)
-        tables = SystemATables(index, params)
+        tables = SystemATables(index, params, qstats)
 
         if strategy == LATTICE:
             compiled = SimpleNamespace(vector=vector, phrases=phrases,
                                        max_span=max_span, joiner=joiner)
-            sums = _lattice_sums(tables, compiled, params, qstats, idf_map,
-                                 extra)
+            sums = _lattice_sums(tables, compiled, idf_map, extra)
             oracle = lattice_oracle(index, compiled, params, qstats, first,
                                     idf_map, extra)
         else:
             full = {**vector, **extra}
-            sums = system_a_sums(tables, full, params, qstats, idf_map)
+            sums = system_a_sums(tables, full, idf_map)
 
             def oracle(doc_id):
                 return score_system_a(index, doc_id, full, params, qstats,
                                       first, idf_map)
-        fast = system_a_lookup(tables, sums, params, first)
+        fast = system_a_lookup(tables, sums,
+                               first if params.use_category else None)
         self.assert_same(index, fast, oracle)
-
-    def test_category_needs_a_first_ranking(self, toy_index):
-        with pytest.raises(ValueError):
-            system_a_lookup(SystemATables(toy_index, ScoringParamsA()),
-                            {"d1": 1.0}, ScoringParamsA())
 
     def test_lattice_guard_holds_without_hits(self, toy_index):
         compiled = SimpleNamespace(vector={}, phrases=[["zzz"] * 20],
                                    max_span=2, joiner=" ")
         params = ScoringParamsA(use_category=False)
         with pytest.raises(ValueError, match="lattice guard"):
-            _lattice_sums(SystemATables(toy_index, params), compiled, params,
-                          None, None, {})
+            _lattice_sums(SystemATables(toy_index, params), compiled, None, {})
 
 
 def dictionary_from(pairs):

@@ -9,7 +9,6 @@ import tempfile
 from dataclasses import replace
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from probir.corpus import CHARACTER_MODE, TokenizerConfig
@@ -160,14 +159,6 @@ class TestTables:
                     for d in postings]
                 assert tables.location_factors(term) is factors
 
-    def test_tables_refuse_other_length_or_location_settings(self, toy_index):
-        tables = SystemATables(toy_index, ScoringParamsA())
-        tables.check(ScoringParamsA(use_category=False, k_cat=2.0))
-        for other in (ScoringParamsA(k_t=0.7), ScoringParamsA(k_loc1=1.5),
-                      ScoringParamsA(k_loc2=0.2)):
-            with pytest.raises(ValueError, match="SystemATables"):
-                tables.check(other)
-
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, mode=MODES)
     def test_category_factors_equal_k_category(self, seed, mode):
@@ -234,18 +225,17 @@ def oracle_ranking(index, compiled, vector, p, qstats, reference, cutoff,
     return rank(index, scorer, cutoff, "q")
 
 
-def shared_tables(data, rng, index, analyzer, params, qstats, words, compiled,
-                  cutoff):
-    """None, or tables an earlier lattice topic has ranked with."""
-    if not data.draw(st.booleans(), label="shared tables"):
-        return None
-    tables = SystemATables(index, params)
-    earlier = [rng.choices(words, k=rng.randint(1, 4))]
-    search_topic_a(index, analyzer, SimpleNamespace(
-        query_id="e",
-        vector=all_term_patterns(earlier, compiled.max_span, compiled.joiner),
-        phrases=earlier, lattice=True, max_span=compiled.max_span,
-        joiner=compiled.joiner), params, qstats, cutoff=cutoff, tables=tables)
+def tables_for(data, rng, index, analyzer, params, qstats, words, compiled,
+               cutoff):
+    """Fresh tables, or tables an earlier lattice topic has ranked with."""
+    tables = SystemATables(index, params, qstats)
+    if data.draw(st.booleans(), label="shared tables"):
+        earlier = [rng.choices(words, k=rng.randint(1, 4))]
+        search_topic_a(analyzer, SimpleNamespace(
+            query_id="e",
+            vector=all_term_patterns(earlier, compiled.max_span, compiled.joiner),
+            phrases=earlier, lattice=True, max_span=compiled.max_span,
+            joiner=compiled.joiner), tables, cutoff=cutoff)
     return tables
 
 
@@ -267,12 +257,12 @@ class TestSharedSums:
         n = rng.randint(1, index.n_docs)
         pruned = prune_vector(index, compiled.vector)
         analyzer = analyzer_for(index)
-        tables = shared_tables(data, rng, index, analyzer, params, qstats, words,
-                               compiled, n)
-        neutral = search_topic_a(index, analyzer, compiled, neutral_params, qstats,
-                                 cutoff=n, tables=tables)
-        both = search_topic_a(index, analyzer, compiled, params, qstats, cutoff=n,
-                              tables=tables)
+        neutral = search_topic_a(
+            analyzer, compiled, tables_for(data, rng, index, analyzer, neutral_params,
+                                           qstats, words, compiled, n), cutoff=n)
+        both = search_topic_a(
+            analyzer, compiled, tables_for(data, rng, index, analyzer, params,
+                                           qstats, words, compiled, n), cutoff=n)
         if not pruned:
             # no term the collection knows: skipped, the lattice too
             assert neutral is None and both is None
@@ -312,10 +302,9 @@ class TestSharedSums:
         analyzer = analyzer_for(index, k_cmi)
         n = rng.randint(1, index.n_docs)
         pruned = prune_vector(index, compiled.vector)
-        tables = shared_tables(data, rng, index, analyzer, params, qstats, words,
-                               compiled, n)
-        got = search_topic_a(index, analyzer, compiled, params, qstats, feedback,
-                             cutoff=n, tables=tables)
+        tables = tables_for(data, rng, index, analyzer, params, qstats, words,
+                            compiled, n)
+        got = search_topic_a(analyzer, compiled, tables, feedback, cutoff=n)
         if not pruned:
             assert got is None
             return

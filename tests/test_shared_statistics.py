@@ -239,7 +239,7 @@ class TestPrefixBags:
         index, terms = corpus(rng, mode)
         doc_ids = list(index.doc_ids())
         rng.shuffle(doc_ids)
-        prefixes = PrefixBags(index, doc_ids)
+        prefixes = PrefixBags(index, Ranking("q", tuple((d, 1.0) for d in doc_ids)))
         order = list(range(len(doc_ids) + 1))
         rng.shuffle(order)
         for i in order:
@@ -265,7 +265,7 @@ class TestSharedPrefixesB:
         doc_ids = list(index.doc_ids())
         rng.shuffle(doc_ids)
         ranking = Ranking("q", tuple((d, 1.0) for d in doc_ids))
-        shared = PrefixBags(index, ranking.doc_ids())
+        shared = PrefixBags(index, ranking)
         for _ in range(3):
             theta = rng.choice([-math.inf, -1.0, 0.0, 0.5, 1.281552, 2.0, math.inf])
             cap = rng.choice([1, 2, 3, 5, 20])
@@ -279,9 +279,9 @@ class TestSharedPrefixesB:
 
             feedback_b.selected_vocabulary_size = counting
             try:
-                assert auto_r(ranking, index, theta, cap) == want
+                assert auto_r(PrefixBags(index, ranking), theta, cap) == want
                 fresh_calls, calls[:] = list(calls), []
-                assert auto_r(ranking, index, theta, cap, shared) == want
+                assert auto_r(shared, theta, cap) == want
             finally:
                 feedback_b.selected_vocabulary_size = original
             # one vocabulary size per prefix walked, shared bags or not
@@ -300,19 +300,18 @@ class TestSharedPrefixesB:
         if first is None:
             return
         pruned, ranking = first
-        prefixes = PrefixBags(index, ranking.doc_ids())
+        prefixes = PrefixBags(index, ranking)
         for _ in range(4):
             params = FeedbackBParams(
                 p_level=rng.choice([0.10, 0.05, 0.01]),
                 r=rng.choice([None, None, 1, 3, 50]),
                 alpha=rng.choice([None, 1.0, 2.5, -3.0]),
                 r_cap=rng.choice([3, 20]),
-                filter_as_set=rng.random() < 0.3,
             )
             want = oracles.run_feedback_b(pruned, ranking, index, params, 15)
-            assert run_feedback_b(pruned, ranking, index, params, 15).items == want.items
-            assert (run_feedback_b(pruned, ranking, index, params, 15, prefixes).items
-                    == want.items)
+            assert (run_feedback_b(pruned, PrefixBags(index, ranking), params,
+                                   15).items == want.items)
+            assert run_feedback_b(pruned, prefixes, params, 15).items == want.items
 
 
 class TestSweepB:

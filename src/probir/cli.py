@@ -11,10 +11,12 @@ header: its option lines, less the `# `, are a config file.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -274,6 +276,23 @@ def _sidecar(path: Path):
         raise IndexLoadError(f"{path}: malformed sidecar ({exc!r})") from exc
 
 
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off.  Ranking makes
+    no reference cycles, so a collection during it frees nothing, and a
+    full one walks every entry of the loaded indexes: it lands in whichever
+    topic allocates past the collector's threshold and adds that walk to
+    the topic's time.  Reference counting frees as before; the collector
+    resumes when the block ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_tokenizer(index_dir) -> TokenizerConfig:
     path = _tokenizer_path(index_dir)
     with _sidecar(path):
@@ -348,7 +367,8 @@ def _parse_ratio(text: str) -> RatioTarget:
 
 
 def cmd_index(args) -> int:
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else frozenset()
+    stopwords = (load_stopwords(args.stopwords, args.mode) if args.stopwords
+                 else frozenset())
     config = TokenizerConfig(mode=args.mode, stopwords=stopwords,
                              stemming=args.stem)
     collection = load_documents(args.docs)
@@ -356,11 +376,11 @@ def cmd_index(args) -> int:
     index.save(args.out)
     _save_tokenizer(args.out, config)
     if args.mode == CHARACTER_MODE:
-        table = build_mi_table(collection)
+        table = build_mi_table(collection, config)
         sentences = []
         for doc in collection:
-            sentences.extend(split_sentences(doc.title))
-            sentences.extend(split_sentences(doc.body))
+            sentences.extend(split_sentences(doc.title, config))
+            sentences.extend(split_sentences(doc.body, config))
         k_cmi = calibrate_kcmi(sentences, table, args.ratio)
         _save_mi(args.out, table, k_cmi)
     print(f"indexed {index.n_docs} documents ({index.mode} mode) -> {args.out}")
@@ -405,7 +425,7 @@ def cmd_search(args) -> int:
 
         # clir_topic is looked up in this module at each call: perfbench's
         # topic timer wraps cli.clir_topic to time the whole topic
-        rankings, warnings = _usable(topics, lambda topic: clir_topic(
+        run = partial(_usable, topics, lambda topic: clir_topic(
             topic, qtype, source, dictionary, index,
             source_index=source_index, expansion_docs=cfg["expand_docs"],
             expand_all=cfg["expand_all"], passthrough=cfg["passthrough"],
@@ -416,15 +436,14 @@ def cmd_search(args) -> int:
         feedback = (FeedbackAParams(cfg["kr"], cfg["kaf"], cfg["kp"],
                                     cfg["kafw"], cfg["kp_literal"])
                     if cfg["feedback"] else None)
-        rankings, warnings = search_system_a(
-            index, topics, qtype, analyzer, extraction,
-            _scoring_params(cfg), feedback, cutoff,
-        )
+        run = partial(search_system_a, index, topics, qtype, analyzer,
+                      extraction, _scoring_params(cfg), feedback, cutoff)
     else:
         feedback = _feedback_b_params(cfg) if cfg["feedback"] else None
-        rankings, warnings = search_system_b(
-            index, topics, qtype, analyzer, feedback, cutoff,
-        )
+        run = partial(search_system_b, index, topics, qtype, analyzer,
+                      feedback, cutoff)
+    with _collector_paused():
+        rankings, warnings = run()
 
     # an unset option (None) is left out, so the header reads back as a
     # config file
@@ -451,8 +470,9 @@ def cmd_sweep(args) -> int:
     index, analyzer = _open_index(args.index, cfg["k_cmi"])
     topics = load_topics(args.topics)
     qrels = load_qrels(args.qrels)
-    report = sweep_b(index, topics, QueryType(cfg["qtype"]), analyzer, qrels,
-                     cfg["p"], cfg["r"], cfg["alpha"], cfg["cutoff"])
+    with _collector_paused():
+        report = sweep_b(index, topics, QueryType(cfg["qtype"]), analyzer,
+                         qrels, cfg["p"], cfg["r"], cfg["alpha"], cfg["cutoff"])
     text = report.format()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -462,10 +482,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    config = TokenizerConfig(mode=CHARACTER_MODE)
     lines = [line.rstrip("\n") for line in sys.stdin]
-    runs_per_line = [split_sentences(line) for line in lines]
+    runs_per_line = [split_sentences(line, config) for line in lines]
     if args.stats:
-        table = build_mi_table(load_documents(args.stats))
+        table = build_mi_table(load_documents(args.stats), config)
     else:
         table = build_mi_table_from_sentences(
             [run for runs in runs_per_line for run in runs]

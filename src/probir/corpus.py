@@ -17,8 +17,9 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import DuplicateDocIdError, ParseError
 
@@ -104,30 +105,79 @@ def default_stem(token: str) -> str:
     return token
 
 
+class _Memo(dict):
+    """key -> ``rule(key)``, the rule run once per distinct key.  It reads
+    like a plain dict, so ``map`` and ``str.translate`` can look keys up
+    in it."""
+
+    def __init__(self, rule: Callable):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, key):
+        value = self[key] = self.rule(key)
+        return value
+
+
+def _word_form(stopwords: frozenset[str], stemming: bool, raw: str) -> str | None:
+    """The token a ``_WORD_RE`` match of lowercased text becomes, or None
+    when it is dropped: apostrophes stripped, content words kept, stopwords
+    (matched on the surface form) dropped, then stemmed."""
+    token = raw.strip("'")
+    if not token or not _is_content_word(token) or token in stopwords:
+        return None
+    return default_stem(token) if stemming else token
+
+
+def _character_form(codepoint: int) -> str:
+    """A character's entry in a ``str.translate`` table: a space when
+    character mode drops it (whitespace, punctuation, separators, control
+    characters), else itself."""
+    ch = chr(codepoint)
+    if ch.isspace() or unicodedata.category(ch)[0] in ("P", "Z", "C"):
+        return " "
+    return ch
+
+
+def _stopword_problem(word: str, mode: str) -> str | None:
+    """Why a stopword entry can never match in ``mode``, or None.  Token
+    mode lowercases text before the stopword check, so an entry with an
+    uppercase letter would leave its word in place; character mode does
+    not lowercase."""
+    if mode == TOKEN_MODE and word != word.lower():
+        return (f"stopword {word!r} has an uppercase letter; token mode "
+                "lowercases text before the stopword check, so it would "
+                f"never match (write {word.lower()!r})")
+    return None
+
+
 @dataclass(frozen=True)
 class TokenizerConfig:
     """Tokenization contract shared by indexing and query processing; every
-    field is stored in an index's ``tokenizer.json``."""
+    field is stored in an index's ``tokenizer.json``.  Its rules' memos
+    (see ``tokenize``) take no part in equality, hashing or ``repr``."""
 
     mode: str = TOKEN_MODE
     stopwords: frozenset[str] = field(default_factory=frozenset)
     stemming: bool = False
+    _forms: _Memo = field(init=False, repr=False, compare=False)
+    _characters: _Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (TOKEN_MODE, CHARACTER_MODE):
             raise ValueError(f"unknown tokenizer mode {self.mode!r}")
+        for word in sorted(self.stopwords):
+            problem = _stopword_problem(word, self.mode)
+            if problem is not None:
+                raise ValueError(problem)
+        object.__setattr__(self, "_forms", _Memo(
+            partial(_word_form, self.stopwords, self.stemming)))
+        object.__setattr__(self, "_characters", _Memo(_character_form))
 
-    def stem(self, token: str) -> str:
-        return default_stem(token) if self.stemming else token
-
-    def is_stopword(self, term: str) -> bool:
-        return term in self.stopwords
-
-
-def _keep_character(ch: str) -> bool:
-    if ch.isspace():
-        return False
-    return unicodedata.category(ch)[0] not in ("P", "Z", "C")
+    def word_forms(self, lowered: str) -> list[str | None]:
+        """The token form of each word of already lowercased text, in order,
+        None where a word is dropped."""
+        return list(map(self._forms.__getitem__, _WORD_RE.findall(lowered)))
 
 
 def tokenize(text: str, config: TokenizerConfig) -> list[str]:
@@ -136,39 +186,31 @@ def tokenize(text: str, config: TokenizerConfig) -> list[str]:
     Token mode lowercases, keeps content words, drops stopwords (matched on
     the surface form), then stems.  Character mode strips whitespace and
     punctuation and returns the remaining characters in order.
+
+    Each rule runs once per distinct word or character: the config keeps a
+    word's form (None when dropped) and a character's keep-or-drop the
+    first time it meets them.  The memos live exactly as long as the
+    config, and the CLI makes a new config in every command, so one
+    command's set-up pays for every distinct word it reads and none that
+    an earlier command read.
     """
     if not text:
         return []
     if config.mode == CHARACTER_MODE:
-        return [ch for ch in text if _keep_character(ch)]
-    out = []
-    for raw in _WORD_RE.findall(text.lower()):
-        token = raw.strip("'")
-        if not token or not _is_content_word(token):
-            continue
-        if config.is_stopword(token):
-            continue
-        out.append(config.stem(token))
-    return out
+        return list(text.translate(config._characters).replace(" ", ""))
+    # a form is never empty, so falsy means dropped
+    return list(filter(None, config.word_forms(text.lower())))
 
 
-def split_sentences(text: str) -> list[str]:
-    """Split text into runs of content characters.
+def split_sentences(text: str, config: TokenizerConfig) -> list[str]:
+    """Split text into runs of the characters ``tokenize`` keeps in
+    character mode, deciding each distinct character once in ``config``.
 
     Boundaries fall at punctuation, whitespace, and control characters, so no
     adjacent-character pair ever spans a visible separator.
     """
-    runs: list[str] = []
-    current: list[str] = []
-    for ch in text:
-        if _keep_character(ch):
-            current.append(ch)
-        elif current:
-            runs.append("".join(current))
-            current = []
-    if current:
-        runs.append("".join(current))
-    return runs
+    # every dropped character becomes a space, and no kept one is whitespace
+    return text.translate(config._characters).split()
 
 
 class DocumentCollection:
@@ -265,14 +307,20 @@ def load_topics(path) -> list[Topic]:
     return topics
 
 
-def load_stopwords(path) -> frozenset[str]:
-    """Stopword file: UTF-8 plain text, one token per line, blank lines ignored."""
+def load_stopwords(path, mode: str) -> frozenset[str]:
+    """Stopword file: UTF-8 plain text, one token per line, blank lines
+    ignored.  An entry that can never match in ``mode`` (see
+    ``_stopword_problem``) is an error naming its line."""
     words = set()
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             word = line.strip()
-            if word:
-                words.add(word)
+            if not word:
+                continue
+            problem = _stopword_problem(word, mode)
+            if problem is not None:
+                raise ParseError(path, line_no, problem)
+            words.add(word)
     return frozenset(words)
 
 

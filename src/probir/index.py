@@ -14,6 +14,13 @@ separately (a match never spans the two), and body positions are 1-based.
 ``postings`` gives a term's doc -> tf, so that a scorer walks the documents
 a term occurs in rather than asking about every (term, document) pair; a
 term of several units has its postings counted on first use and kept.
+
+No document keeps first positions, since only System A's location factor
+reads them.  ``first_position`` scans a document's streams;
+``first_position_maps`` builds every document's unit -> first position map
+in one pass, for the ``SystemATables`` of a run with location on, and
+``first_positions`` reads a term's from those maps.
+
 An Index does not change once built, and is safe to share across readers.
 """
 
@@ -98,7 +105,11 @@ def _run_tf(title_starts, body_starts, width) -> int:
 
 
 class _Doc:
-    __slots__ = ("title", "body", "category", "tf", "length", "first")
+    """One document's streams, unit bag and length.  It keeps no first
+    positions: ``first_position_maps`` builds them for a run that reads
+    them."""
+
+    __slots__ = ("title", "body", "category", "tf", "length")
 
     def __init__(self, title, body, category):
         self.title = title
@@ -108,10 +119,6 @@ class _Doc:
         # the bag iterates in first-occurrence order, title then body
         self.tf = Counter(title)
         self.tf.update(body)
-        # unit -> IN_TITLE, or its first 1-based body position: the earliest
-        # body write wins, and the title's writes come last
-        self.first = dict(zip(reversed(body), range(len(body), 0, -1)))
-        self.first.update(dict.fromkeys(title, IN_TITLE))
 
 
 class Index:
@@ -268,30 +275,38 @@ class Index:
 
     def first_position(self, doc_id: str, term: str):
         """IN_TITLE if the term appears in the title, else the first body
-        position (1-based), else None."""
+        position (1-based), else None.  It scans the document's streams;
+        a pass over many documents reads ``first_positions`` instead."""
         entry = self._entry(doc_id)
-        first = entry.first.get(term)
-        if first is not None:  # a single unit of this document
-            return first
         units = self._units(term)
-        if len(units) < 2:
-            return None
         if _sequence_starts(entry.title, units):
             return IN_TITLE
         starts = _sequence_starts(entry.body, units)
         return starts[0] if starts else None
 
-    def first_positions(self, term: str) -> list:
+    def first_position_maps(self) -> dict[str, dict]:
+        """doc_id -> {unit: its ``first_position`` in the document}, for
+        every document: built on each call, for the run that reads them
+        (``SystemATables`` with location on)."""
+        maps = {}
+        for doc_id, entry in self._docs.items():
+            # the earliest body write wins, and the title's writes come last
+            first = maps[doc_id] = dict(zip(reversed(entry.body),
+                                            range(len(entry.body), 0, -1)))
+            first.update(dict.fromkeys(entry.title, IN_TITLE))
+        return maps
+
+    def first_positions(self, term: str, maps: Mapping[str, Mapping]) -> list:
         """``first_position`` of the term in each document of
-        ``postings(term)``, in the postings' order.  A longer term's list is
-        kept from the scan that counted its postings; callers must not
+        ``postings(term)``, in the postings' order.  A single unit's is read
+        from ``maps`` (``first_position_maps``); a longer term's list is
+        kept from the scan that counted its postings, and callers must not
         mutate it."""
         posting = self._postings.get(term)
         if posting is None:  # a term of several units, or unseen
             self.postings(term)  # counts a longer term's first positions
             return self._term_firsts.get(term, [])
-        docs = self._docs
-        return [docs[doc_id].first[term] for doc_id in posting]
+        return [maps[doc_id][term] for doc_id in posting]
 
     # -- persistence -------------------------------------------------------
 

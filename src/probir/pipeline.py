@@ -93,7 +93,7 @@ class Analyzer:
             if not self.character:
                 phrases.extend(split_phrases(part, self.config))
                 continue
-            for sentence in split_sentences(part):
+            for sentence in split_sentences(part, self.config):
                 words = segment(sentence, self.mi_table, self.k_cmi)
                 if words:
                     phrases.append(words)

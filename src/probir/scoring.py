@@ -327,6 +327,11 @@ class SystemATables:
     the same float), length bonus and category, and the K_loc of each term
     asked for, one value per posting.
 
+    With location on, the tables also own every document's unit -> first
+    position map (``Index.first_position_maps``), built once here, before
+    the run's first topic; the index keeps none, so a run without
+    location, System B and ``probir index`` never build them.
+
     A term's K_loc values are an array in the order of its postings, built
     on first use and kept for as long as the tables are:
     ``search_system_a`` keeps one set for all of its topics, since most of
@@ -347,13 +352,15 @@ class SystemATables:
         self.bonuses = {doc_id: length_bonus(length, avg_len)
                         for doc_id, length in lengths.items()}
         self.categories = {doc_id: index.doc_category(doc_id) for doc_id in lengths}
+        self._firsts = index.first_position_maps() if params.use_location else None
         self._location: dict[str, array] = {}
 
     def location_factors(self, term: str) -> array:
         """``k_location`` of the term's ``first_position`` in each document
         of ``Index.postings(term)``, in the postings' order: its expression
-        evaluated inline over ``Index.first_positions``, the same float.  A
-        document of the postings holds the term, so no position is None."""
+        evaluated inline over ``Index.first_positions`` read from the
+        tables' maps, the same float.  A document of the postings holds the
+        term, so no position is None.  Asked only when location is on."""
         factors = self._location.get(term)
         if factors is None:
             index = self.index
@@ -362,8 +369,8 @@ class SystemATables:
             factors = self._location[term] = array("d", [
                 k_loc1 if first == IN_TITLE
                 else 1.0 + k_loc2 * (lengths[doc_id] - 2 * first) / lengths[doc_id]
-                for doc_id, first in zip(index.postings(term),
-                                         index.first_positions(term))])
+                for doc_id, first in zip(
+                    index.postings(term), index.first_positions(term, self._firsts))])
         return factors
 
 

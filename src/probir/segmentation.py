@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import DocumentCollection, split_sentences
+from .corpus import DocumentCollection, TokenizerConfig, split_sentences
 from .errors import CalibrationError, EmptyCollectionError
 
 DEFAULT_RATIO = (7, 3)
@@ -72,13 +72,15 @@ def build_mi_table_from_sentences(sentences: Iterable[str]) -> MiTable:
                    sum(unigrams.values()), sum(bigrams.values()))
 
 
-def build_mi_table(corpus: DocumentCollection) -> MiTable:
+def build_mi_table(corpus: DocumentCollection, config: TokenizerConfig) -> MiTable:
+    """Character statistics of a collection's sentences under ``config``'s
+    character rule."""
     if len(corpus) == 0:
         raise EmptyCollectionError("cannot build character statistics from nothing")
     sentences = []
     for doc in corpus:
-        sentences.extend(split_sentences(doc.title))
-        sentences.extend(split_sentences(doc.body))
+        sentences.extend(split_sentences(doc.title, config))
+        sentences.extend(split_sentences(doc.body, config))
     return build_mi_table_from_sentences(sentences)
 
 

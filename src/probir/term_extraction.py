@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .corpus import TokenizerConfig, _is_content_word
+from .corpus import TokenizerConfig
 
 SHORTEST = "shortest"
 ALL_PATTERNS = "all_patterns"
@@ -32,7 +32,6 @@ STRATEGIES = (SHORTEST, ALL_PATTERNS, LATTICE, DOWN_WEIGHT)
 # Punctuation (anything that is not a word char, whitespace, or apostrophe)
 # terminates a phrase even when the tokenizer would simply skip it.
 _PHRASE_BOUNDARY_RE = re.compile(r"[^\w\s']+", re.UNICODE)
-_WORD_RE = re.compile(r"[\w']+", re.UNICODE)
 
 
 class TermWeight(NamedTuple):
@@ -59,14 +58,15 @@ class ExtractionConfig:
 
 
 def split_phrases(text: str, config: TokenizerConfig) -> list[list[str]]:
-    """Token-mode phrase extraction; rejected tokens break the current run."""
+    """Token-mode phrase extraction; rejected tokens break the current run.
+    A word's form comes from ``config.word_forms``, the rule ``tokenize``
+    applies, so the phrases flattened are ``tokenize``'s words."""
     phrases: list[list[str]] = []
     current: list[str] = []
     for chunk in _PHRASE_BOUNDARY_RE.split(text.lower()):
-        for raw in _WORD_RE.findall(chunk):
-            token = raw.strip("'")
-            if token and _is_content_word(token) and not config.is_stopword(token):
-                current.append(config.stem(token))
+        for form in config.word_forms(chunk):
+            if form is not None:
+                current.append(form)
             elif current:
                 phrases.append(current)
                 current = []

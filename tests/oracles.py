@@ -1,6 +1,7 @@
 """Plain versions of probir's fast paths, kept as oracles.
 
-Each recomputes what it needs the direct way: System A's lattice scorer
+Each recomputes what it needs the direct way: the tokenizer's rule for
+every word and every character, with no memo, System A's lattice scorer
 document by document, its feedback counts with one ``Index.doc_tf`` per
 (term, top document), a bag word's relevance one word at a time, auto-R
 with a fresh ``TopDocBag`` per prefix, the sweep with every cell run on
@@ -10,8 +11,11 @@ them for equality.
 """
 
 import math
+import re
+import unicodedata
 from collections import Counter
 
+from probir.corpus import CHARACTER_MODE, default_stem
 from probir.errors import CalibrationError
 from probir.feedback_a import ROUND_EPS, afw, binomial_tail, feedback_idf
 from probir.feedback_b import (
@@ -32,6 +36,66 @@ from probir.scoring import (
 )
 from probir.segmentation import pmi
 from probir.term_extraction import lattice_best_path
+
+
+_WORD_RE = re.compile(r"[\w']+", re.UNICODE)
+_PHRASE_BOUNDARY_RE = re.compile(r"[^\w\s']+", re.UNICODE)
+
+
+def word_form(raw, config):
+    """The token one word becomes, or None when it is dropped: apostrophes
+    stripped, words with no letter dropped, stopwords dropped on the
+    surface form, then stemmed."""
+    token = raw.strip("'")
+    if not token or not any(ch.isalpha() for ch in token):
+        return None
+    if token in config.stopwords:
+        return None
+    return default_stem(token) if config.stemming else token
+
+
+def keep_character(ch):
+    return not ch.isspace() and unicodedata.category(ch)[0] not in ("P", "Z", "C")
+
+
+def tokenize(text, config):
+    """``corpus.tokenize`` with the rule run for every word and character."""
+    if config.mode == CHARACTER_MODE:
+        return [ch for ch in text if keep_character(ch)]
+    forms = (word_form(raw, config) for raw in _WORD_RE.findall(text.lower()))
+    return [form for form in forms if form is not None]
+
+
+def split_sentences(text):
+    """Runs of kept characters, one character at a time."""
+    runs, current = [], []
+    for ch in text:
+        if keep_character(ch):
+            current.append(ch)
+        elif current:
+            runs.append("".join(current))
+            current = []
+    if current:
+        runs.append("".join(current))
+    return runs
+
+
+def split_phrases(text, config):
+    """``term_extraction.split_phrases`` with the rule run for every word:
+    a dropped word or punctuation ends a phrase."""
+    phrases, current = [], []
+    for chunk in _PHRASE_BOUNDARY_RE.split(text.lower()):
+        for raw in _WORD_RE.findall(chunk):
+            form = word_form(raw, config)
+            if form is not None:
+                current.append(form)
+            elif current:
+                phrases.append(current)
+                current = []
+        if current:
+            phrases.append(current)
+            current = []
+    return phrases
 
 
 def word_prob(tf, size):

@@ -90,6 +90,23 @@ class TestIndexCommand:
         payload = json.loads((out / "tokenizer.json").read_text(encoding="utf-8"))
         assert payload["stopwords"] == ["and", "the"]
 
+    def test_uppercase_stopword_exits_2_naming_the_line(self, workspace, capsys):
+        # token mode lowercases before the stopword check: "The" would
+        # leave every "the" in place
+        stop = workspace / "stop.txt"
+        stop.write_text("and\nThe\n", encoding="utf-8")
+        assert main(["index", "--docs", str(workspace / "docs.jsonl"),
+                     "--out", str(workspace / "idx"), "--stopwords", str(stop)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stop}:2: stopword 'The' has an uppercase")
+        assert "Traceback" not in err
+        assert not (workspace / "idx").exists()
+        # character mode does not lowercase, so the entry stands
+        build(workspace, "--mode", "character", "--stopwords", str(stop))
+        payload = json.loads((workspace / "idx" / "tokenizer.json")
+                             .read_text(encoding="utf-8"))
+        assert payload["stopwords"] == ["The", "and"]
+
     def test_list_category_exits_2_naming_the_line(self, workspace, capsys):
         write_jsonl(workspace / "bad.jsonl", [
             DOCS[0],
@@ -279,6 +296,48 @@ class TestSearchCommand:
             "error: query q1: document d1 has a non-finite score (inf)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("engine, flags", [
+        ("search_system_b", []),
+        ("search_system_a", ["--system", "a"]),
+    ])
+    def test_collector_is_off_while_ranking_only(self, workspace, capsys,
+                                                 monkeypatch, engine, flags):
+        import gc
+
+        from probir import cli
+        from probir.scoring import Ranking
+
+        build(workspace)
+        seen = []
+
+        def ranks(*args):
+            seen.append(gc.isenabled())
+            return [Ranking("q1", (("d1", 1.0),))], []
+
+        def fails(*args):
+            seen.append(gc.isenabled())
+            raise ValueError("scorer failed")
+
+        argv = ["search", "--index", str(workspace / "idx"),
+                "--topics", str(workspace / "topics.jsonl"),
+                "--out", str(workspace / "run.txt"), *flags]
+        enabled = gc.isenabled()
+        try:
+            gc.enable()
+            monkeypatch.setattr(cli, engine, ranks)
+            assert main(argv) == 0
+            monkeypatch.setattr(cli, engine, fails)
+            assert main(argv) == 2
+            assert seen == [False, False] and gc.isenabled()
+            # a collector the caller turned off stays off
+            gc.disable()
+            monkeypatch.setattr(cli, engine, ranks)
+            assert main(argv) == 0
+            assert seen == [False, False, False] and not gc.isenabled()
+        finally:
+            (gc.enable if enabled else gc.disable)()
+        assert capsys.readouterr().err == "error: scorer failed\n"
+
     def test_unusable_topic_warns_in_header_and_stderr(self, workspace, capsys):
         write_jsonl(workspace / "topics.jsonl", TOPICS + [
             {"query_id": "q9", "title": "zzz qqq", "description": "zzz qqq"}])
@@ -300,6 +359,7 @@ class TestSearchCommand:
         ("tokenizer.json", "{not json"),
         ("tokenizer.json", '{"mode": "token", "stemming": "no", "stopwords": []}'),
         ("tokenizer.json", '{"mode": "token", "stemming": false, "stopwords": "the"}'),
+        ("tokenizer.json", '{"mode": "token", "stemming": false, "stopwords": ["The"]}'),
         ("mi.json", '{"unigrams": {}}'),
         ("mi.json", '{"unigrams": {}, "bigrams": {}, "total_unigrams": 0, '
                     '"total_bigrams": 0, "k_cmi": "x"}'),
@@ -599,6 +659,28 @@ class TestSweepCommand:
                 and "=" not in l]
         assert len(data) == 1 * 2 * 2
         assert "# mean ap_relax by alpha" in lines
+
+    def test_collector_is_off_while_sweeping(self, workspace, monkeypatch):
+        import gc
+
+        from probir import cli
+
+        build(workspace)
+        seen = []
+        real = cli.sweep_b
+
+        def sweep(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "sweep_b", sweep)
+        code = main(["sweep", "--index", str(workspace / "idx"),
+                     "--topics", str(workspace / "topics.jsonl"),
+                     "--qrels", str(workspace / "qrels.txt"),
+                     "--out", str(workspace / "sweep.tsv"),
+                     "--p", "0.10", "--R", "1", "--alpha", "1.0"])
+        assert code == 0
+        assert seen == [False] and gc.isenabled()
 
 
 class TestConfigParsing:

@@ -4,6 +4,7 @@ import pytest
 
 from probir.corpus import (
     CHARACTER_MODE,
+    TOKEN_MODE,
     Document,
     QueryType,
     Topic,
@@ -62,14 +63,16 @@ class TestDefaultStem:
 
 
 class TestSplitSentences:
+    config = TokenizerConfig(mode=CHARACTER_MODE)
+
     def test_punctuation_and_whitespace_are_boundaries(self):
-        assert split_sentences("ab. cd,ef") == ["ab", "cd", "ef"]
+        assert split_sentences("ab. cd,ef", self.config) == ["ab", "cd", "ef"]
 
     def test_no_boundaries(self):
-        assert split_sentences("abcd") == ["abcd"]
+        assert split_sentences("abcd", self.config) == ["abcd"]
 
     def test_empty(self):
-        assert split_sentences("") == []
+        assert split_sentences("", self.config) == []
 
 
 class TestDocumentValidation:
@@ -139,7 +142,7 @@ class TestLoaders:
         assert topics[0].query_id == "q1"
         spath = tmp_path / "stop.txt"
         spath.write_text("the\nand\n\n")
-        assert load_stopwords(spath) == frozenset({"the", "and"})
+        assert load_stopwords(spath, TOKEN_MODE) == frozenset({"the", "and"})
 
 
 class TestBuildQuery:

@@ -115,9 +115,10 @@ class TestTables:
         index, words = corpus(rng, mode)
         terms = terms_of(rng, mode, words)
         for idx in built_and_loaded(index):
+            maps = idx.first_position_maps()
             for term in terms:
                 # asked first, so that a longer term's scan is counted here
-                firsts = idx.first_positions(term)
+                firsts = idx.first_positions(term, maps)
                 holding = {d: tf for d in idx.doc_ids()
                            if (tf := idx.doc_tf(d, term)) > 0}
                 assert dict(idx.postings(term)) == holding, term
@@ -138,6 +139,7 @@ class TestTables:
             k_loc2=rng.choice([0.0, 0.1, 0.37, 0.9]))
         for idx in built_and_loaded(index):
             tables = SystemATables(idx, params)
+            maps = idx.first_position_maps()
             docs = idx.doc_ids()
             assert tables.norms == {d: params.k_t * idx.doc_len(d) / idx.avg_len
                                     for d in docs}
@@ -149,7 +151,7 @@ class TestTables:
                 for d, tf in postings.items():
                     assert tf / (tf + tables.norms[d]) == tf_factor(
                         tf, idx.doc_len(d), idx.avg_len, params.k_t)
-                assert idx.first_positions(term) == [
+                assert idx.first_positions(term, maps) == [
                     idx.first_position(d, term) for d in postings]
                 factors = tables.location_factors(term)
                 # one value per posting, in the postings' order

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from probir.corpus import Document, DocumentCollection
+from probir.corpus import CHARACTER_MODE, Document, DocumentCollection, TokenizerConfig
 from probir.errors import CalibrationError, EmptyCollectionError
 from probir.segmentation import (
     MiTable,
@@ -53,12 +53,12 @@ class TestBuildMiTable:
 
     def test_from_collection_splits_on_punctuation(self):
         corpus = DocumentCollection([Document("d1", "ab", "ab. ba")])
-        table = build_mi_table(corpus)
+        table = build_mi_table(corpus, TokenizerConfig(mode=CHARACTER_MODE))
         assert table.bigrams == {"ab": 2, "ba": 1}
 
     def test_empty_collection_raises(self):
         with pytest.raises(EmptyCollectionError):
-            build_mi_table(DocumentCollection([]))
+            build_mi_table(DocumentCollection([]), TokenizerConfig(mode=CHARACTER_MODE))
 
 
 class TestPmi:

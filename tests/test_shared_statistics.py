@@ -163,8 +163,9 @@ class TestSegmentationMemo:
         def text(low, high):
             return "".join(rng.choices(ALPHABET, k=rng.randint(low, high)))
         rows = [(f"c{i:02d}", text(0, 6), text(1, 25)) for i in range(rng.randint(1, 8))]
-        table = build_mi_table(make_collection(rows))
-        analyzer = Analyzer(TokenizerConfig(mode=CHARACTER_MODE), table, k_cmi)
+        config = TokenizerConfig(mode=CHARACTER_MODE)
+        table = build_mi_table(make_collection(rows), config)
+        analyzer = Analyzer(config, table, k_cmi)
         # a second index under the same ids holds other texts: the memo
         # serves the index it was filled from only
         first = make_index(rows, mode=CHARACTER_MODE)

@@ -58,8 +58,8 @@ from .segmentation import (
     MiTable,
     RatioTarget,
     build_mi_table,
-    build_mi_table_from_sentences,
     calibrate_kcmi,
+    collection_sentences,
     segment,
 )
 from .term_extraction import (
@@ -376,11 +376,8 @@ def cmd_index(args) -> int:
     index.save(args.out)
     _save_tokenizer(args.out, config)
     if args.mode == CHARACTER_MODE:
-        table = build_mi_table(collection, config)
-        sentences = []
-        for doc in collection:
-            sentences.extend(split_sentences(doc.title, config))
-            sentences.extend(split_sentences(doc.body, config))
+        sentences = collection_sentences(collection, config)
+        table = build_mi_table(sentences)
         k_cmi = calibrate_kcmi(sentences, table, args.ratio)
         _save_mi(args.out, table, k_cmi)
     print(f"indexed {index.n_docs} documents ({index.mode} mode) -> {args.out}")
@@ -485,16 +482,15 @@ def cmd_segment(args) -> int:
     config = TokenizerConfig(mode=CHARACTER_MODE)
     lines = [line.rstrip("\n") for line in sys.stdin]
     runs_per_line = [split_sentences(line, config) for line in lines]
+    sample = [run for runs in runs_per_line for run in runs]
     if args.stats:
-        table = build_mi_table(load_documents(args.stats), config)
+        table = build_mi_table(collection_sentences(load_documents(args.stats),
+                                                    config))
     else:
-        table = build_mi_table_from_sentences(
-            [run for runs in runs_per_line for run in runs]
-        )
+        table = build_mi_table(sample)
     if args.k_cmi is not None:
         k_cmi = args.k_cmi
     else:
-        sample = [run for runs in runs_per_line for run in runs]
         k_cmi = calibrate_kcmi(sample, table, args.ratio)
         print(f"# calibrated k_cmi = {k_cmi:.6f}", file=sys.stderr)
     for runs in runs_per_line:

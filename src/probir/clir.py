@@ -35,11 +35,14 @@ class KeywordPairRecord:
 
 
 class BilingualDictionary:
-    """source phrase (token tuple) -> targets ordered by co-occurrence."""
+    """source phrase (token tuple) -> targets ordered by co-occurrence.
 
-    def __init__(self):
-        self._counts: dict[tuple[str, ...], dict[str, int]] = {}
-        self.max_source_len = 0
+    ``counts``, when given, is source phrase -> {target: count}, every phrase
+    non-empty with at least one non-empty target, and is kept as it is."""
+
+    def __init__(self, counts: dict[tuple[str, ...], dict[str, int]] | None = None):
+        self._counts = {} if counts is None else counts
+        self.max_source_len = max(map(len, self._counts), default=0)
 
     def add_pair(self, source: str, target: str, count: int = 1):
         key = tuple(source.split())
@@ -75,17 +78,29 @@ class BilingualDictionary:
 
 
 def build_dictionary(records: Iterable[KeywordPairRecord]) -> BilingualDictionary:
-    dictionary = BilingualDictionary()
+    """Count every (source, target) pair of each record's cross product, as
+    ``add_pair`` would one pair at a time."""
+    counts: dict[tuple[str, ...], dict[str, int]] = {}
     for record in records:
+        targets = [target for target in record.target_keywords if target]
+        if not targets:
+            continue
         for source in record.source_keywords:
-            for target in record.target_keywords:
-                dictionary.add_pair(source, target)
-    return dictionary
+            key = tuple(source.split())
+            if not key:
+                continue
+            row = counts.get(key)
+            if row is None:
+                row = counts[key] = {}
+            for target in targets:
+                row[target] = row.get(target, 0) + 1
+    return BilingualDictionary(counts)
 
 
 def load_dictionary(path) -> BilingualDictionary:
-    """Read tab-separated source/target/count lines."""
-    dictionary = BilingualDictionary()
+    """Read tab-separated source/target/count lines; the counts of a
+    repeated pair add up, as ``add_pair`` adds them."""
+    counts: dict[tuple[str, ...], dict[str, int]] = {}
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -102,8 +117,15 @@ def load_dictionary(path) -> BilingualDictionary:
                 raise ParseError(str(path), line_no, f"bad count {raw_count!r}") from None
             if count < 1:
                 raise ParseError(str(path), line_no, "count must be >= 1")
-            dictionary.add_pair(source, target, count)
-    return dictionary
+            key = tuple(source.split())
+            if not key or not target:
+                continue
+            row = counts.get(key)
+            if row is None:
+                counts[key] = {target: count}
+            else:
+                row[target] = row.get(target, 0) + count
+    return BilingualDictionary(counts)
 
 
 def translate(tokens: Sequence[str], dictionary: BilingualDictionary,

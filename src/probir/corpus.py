@@ -141,13 +141,26 @@ def _character_form(codepoint: int) -> str:
 
 def _stopword_problem(word: str, mode: str) -> str | None:
     """Why a stopword entry can never match in ``mode``, or None.  Token
-    mode lowercases text before the stopword check, so an entry with an
-    uppercase letter would leave its word in place; character mode does
-    not lowercase."""
-    if mode == TOKEN_MODE and word != word.lower():
+    mode lowercases text, splits it into words that hold no whitespace and
+    strips each word's apostrophes before the stopword check, so an entry
+    with an uppercase letter, with whitespace, or that begins or ends with
+    an apostrophe would leave its word in place; character mode does none
+    of these."""
+    if mode != TOKEN_MODE:
+        return None
+    if word != word.lower():
         return (f"stopword {word!r} has an uppercase letter; token mode "
                 "lowercases text before the stopword check, so it would "
                 f"never match (write {word.lower()!r})")
+    if any(ch.isspace() for ch in word):
+        return (f"stopword {word!r} holds whitespace; token mode checks one "
+                "word at a time, so it would never match (list each word "
+                "on its own line)")
+    stripped = word.strip("'")
+    if word != stripped:
+        return (f"stopword {word!r} begins or ends with an apostrophe; token "
+                "mode strips a word's apostrophes before the stopword check, "
+                f"so it would never match (write {stripped!r})")
     return None
 
 

@@ -3,10 +3,11 @@
 One layout serves both tokenizer modes.  Every document keeps its analysed
 title and body *streams*: a tuple of word tokens in token mode, a string of
 characters in character mode.  A *unit* is one element of a stream, and a
-single unit → doc → tf map holds the postings.  A *term* is a run of
-consecutive units ("enterprise amalgamation" is two token units, "東京" two
-character units); it is found by scanning the streams of the documents that
-hold all of its units.
+single unit → doc → tf map, the postings, is the index's only count table:
+no document keeps a bag of its own, and ``doc_terms`` counts one on demand.
+A *term* is a run of consecutive units ("enterprise amalgamation" is two
+token units, "東京" two character units); it is found by scanning the
+streams of the documents that hold all of its units.
 
 Occurrences are counted non-overlapping, in the title and the body
 separately (a match never spans the two), and body positions are 1-based.
@@ -15,13 +16,20 @@ separately (a match never spans the two), and body positions are 1-based.
 a term occurs in rather than asking about every (term, document) pair; a
 term of several units has its postings counted on first use and kept.
 
+The postings are counted from the streams in one pass: ``load_index`` counts
+them before it returns, so no search pays for them inside a topic, and an
+index from ``build_index`` counts them on its first lookup, so ``probir
+index`` counts nothing it does not write.
+
 No document keeps first positions, since only System A's location factor
 reads them.  ``first_position`` scans a document's streams;
 ``first_position_maps`` builds every document's unit -> first position map
 in one pass, for the ``SystemATables`` of a run with location on, and
 ``first_positions`` reads a term's from those maps.
 
-An Index does not change once built, and is safe to share across readers.
+An Index does not change once built, apart from the tables it counts on
+first use, and is safe to share across readers: a table is stored only
+once complete, and counting it twice gives the same table.
 """
 
 from __future__ import annotations
@@ -105,20 +113,17 @@ def _run_tf(title_starts, body_starts, width) -> int:
 
 
 class _Doc:
-    """One document's streams, unit bag and length.  It keeps no first
-    positions: ``first_position_maps`` builds them for a run that reads
-    them."""
+    """One document's streams, category and length.  It keeps no counts,
+    which the index's postings hold, and no first positions, which
+    ``first_position_maps`` builds for a run that reads them."""
 
-    __slots__ = ("title", "body", "category", "tf", "length")
+    __slots__ = ("title", "body", "category", "length")
 
     def __init__(self, title, body, category):
         self.title = title
         self.body = body
         self.category = category
         self.length = len(title) + len(body)
-        # the bag iterates in first-occurrence order, title then body
-        self.tf = Counter(title)
-        self.tf.update(body)
 
 
 class Index:
@@ -131,7 +136,8 @@ class Index:
     def __init__(self, mode: str):
         self.mode = mode
         self._docs: dict[str, _Doc] = {}  # in collection order
-        self._postings: dict[str, dict[str, int]] = {}  # unit -> {doc_id: tf}
+        # unit -> {doc_id: tf}, counted by _count_postings
+        self._postings: dict[str, dict[str, int]] | None = None
         self.n_docs = 0
         self.total_len = 0
         self.avg_len = 0.0
@@ -148,10 +154,38 @@ class Index:
         return "".join(units) if self.mode == CHARACTER_MODE else tuple(units)
 
     def _add_doc(self, doc_id, title, body, category):
-        entry = _Doc(self._stream(title), self._stream(body), category)
-        self._docs[doc_id] = entry
-        for unit, tf in entry.tf.items():
-            self._postings.setdefault(unit, {})[doc_id] = tf
+        self._docs[doc_id] = _Doc(self._stream(title), self._stream(body),
+                                  category)
+
+    def _count_postings(self) -> dict[str, dict[str, int]]:
+        """Count the postings from the streams in one pass and keep them.
+        Each unit's map lists its documents in collection order, and the
+        units come in order of first occurrence.  Raises TypeError naming
+        the document whose stream holds a unit that is not a string."""
+        table: dict[str, dict[str, int]] = {}
+        get = table.get
+        for doc_id, entry in self._docs.items():
+            try:
+                for stream in (entry.title, entry.body):
+                    for unit in stream:
+                        posting = get(unit)
+                        if posting is None:
+                            # checked once per distinct unit: an unhashable
+                            # unit fails at get, and no other type equals a str
+                            if type(unit) is not str:
+                                raise TypeError
+                            table[unit] = {doc_id: 1}
+                        else:
+                            posting[doc_id] = posting.get(doc_id, 0) + 1
+            except TypeError:
+                raise TypeError(f"document {doc_id!r}: a token is not a "
+                                "string") from None
+        self._postings = table  # stored only once complete
+        return table
+
+    def _table(self) -> dict[str, dict[str, int]]:
+        table = self._postings
+        return self._count_postings() if table is None else table
 
     def _finalize(self):
         self.n_docs = len(self._docs)
@@ -184,10 +218,11 @@ class Index:
     def doc_category(self, doc_id: str) -> str | None:
         return self._entry(doc_id).category
 
-    def doc_terms(self, doc_id: str) -> Mapping[str, int]:
+    def doc_terms(self, doc_id: str) -> Counter:
         """Unit bag of one document (token or character counts), in
-        first-occurrence order, title then body."""
-        return self._entry(doc_id).tf
+        first-occurrence order, title then body; counted on each call."""
+        entry = self._entry(doc_id)
+        return Counter(entry.title + entry.body)
 
     def doc_text(self, doc_id: str) -> tuple[str, str]:
         """Filtered (title, body) character streams; character mode only."""
@@ -208,9 +243,14 @@ class Index:
     def doc_tf(self, doc_id: str, term: str) -> int:
         """Occurrences of ``term`` in one document (title + body)."""
         entry = self._entry(doc_id)
-        tf = entry.tf.get(term)
-        if tf is not None:  # a single unit of this document
-            return tf
+        # the table is read inline, not through _table: this runs once
+        # per posting of a ranking pass
+        table = self._postings
+        if table is None:
+            table = self._count_postings()
+        posting = table.get(term)
+        if posting is not None:  # a single unit
+            return posting.get(doc_id, 0)
         units = self._units(term)
         if len(units) < 2:  # a single unit absent from this document
             return 0
@@ -222,7 +262,8 @@ class Index:
         has none."""
         if not term:
             return set()
-        maps = [self._postings.get(unit) for unit in set(self._units(term))]
+        table = self._table()
+        maps = [table.get(unit) for unit in set(self._units(term))]
         if None in maps:
             return set()
         maps.sort(key=len)
@@ -237,7 +278,7 @@ class Index:
         counted once over ``candidate_docs`` and kept, with its first
         positions (see ``first_positions``) from the same scan.  Callers
         must not mutate it."""
-        posting = self._postings.get(term)
+        posting = self._table().get(term)
         if posting is not None:  # a single unit
             return posting
         posting = self._term_postings.get(term)
@@ -302,7 +343,7 @@ class Index:
         from ``maps`` (``first_position_maps``); a longer term's list is
         kept from the scan that counted its postings, and callers must not
         mutate it."""
-        posting = self._postings.get(term)
+        posting = self._table().get(term)
         if posting is None:  # a term of several units, or unseen
             self.postings(term)  # counts a longer term's first positions
             return self._term_firsts.get(term, [])
@@ -314,7 +355,7 @@ class Index:
         """Write the index as a directory: meta.json + documents.json.
 
         documents.json holds every document's streams; the postings are
-        rebuilt from them on load.
+        counted from them on load.
         """
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
@@ -340,7 +381,8 @@ class Index:
 
 
 def build_index(collection: DocumentCollection, config: TokenizerConfig) -> Index:
-    """Index every document in the collection under the config's mode."""
+    """Index every document in the collection under the config's mode.  The
+    postings are counted on the index's first lookup."""
     if len(collection) == 0:
         raise EmptyCollectionError("cannot index an empty collection")
     index = Index(config.mode)
@@ -390,7 +432,7 @@ def _load_meta(path: Path, expected_mode: str | None) -> dict:
 
 def load_index(path, expected_mode: str | None = None) -> Index:
     """Load a saved index; verifies version, checksum, mode and the type of
-    every stored field, then rebuilds the postings as build_index does."""
+    every stored field, and counts the postings before it returns."""
     path = Path(path)
     meta = _load_meta(path, expected_mode)
     documents = _load_json(path, DOCUMENTS_FILE, meta["checksums"][DOCUMENTS_FILE])
@@ -410,10 +452,12 @@ def load_index(path, expected_mode: str | None = None) -> Index:
                     f"{kind} in {index.mode} mode"
                 )
             index._add_doc(doc_id, title, body, category)
-            if not all(isinstance(unit, str) for unit in index._docs[doc_id].tf):
-                raise IndexLoadError(f"{path}: document {doc_id!r}: a token is not a string")
     except (KeyError, TypeError) as exc:
         raise IndexLoadError(f"{path}: malformed index payload ({exc!r})") from exc
+    try:
+        index._count_postings()
+    except TypeError as exc:
+        raise IndexLoadError(f"{path}: malformed index payload: {exc}") from None
     index._finalize()
     if index.n_docs == 0 or index.n_docs != meta.get("n_docs"):
         raise IndexLoadError(

@@ -60,7 +60,7 @@ class RatioTarget:
         return self.a / (self.a + self.b)
 
 
-def build_mi_table_from_sentences(sentences: Iterable[str]) -> MiTable:
+def build_mi_table(sentences: Iterable[str]) -> MiTable:
     """Count characters and adjacent pairs; pairs never cross a sentence."""
     unigrams: Counter = Counter()
     bigrams: Counter = Counter()
@@ -72,16 +72,18 @@ def build_mi_table_from_sentences(sentences: Iterable[str]) -> MiTable:
                    sum(unigrams.values()), sum(bigrams.values()))
 
 
-def build_mi_table(corpus: DocumentCollection, config: TokenizerConfig) -> MiTable:
-    """Character statistics of a collection's sentences under ``config``'s
-    character rule."""
+def collection_sentences(corpus: DocumentCollection,
+                         config: TokenizerConfig) -> list[str]:
+    """Every document's title and body sentences under ``config``'s
+    character rule: what ``build_mi_table`` counts, and a sample for
+    ``calibrate_kcmi``."""
     if len(corpus) == 0:
         raise EmptyCollectionError("cannot build character statistics from nothing")
     sentences = []
     for doc in corpus:
         sentences.extend(split_sentences(doc.title, config))
         sentences.extend(split_sentences(doc.body, config))
-    return build_mi_table_from_sentences(sentences)
+    return sentences
 
 
 def pmi(table: MiTable, x: str, y: str) -> float:

@@ -98,6 +98,22 @@ def split_phrases(text, config):
     return phrases
 
 
+def stream_counts(streams):
+    """The index's count tables the plain way, from ``streams``: doc_id ->
+    (title units, body units), in collection order.  Returns unit ->
+    {doc_id: tf}, units in order of first occurrence and documents in
+    collection order, and doc_id -> its unit bag in first-occurrence
+    order, title then body."""
+    postings, bags = {}, {}
+    for doc_id, (title, body) in streams.items():
+        bag = bags[doc_id] = {}
+        for unit in [*title, *body]:
+            bag[unit] = bag.get(unit, 0) + 1
+        for unit, tf in bag.items():
+            postings.setdefault(unit, {})[doc_id] = tf
+    return postings, bags
+
+
 def word_prob(tf, size):
     """Smoothed occurrence probability (tf+1)/(size+2)."""
     return (tf + 1) / (size + 2)

@@ -49,7 +49,7 @@ from probir.scoring import (
 )
 from probir.segmentation import (
     RatioTarget,
-    build_mi_table_from_sentences,
+    build_mi_table,
     calibrate_kcmi,
     pmi,
     segment,
@@ -448,7 +448,7 @@ def test_06_segmentation_properties():
     started = time.perf_counter()
     rng = random.Random(1006)
     sentences = random_sentences(rng, 1000)
-    table = build_mi_table_from_sentences(sentences)
+    table = build_mi_table(sentences)
 
     grid = [-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf]
     for threshold in grid:

@@ -107,6 +107,24 @@ class TestIndexCommand:
                              .read_text(encoding="utf-8"))
         assert payload["stopwords"] == ["The", "and"]
 
+    @pytest.mark.parametrize("entry,problem", [
+        ("new york", "holds whitespace"),
+        ("'tis", "begins or ends with an apostrophe"),
+        ("rock'n'", "begins or ends with an apostrophe"),
+    ])
+    def test_stopword_token_mode_cannot_match_exits_2_naming_the_line(
+            self, workspace, capsys, entry, problem):
+        # token mode strips a word's apostrophes and never builds a word
+        # holding whitespace, so the entry would leave its words in place
+        stop = workspace / "stop.txt"
+        stop.write_text(f"and\n{entry}\n", encoding="utf-8")
+        assert main(["index", "--docs", str(workspace / "docs.jsonl"),
+                     "--out", str(workspace / "idx"), "--stopwords", str(stop)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stop}:2: stopword {entry!r} {problem}")
+        assert "Traceback" not in err
+        assert not (workspace / "idx").exists()
+
     def test_list_category_exits_2_naming_the_line(self, workspace, capsys):
         write_jsonl(workspace / "bad.jsonl", [
             DOCS[0],
@@ -414,6 +432,25 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "must be lists in token mode" in err
+
+    @pytest.mark.parametrize("token", [7, ["coal"]], ids=["integer", "nested-list"])
+    def test_token_that_is_not_a_string_exits_2_naming_the_document(
+            self, workspace, capsys, token):
+        index = build(workspace)
+        path = index / "documents.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["docs"][2]["body"] = ["burning", token, "smoke"]
+        data = json.dumps(payload).encode("utf-8")
+        path.write_bytes(data)
+        meta = json.loads((index / "meta.json").read_text(encoding="utf-8"))
+        meta["checksums"]["documents.json"] = hashlib.sha256(data).hexdigest()
+        (index / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        code = main(["search", "--index", str(index),
+                     "--topics", str(workspace / "topics.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "document 'd3': a token is not a string" in err
 
     def test_tokenizer_mode_must_match_index(self, workspace, capsys):
         index = build(workspace)

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probir.clir import (
     BilingualDictionary,
@@ -70,6 +71,39 @@ class TestBuildDictionary:
         dictionary = build_dictionary([])
         assert len(dictionary) == 0
         assert dictionary.head(["anything"]) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_counts_equal_one_add_pair_per_pair(self, seed, tmp_path_factory):
+        # empty and blank keywords, repeats and multi-word sources; a blank
+        # source or an empty target adds nothing
+        rng = random.Random(seed)
+        keywords = ["a", "b", "c d", "a b c", "", " ", "X", "Y Z"]
+        records = [record(str(i), rng.choices(keywords, k=rng.randint(0, 3)),
+                          rng.choices(keywords, k=rng.randint(0, 3)))
+                   for i in range(rng.randint(0, 12))]
+        want = BilingualDictionary()
+        for rec in records:
+            for source in rec.source_keywords:
+                for target in rec.target_keywords:
+                    want.add_pair(source, target)
+        got = build_dictionary(records)
+        assert list(got.entries()) == list(want.entries())
+        assert (len(got), got.max_source_len) == (len(want), want.max_source_len)
+        # a repeated line adds its count; a blank source or an empty target
+        # adds nothing
+        path = tmp_path_factory.mktemp("dict") / "dict.tsv"
+        lines = [f"{src}\t{tgt}\t{count}\n" for src, tgt, count in want.entries()]
+        lines += lines[:2] + [" \tX\t4\n", "a\t\t3\n"]
+        rng.shuffle(lines)
+        path.write_text("".join(lines), encoding="utf-8")
+        want = BilingualDictionary()
+        for line in lines:
+            src, tgt, count = line.rstrip("\n").split("\t")
+            want.add_pair(src, tgt, int(count))
+        loaded = load_dictionary(path)
+        assert list(loaded.entries()) == list(want.entries())
+        assert (len(loaded), loaded.max_source_len) == (len(want), want.max_source_len)
 
 
 class TestTranslate:

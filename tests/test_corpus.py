@@ -144,6 +144,17 @@ class TestLoaders:
         spath.write_text("the\nand\n\n")
         assert load_stopwords(spath, TOKEN_MODE) == frozenset({"the", "and"})
 
+    def test_stopwords_keep_inner_apostrophes_and_character_entries(self, tmp_path):
+        # only a leading or trailing apostrophe is stripped from a word
+        spath = tmp_path / "stop.txt"
+        spath.write_text("don't\n")
+        assert load_stopwords(spath, TOKEN_MODE) == frozenset({"don't"})
+        assert tokenize("Don't go", TokenizerConfig(
+            stopwords=load_stopwords(spath, TOKEN_MODE))) == ["go"]
+        # character mode neither splits words nor strips apostrophes
+        spath.write_text("a b\n'x\n")
+        assert load_stopwords(spath, CHARACTER_MODE) == frozenset({"a b", "'x"})
+
 
 class TestBuildQuery:
     topic = Topic("q1", "Alpha beta", "Gamma delta epsilon", "Zeta", "Eta")

@@ -16,6 +16,7 @@ from probir.index import (
 )
 
 from corpus_builders import make_collection, make_index
+import oracles
 
 
 def naive_char_tf(text, term):
@@ -227,6 +228,52 @@ def test_matches_naive_oracles(mode, data):
     assert loaded.avg_len == index.avg_len
     assert loaded.category_counts() == index.category_counts()
     check_against_oracles(loaded, mode, rows, fields, terms)
+
+
+def saved_and_loaded(index):
+    with tempfile.TemporaryDirectory() as tmp:
+        index.save(tmp)
+        return load_index(tmp, expected_mode=index.mode)
+
+
+@pytest.mark.parametrize("mode", [TOKEN_MODE, CHARACTER_MODE])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_count_tables_equal_a_plain_count_of_the_streams(mode, data):
+    """postings (in order), doc_tf, doc_terms (in order) and term_stats of
+    every unit equal a plain count of the analysed streams, on the built
+    index, whichever lookup comes first, and on the same index saved and
+    reloaded."""
+    rows, fields, _ = data.draw(corpora(mode))
+    postings, bags = oracles.stream_counts(fields)
+    units = list(postings) + [MISSING_UNIT[mode]]
+
+    def check_postings(index):
+        for unit in units:
+            want = postings.get(unit, {})
+            assert list(index.postings(unit).items()) == list(want.items())
+
+    def check_doc_tf(index):
+        for doc_id in fields:
+            for unit in units:
+                assert index.doc_tf(doc_id, unit) == bags[doc_id].get(unit, 0)
+
+    def check_doc_terms(index):
+        for doc_id, bag in bags.items():
+            assert list(index.doc_terms(doc_id).items()) == list(bag.items())
+
+    def check_term_stats(index):
+        for unit in units:
+            tfs = postings.get(unit, {}).values()
+            assert index.term_stats(unit) == TermStats(len(tfs), sum(tfs))
+
+    checks = [check_postings, check_doc_tf, check_doc_terms, check_term_stats]
+    first = data.draw(st.sampled_from(checks), label="first lookup")
+    built = make_index(rows, mode=mode)
+    for index in (built, saved_and_loaded(built)):
+        first(index)
+        for check in checks:
+            check(index)
 
 
 @pytest.mark.parametrize("index_name", ["toy_index", "char_index"])

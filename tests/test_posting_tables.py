@@ -33,7 +33,7 @@ from probir.scoring import (
     score_system_a,
     tf_factor,
 )
-from probir.segmentation import build_mi_table_from_sentences
+from probir.segmentation import build_mi_table
 from probir.term_extraction import (
     ALL_PATTERNS,
     DOWN_WEIGHT,
@@ -91,7 +91,7 @@ def analyzer_for(index, k_cmi=0.0):
         return Analyzer(TokenizerConfig())
     texts = [text for d in index.doc_ids() for text in index.doc_text(d)]
     return Analyzer(TokenizerConfig(mode=CHARACTER_MODE),
-                    build_mi_table_from_sentences(texts), k_cmi)
+                    build_mi_table(texts), k_cmi)
 
 
 def built_and_loaded(index):

@@ -10,8 +10,8 @@ from probir.segmentation import (
     MiTable,
     RatioTarget,
     build_mi_table,
-    build_mi_table_from_sentences,
     calibrate_kcmi,
+    collection_sentences,
     pmi,
     segment,
     segment_phase1,
@@ -24,17 +24,17 @@ def four_pair_table():
     """ab strongly collocated, cd medium, ef weak, gh never adjacent."""
     sentences = (["ab"] * 12 + ["cd"] * 4 + ["c"] * 4 + ["d"] * 4
                  + ["ef"] + ["e"] * 8 + ["f"] * 8 + ["g"] * 10 + ["h"] * 10)
-    return build_mi_table_from_sentences(sentences)
+    return build_mi_table(sentences)
 
 
 def collocation_table():
     """ab a perfect collocation; c and d mostly independent."""
-    return build_mi_table_from_sentences(["ab"] * 10 + ["cd"] + ["c"] * 5 + ["d"] * 5)
+    return build_mi_table(["ab"] * 10 + ["cd"] + ["c"] * 5 + ["d"] * 5)
 
 
 class TestBuildMiTable:
     def test_counts_and_totals(self):
-        table = build_mi_table_from_sentences(["abab"])
+        table = build_mi_table(["abab"])
         assert table.unigrams == {"a": 2, "b": 2}
         assert table.bigrams == {"ab": 2, "ba": 1}
         assert table.total_unigrams == 4
@@ -42,23 +42,25 @@ class TestBuildMiTable:
         assert table.vocab_size == 2
 
     def test_pairs_never_cross_sentences(self):
-        table = build_mi_table_from_sentences(["ab", "ab"])
+        table = build_mi_table(["ab", "ab"])
         assert "ba" not in table.bigrams
         assert table.bigrams == {"ab": 2}
 
     def test_single_characters_yield_no_bigrams(self):
-        table = build_mi_table_from_sentences(["a", "b", "c"])
+        table = build_mi_table(["a", "b", "c"])
         assert table.bigrams == {}
         assert table.total_bigrams == 0
 
     def test_from_collection_splits_on_punctuation(self):
         corpus = DocumentCollection([Document("d1", "ab", "ab. ba")])
-        table = build_mi_table(corpus, TokenizerConfig(mode=CHARACTER_MODE))
+        table = build_mi_table(collection_sentences(
+            corpus, TokenizerConfig(mode=CHARACTER_MODE)))
         assert table.bigrams == {"ab": 2, "ba": 1}
 
     def test_empty_collection_raises(self):
         with pytest.raises(EmptyCollectionError):
-            build_mi_table(DocumentCollection([]), TokenizerConfig(mode=CHARACTER_MODE))
+            collection_sentences(DocumentCollection([]),
+                                 TokenizerConfig(mode=CHARACTER_MODE))
 
 
 class TestPmi:
@@ -67,7 +69,7 @@ class TestPmi:
         assert pmi(table, "x", "y") == pytest.approx(math.log(36 / 19), abs=1e-12)
 
     def test_collocated_pair_is_positive(self):
-        table = build_mi_table_from_sentences(["ab"] * 10)
+        table = build_mi_table(["ab"] * 10)
         assert pmi(table, "a", "b") > 0
 
     def test_never_adjacent_pair_is_negative(self):
@@ -244,7 +246,7 @@ def segmentation_cases(draw):
     """A table from a few sentences (none at all gives an empty vocabulary),
     a sample over the same alphabet, a threshold and a target ratio."""
     alphabet = draw(ALPHABETS)
-    table = build_mi_table_from_sentences(
+    table = build_mi_table(
         draw(st.lists(st.text(alphabet, max_size=10), max_size=6)))
     sample = draw(st.lists(st.text(alphabet, max_size=40), max_size=5))
     k_cmi = draw(st.one_of(
@@ -268,7 +270,7 @@ def calibrated_or_error(calibrate, sample, table, target):
 class TestAgainstGlobalLoop:
     @settings(max_examples=300, deadline=None)
     @given(case=segmentation_cases())
-    @example(case=(build_mi_table_from_sentences([]), ["", "a", "ab", "abcab"],
+    @example(case=(build_mi_table([]), ["", "a", "ab", "abcab"],
                    0.0, RatioTarget()))
     @example(case=(four_pair_table(), ["", "g", "ab", "abcdefgh"], -math.inf,
                    RatioTarget(1, 1)))
@@ -285,7 +287,7 @@ class TestAgainstGlobalLoop:
     def test_long_sentence_equals_the_oracle(self):
         # 3 000 characters, as long as a whole document body, which
         # feedback segments as one string
-        table = build_mi_table_from_sentences(["abcab", "ccab", "ba", "a"])
+        table = build_mi_table(["abcab", "ccab", "ba", "a"])
         sentence = "".join(random.Random(3000).choices("abc", k=3000))
         fragments = oracles.segment_phase1(sentence, table)
         assert segment_phase1(sentence, table) == fragments
@@ -301,7 +303,7 @@ class TestAgainstGlobalLoop:
         # an empty vocabulary gives every pair PMI 0.0, so the global loop
         # cuts the leftmost pair each time: length - 2 splits, each inside
         # the last one's right half
-        table = build_mi_table_from_sentences([])
+        table = build_mi_table([])
         sentence = "".join(random.Random(seed).choices("abcdef", k=length))
         want = list(sentence[:-2]) + [sentence[-2:]]
         assert segment_phase1(sentence, table) == want

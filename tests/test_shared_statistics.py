@@ -22,7 +22,7 @@ from probir.feedback_b import (
     run_feedback_b,
 )
 from probir.pipeline import Analyzer, sweep_b
-from probir.segmentation import build_mi_table, segment
+from probir.segmentation import build_mi_table, collection_sentences, segment
 from probir.scoring import Ranking, bm11_retrieval
 from probir.term_extraction import lattice_best_path, lattice_best_score
 
@@ -164,7 +164,7 @@ class TestSegmentationMemo:
             return "".join(rng.choices(ALPHABET, k=rng.randint(low, high)))
         rows = [(f"c{i:02d}", text(0, 6), text(1, 25)) for i in range(rng.randint(1, 8))]
         config = TokenizerConfig(mode=CHARACTER_MODE)
-        table = build_mi_table(make_collection(rows), config)
+        table = build_mi_table(collection_sentences(make_collection(rows), config))
         analyzer = Analyzer(config, table, k_cmi)
         # a second index under the same ids holds other texts: the memo
         # serves the index it was filled from only

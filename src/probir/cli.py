@@ -407,6 +407,10 @@ def cmd_search(args) -> int:
     if cfg["translate"] and cfg["system"] == "a":
         raise ValueError("translate runs System B; it cannot be combined "
                          "with system a")
+    for key, needs in (("expand_source", "translate"), ("passthrough", "translate"),
+                       ("expand_all", "expand_source")):  # unread without the other
+        if cfg[key] and not cfg[needs]:
+            raise ValueError(f"{key} is read only with {needs}, which is not set")
     index, analyzer = _open_index(args.index, cfg["k_cmi"])
     topics = load_topics(args.topics)
     qtype = QueryType(cfg["qtype"])

@@ -7,7 +7,8 @@ frequent target (ties to the lexicographically smaller one).  Queries are
 translated by a leftmost-longest scan; words without a dictionary entry are
 dropped unless pass-through is requested.  Before translation the query can
 be document-expanded: words that are over-represented in the top documents
-of a same-language retrieval are appended, which buys extra dictionary hits.
+of a same-language retrieval (their bag read from its ``PrefixBags``) are
+appended, which buys extra dictionary hits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError
-from .feedback_b import THETA_BY_P, TopDocBag
+from .feedback_b import THETA_BY_P, PrefixBags
 from .index import Index
 # rank and score_bm11 are not called here; perfbench/tracing.py wraps them by
 # this module's name, so they stay imported until its tracer is retargeted.
@@ -166,10 +167,9 @@ def document_expansion(query_bag: Mapping[str, int], source_index: Index,
     if first is None:
         return dict(query_bag)
     _, ranking = first
-    top_docs = [doc_id for doc_id, score in ranking.items if score > 0]
-    if not top_docs:
-        return dict(query_bag)
-    bag = TopDocBag(source_index, top_docs)
+    # scores are never negative here, so the documents scored above 0 lead
+    n_scored = sum(1 for _, score in ranking.items if score > 0)
+    bag = PrefixBags(source_index, ranking).bag(n_scored)
     expanded = dict(query_bag)
     for word in sorted(bag.tf):
         if word in expanded:

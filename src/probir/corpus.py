@@ -6,8 +6,7 @@ Tokenization runs in one of two modes:
 * ``token``     -- lowercased word tokens, content-filtered, stopword-filtered,
                    optionally stemmed.  For segmented-script collections.
 * ``character`` -- the character sequence with whitespace/punctuation removed.
-                   For unsegmented-script collections; the stopword list then
-                   applies to extracted *terms*, never to single characters.
+                   For unsegmented-script collections; no stopwords, no stemming.
 """
 
 from __future__ import annotations
@@ -179,6 +178,8 @@ class TokenizerConfig:
     def __post_init__(self):
         if self.mode not in (TOKEN_MODE, CHARACTER_MODE):
             raise ValueError(f"unknown tokenizer mode {self.mode!r}")
+        if self.mode == CHARACTER_MODE and (self.stopwords or self.stemming):
+            raise ValueError("character mode applies no stopwords and no stemming")
         for word in sorted(self.stopwords):
             problem = _stopword_problem(word, self.mode)
             if problem is not None:

@@ -8,8 +8,8 @@ After a first retrieval, the top k_r documents reshape the query:
   k_r is binomially improbable under the collection-wide rate.
 
 Both read one table of rank-weighted counts per topic (``TopDocCounts``):
-a single walk over the top documents' bags tells every unit the ranks it
-occurs at, and any other term's ranks are read from its postings.
+the first ranking's ``feedback_b.PrefixBags`` tells every unit the ranks
+it occurs at, and any other term's ranks are read from its postings.
 
 ``feedback_vector`` gives the second retrieval its terms and modulated
 IDFs; ``pipeline.search_topic_a`` ranks them with the same extended scorer
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .index import Index
+from .feedback_b import PrefixBags
 from .scoring import (
     idf,
     rank, score_system_a,  # noqa: F401  (not called; perfbench/tracing.py wraps them here)
@@ -67,29 +67,19 @@ def weighted_doc_count(ranks: Iterable[int], weights: Mapping[int, float]) -> fl
 
 
 class TopDocCounts:
-    """Rank-weighted document counts of terms over one ranking's top docs.
+    """Rank-weighted counts of terms over ``view``'s top k_r documents.
 
-    One walk over the documents' unit bags gives every unit the ranks it
-    occurs at; a term of several units, or one no top document holds, tests
-    each top document against ``Index.postings``, which ``expansion_terms``
-    and ``feedback_vector`` read (through ``term_stats``) anyway.  Each
-    term's count is computed once and shared by ``expansion_terms`` and
-    ``feedback_vector``.  The k afw weights are computed once, and a
-    count sums them in rank order, so it is the float a per-document walk
-    gives.
+    The view gives each of their units its ranks; any other term tests the
+    top documents against its postings, which its callers read anyway.
+    Each term's count is computed once and shared by ``expansion_terms``
+    and ``feedback_vector``; it sums the k afw weights in rank order, so it
+    is the float a per-document walk gives.
     """
 
-    def __init__(self, index: Index, top_docs: Sequence[str], k_afw: float):
-        self.index = index
-        self.docs = tuple(top_docs)
-        self._ranks: dict[str, list[int]] = {}
-        for rank_pos, doc_id in enumerate(self.docs, start=1):
-            for unit in index.doc_terms(doc_id):
-                found = self._ranks.get(unit)
-                if found is None:
-                    self._ranks[unit] = [rank_pos]
-                else:
-                    found.append(rank_pos)
+    def __init__(self, view: PrefixBags, k_r: int, k_afw: float):
+        self.index = view.index
+        self.docs = view.doc_ids[:k_r]
+        self._ranks = view.unit_ranks(len(self.docs))
         self.units = tuple(self._ranks)  # every unit of the top docs
         self._counts: dict[str, float] = {}
         k = len(self.docs)
@@ -143,36 +133,31 @@ def binomial_tail(k_r: int, p0: float, n_obs: int) -> float:
     )
 
 
-def expansion_terms(top_docs: Sequence[str], index: Index, k_r: int,
-                    k_p: float, k_afw: float, kp_literal: bool = False,
-                    candidates: Iterable[str] | None = None,
-                    counts: TopDocCounts | None = None) -> set[str]:
+def expansion_terms(counts: TopDocCounts, k_p: float, kp_literal: bool = False,
+                    candidates: Iterable[str] | None = None) -> set[str]:
     """Terms whose presence across the top docs is binomially surprising.
 
-    Candidates default to every term of the top documents; character-mode
+    Candidates default to every unit of the top documents; character-mode
     callers pass segmented words instead.  A term is adopted when the chance
     of its rank-weighted document count under the collection rate is at most
     1 - k_p (or, under kp_literal, when the tail itself reaches k_p).
-    ``counts``, when given, are the same top k_r docs' counts, which the
-    caller reads again afterwards.  Candidates share a tail when they share
-    (df, n_obs), so each tail is summed once per call.
+    Candidates share a tail when they share (df, n_obs), so each tail is
+    summed once per call.
     """
-    docs = top_docs[:k_r]
+    docs = counts.docs
     if not docs:
         return set()
-    if counts is None:
-        counts = TopDocCounts(index, docs, k_afw)
     if candidates is None:
         candidates = counts.units
     selected = set()
-    n = index.n_docs
+    n = counts.index.n_docs
     tails: dict[tuple[int, int], float] = {}
     for term in candidates:
         count = counts.count(term)
         n_obs = math.floor(count + ROUND_EPS)
         if n_obs == 0:
             continue
-        df = index.term_stats(term).df
+        df = counts.index.term_stats(term).df
         p0 = df / n
         if p0 >= 1.0:
             continue
@@ -185,20 +170,17 @@ def expansion_terms(top_docs: Sequence[str], index: Index, k_r: int,
 
 
 def feedback_vector(query_vector: Mapping[str, tuple[float, int]],
-                    top_docs: Sequence[str], index: Index,
-                    params: FeedbackAParams,
+                    view: PrefixBags, params: FeedbackAParams,
                     candidates: Iterable[str] | None = None):
-    """Build the second-retrieval vector and its per-term IDF map.
-
-    The top k_r documents are walked once (``TopDocCounts``); the adoption
-    test and the IDF modulation read the same counts."""
+    """The second-retrieval vector and its per-term IDF map, from one
+    ``TopDocCounts`` of ``view``'s top k_r documents."""
     vector = dict(query_vector)
     idf_map: dict[str, float] = {}
+    index = view.index
     n = index.n_docs
-    counts = TopDocCounts(index, top_docs[:params.k_r], params.k_afw)
-    expanded = expansion_terms(top_docs, index, params.k_r, params.k_p,
-                               params.k_afw, params.kp_literal, candidates,
-                               counts)
+    counts = TopDocCounts(view, params.k_r, params.k_afw)
+    expanded = expansion_terms(counts, params.k_p, params.kp_literal,
+                               candidates)
     for term in sorted(expanded - set(vector)):
         vector[term] = (1.0, 1)
     originals = set(query_vector)

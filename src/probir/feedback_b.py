@@ -10,10 +10,10 @@ R can be fixed or auto-sized per query by watching the growth of the
 selected vocabulary (stop when it accelerates), and α defaults to
 |W(F)|^(1/|W(Q)|).  Scores are Σ d(w|D)·q'(w|Q) over W(D) ∩ W(Q').
 
-A ranking's top-i bags are built once per topic (``PrefixBags``), each from
-the one before, and each bag remembers the relevance of the words it was
-asked about: auto-R, the feedback weights of the R it chose or of a fixed
-R, and every cell of a parameter sweep read the same values.
+``PrefixBags`` counts a ranking's top documents' bags once per topic for
+all who read them (System A's feedback and CLIR's expansion too); each
+top-i bag remembers the relevance of the words asked about, so auto-R, the
+feedback weights and every cell of a parameter sweep read the same values.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .index import Index
 from .scoring import Ranking, bm11_rank, bm11_word_weight
@@ -62,25 +62,18 @@ class FeedbackBParams:
 
 
 class TopDocBag:
-    """Word bag over the top-R documents plus its collection complement.
+    """Word bag of a ranking's top documents, with their own bags in rank
+    order, plus its collection complement.  The first relevance asked fills
+    a table for every bag word in one loop, since its callers ask about
+    nearly all of them; a word the bag lacks is added when asked."""
 
-    ``base``, when given, is the bag of all but the last of ``doc_ids``;
-    the new bag starts from a copy of its counts.  The first relevance asked
-    fills a table for every bag word in one loop, since its callers ask
-    about nearly all of them; a word the bag lacks is added when asked."""
-
-    def __init__(self, index: Index, doc_ids: Sequence[str],
-                 base: TopDocBag | None = None):
+    def __init__(self, index: Index, doc_ids: tuple[str, ...],
+                 doc_bags: tuple[Counter, ...], tf: Counter):
         self.index = index
-        self.doc_ids = tuple(doc_ids)
-        if base is None:
-            self.tf: Counter = Counter()
-            for doc_id in self.doc_ids:
-                self.tf.update(index.doc_terms(doc_id))
-        else:
-            self.tf = Counter(base.tf)
-            self.tf.update(index.doc_terms(self.doc_ids[-1]))
-        self.size = sum(self.tf.values())
+        self.doc_ids = doc_ids
+        self.doc_bags = doc_bags
+        self.tf = tf
+        self.size = sum(tf.values())
         self.comp_size = index.total_len - self.size
         self._relevance: dict[str, float] | None = None
 
@@ -112,26 +105,46 @@ class TopDocBag:
 
 
 class PrefixBags:
-    """A first ranking of ``index`` and the bags of its top-i documents,
-    i = 0, 1, 2, …, built on demand, each from the bag before it, and kept
-    with their relevance: everything one topic's feedback reads, whatever
-    its R, θ and α."""
+    """The top-document view of a ranking of ``index``: each document's bag,
+    counted once on first use; the bag of the top i documents, built from
+    the largest one before it and kept; and each unit's ranks in the top k."""
 
     def __init__(self, index: Index, ranking: Ranking):
         self.index = index
         self.ranking = ranking
         self.doc_ids = ranking.doc_ids()
-        self._bags = [TopDocBag(index, ())]
+        self._doc_bags: list[Counter] = []
+        self._bags = {0: TopDocBag(index, (), (), Counter())}
+
+    def _doc_bags_to(self, k: int) -> tuple[Counter, ...]:
+        """The unit bags of the first k documents (k <= len(doc_ids))."""
+        counted = self._doc_bags
+        counted.extend(map(self.index.doc_terms, self.doc_ids[len(counted):k]))
+        return tuple(counted[:k])
 
     def bag(self, i: int) -> TopDocBag:
         """The bag of the first i documents (0 <= i <= len(doc_ids))."""
         if not 0 <= i <= len(self.doc_ids):
             raise ValueError(f"prefix {i} outside 0..{len(self.doc_ids)}")
-        bags = self._bags
-        while len(bags) <= i:
-            last = bags[-1]
-            bags.append(TopDocBag(last.index, self.doc_ids[:len(bags)], last))
-        return bags[i]
+        found = self._bags.get(i)
+        if found is None:
+            base = self._bags[max(j for j in self._bags if j < i)]
+            doc_bags = self._doc_bags_to(i)
+            tf = Counter(base.tf)
+            for doc_bag in doc_bags[len(base.doc_bags):]:
+                tf.update(doc_bag)
+            found = self._bags[i] = TopDocBag(self.index, self.doc_ids[:i],
+                                              doc_bags, tf)
+        return found
+
+    def unit_ranks(self, k: int) -> dict[str, list[int]]:
+        """unit -> the ranks (1-based, ascending) of the first k documents
+        that hold it, units in order of first occurrence."""
+        ranks: dict[str, list[int]] = {}
+        for rank_pos, doc_bag in enumerate(self._doc_bags_to(k), start=1):
+            for unit in doc_bag:
+                ranks.setdefault(unit, []).append(rank_pos)
+        return ranks
 
 
 def select_terms(doc_terms: Mapping[str, int], bag: TopDocBag,
@@ -198,10 +211,9 @@ def feedback_weights(query_bag: Mapping[str, int], bag: TopDocBag,
     """q'(w|Q) over Q' = Q ∪ F(D_1) ∪ … ∪ F(D_R), as a weight map, where
     D_1 … D_R are the documents of ``bag``."""
     theta = params.resolved_theta()
-    index, top_docs = bag.index, bag.doc_ids
-    r = len(top_docs)
-    filtered = [select_terms(index.doc_terms(doc_id), bag, theta)
-                for doc_id in top_docs]
+    index = bag.index
+    r = len(bag.doc_ids)
+    filtered = [select_terms(doc_bag, bag, theta) for doc_bag in bag.doc_bags]
     union_size = len({word for f in filtered for word in f})
     if params.alpha is not None:
         alpha_value = params.alpha

@@ -4,7 +4,7 @@ One layout serves both tokenizer modes.  Every document keeps its analysed
 title and body *streams*: a tuple of word tokens in token mode, a string of
 characters in character mode.  A *unit* is one element of a stream, and a
 single unit → doc → tf map, the postings, is the index's only count table:
-no document keeps a bag of its own, and ``doc_terms`` counts one on demand.
+no document keeps a bag; ``doc_terms`` counts one for ``feedback_b.PrefixBags``.
 A *term* is a run of consecutive units ("enterprise amalgamation" is two
 token units, "東京" two character units); it is found by scanning the
 streams of the documents that hold all of its units.

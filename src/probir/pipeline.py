@@ -237,10 +237,9 @@ def search_topic_a(analyzer: Analyzer, compiled: CompiledTopicA,
     if feedback is None:
         return first
 
-    top_docs = first.doc_ids()[:feedback.k_r]
     fb_vector, idf_map = feedback_vector(
-        vector, top_docs, index, feedback,
-        analyzer.feedback_candidates(index, top_docs))
+        vector, PrefixBags(index, first), feedback,
+        analyzer.feedback_candidates(index, first.doc_ids()[:feedback.k_r]))
     # The query terms come first in fb_vector, then the sorted adopted ones,
     # so ``vector | adopted`` is fb_vector, in its order.
     adopted = {t: w for t, w in fb_vector.items() if t not in vector}

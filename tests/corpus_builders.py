@@ -8,7 +8,9 @@ import random
 import string
 
 from probir.corpus import Document, DocumentCollection, TokenizerConfig
+from probir.feedback_b import PrefixBags
 from probir.index import build_index
+from probir.scoring import Ranking
 
 
 def make_collection(rows):
@@ -45,3 +47,13 @@ def random_vocab(rng: random.Random, size):
     while len(words) < size:
         words.add("".join(rng.choices(string.ascii_lowercase, k=rng.randint(3, 8))))
     return sorted(words)
+
+
+def top_view(index, doc_ids):
+    """The top-document view of a ranking of ``doc_ids``, in that order."""
+    return PrefixBags(index, Ranking("q", tuple((d, 1.0) for d in doc_ids)))
+
+
+def top_bag(index, doc_ids):
+    """The bag of all of ``doc_ids``, from their top-document view."""
+    return top_view(index, doc_ids).bag(len(doc_ids))

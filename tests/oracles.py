@@ -3,9 +3,11 @@
 Each recomputes what it needs the direct way: the tokenizer's rule for
 every word and every character, with no memo, System A's lattice scorer
 document by document, its feedback counts with one ``Index.doc_tf`` per
-(term, top document), a bag word's relevance one word at a time, auto-R
-with a fresh ``TopDocBag`` per prefix, the sweep with every cell run on
-its own, and segmentation by the global weakest-pair loop with one ``pmi``
+(term, top document), every top-document bag counted afresh with a plain
+``Counter`` over ``Index.doc_terms`` (``FreshBag``) and a bag word's
+relevance one word at a time, System B's feedback weights, auto-R and
+document expansion over those bags, the sweep with every cell run on its
+own, and segmentation by the global weakest-pair loop with one ``pmi``
 call per pair per pass.  The property tests compare the fast paths with
 them for equality.
 """
@@ -18,17 +20,12 @@ from collections import Counter
 from probir.corpus import CHARACTER_MODE, default_stem
 from probir.errors import CalibrationError
 from probir.feedback_a import ROUND_EPS, afw, binomial_tail, feedback_idf
-from probir.feedback_b import (
-    AUTO,
-    FeedbackBParams,
-    TopDocBag,
-    _auto_r_core,
-    feedback_weights,
-)
+from probir.feedback_b import AUTO, THETA_BY_P, FeedbackBParams, _auto_r_core
 from probir.pipeline import SweepReport, SweepRow, compile_bag
 from probir.scoring import (
     bm11_rank,
     bm11_retrieval,
+    bm11_word_weight,
     idf,
     k_category,
     length_bonus,
@@ -123,8 +120,23 @@ def word_var(pr, size):
     return pr * (1.0 - pr) / (size + 3)
 
 
+class FreshBag:
+    """The word bag of ``doc_ids``, each document's bag counted afresh."""
+
+    def __init__(self, index, doc_ids):
+        self.index = index
+        self.doc_ids = tuple(doc_ids)
+        self.doc_bags = tuple(index.doc_terms(doc_id) for doc_id in self.doc_ids)
+        self.tf = Counter()
+        for doc_bag in self.doc_bags:
+            self.tf.update(doc_bag)
+        self.size = sum(self.tf.values())
+        self.comp_size = index.total_len - self.size
+
+
 def relevance(bag, word):
-    """The normal-approximate relevance of one word to a ``TopDocBag``."""
+    """The normal-approximate relevance of one word to a bag of top
+    documents (a ``FreshBag`` or a ``TopDocBag``)."""
     comp_tf = bag.index.term_stats(word).collection_tf - bag.tf[word]
     pr_bag = word_prob(bag.tf[word], bag.size)
     pr_comp = word_prob(comp_tf, bag.comp_size)
@@ -132,11 +144,16 @@ def relevance(bag, word):
     return (pr_bag - pr_comp) / math.sqrt(var_sum)
 
 
+def doc_ranks(term, top_docs, index):
+    """Ranks (1-based) of the top docs that hold the term."""
+    return [r for r, doc_id in enumerate(top_docs, start=1)
+            if index.doc_tf(doc_id, term) > 0]
+
+
 def weighted_doc_count(term, top_docs, index, k_afw):
     """Sum of afw over the top docs that contain the term."""
     k = len(top_docs)
-    return sum(afw(r, k, k_afw) for r, doc_id in enumerate(top_docs, start=1)
-               if index.doc_tf(doc_id, term) > 0)
+    return sum(afw(r, k, k_afw) for r in doc_ranks(term, top_docs, index))
 
 
 def weighted_doc_ratios(term, top_docs, index, k_afw):
@@ -190,8 +207,8 @@ def feedback_vector(query_vector, top_docs, index, params, candidates=None):
 def selected_vocabulary_size(index, doc_ids, theta):
     if not doc_ids:
         return 0
-    bag = TopDocBag(index, doc_ids)
-    return sum(1 for word in bag.tf if bag.relevance(word) >= theta)
+    bag = FreshBag(index, doc_ids)
+    return sum(1 for word in bag.tf if relevance(bag, word) >= theta)
 
 
 def auto_r(ranking, index, theta, r_cap=20):
@@ -209,8 +226,48 @@ def run_feedback_b(query_bag, first_ranking, index, params, cutoff=1000):
     else:
         r = auto_r(first_ranking, index, params.resolved_theta(), params.r_cap)
     weights = feedback_weights(
-        query_bag, TopDocBag(index, first_ranking.doc_ids()[:r]), params)
+        query_bag, FreshBag(index, first_ranking.doc_ids()[:r]), params)
     return bm11_rank(index, weights, cutoff, first_ranking.query_id)
+
+
+def feedback_weights(query_bag, bag, params):
+    """q'(w|Q): the query words scaled by α, then each document's words
+    with relevance >= θ, in that document's order, top document first."""
+    theta = params.resolved_theta()
+    filtered = [{word: tf for word, tf in doc_bag.items()
+                 if relevance(bag, word) >= theta} for doc_bag in bag.doc_bags]
+    n_selected = len({word for f in filtered for word in f})
+    if params.alpha is not None:
+        alpha = params.alpha
+    else:
+        alpha = n_selected ** (1.0 / len(query_bag)) if n_selected else 1.0
+    weights = {word: alpha * bm11_word_weight(bag.index, word, tf_q)
+               for word, tf_q in query_bag.items()}
+    for f in filtered:
+        for word, tf in f.items():
+            weights[word] = (weights.get(word, 0.0)
+                             + bm11_word_weight(bag.index, word, tf) / len(filtered))
+    return weights
+
+
+def document_expansion(query_bag, source_index, n_docs=5,
+                       theta=THETA_BY_P[0.10], expand_all=False):
+    """The query plus, with count 1, the words of the fresh bag of the
+    documents its first retrieval scores above 0, sorted, that pass θ."""
+    expanded = dict(query_bag)
+    if n_docs <= 0:
+        return expanded
+    first = bm11_retrieval(source_index, query_bag, n_docs)
+    if first is None:
+        return expanded
+    top_docs = [doc_id for doc_id, score in first[1].items if score > 0]
+    if not top_docs:
+        return expanded
+    bag = FreshBag(source_index, top_docs)
+    for word in sorted(bag.tf):
+        if word not in expanded and (expand_all or relevance(bag, word) >= theta):
+            expanded[word] = 1
+    return expanded
 
 
 def sweep_b(index, topics, qtype, analyzer, qrels, p_values, r_values,

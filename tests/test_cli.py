@@ -101,11 +101,36 @@ class TestIndexCommand:
         assert err.startswith(f"error: {stop}:2: stopword 'The' has an uppercase")
         assert "Traceback" not in err
         assert not (workspace / "idx").exists()
-        # character mode does not lowercase, so the entry stands
-        build(workspace, "--mode", "character", "--stopwords", str(stop))
-        payload = json.loads((workspace / "idx" / "tokenizer.json")
-                             .read_text(encoding="utf-8"))
-        assert payload["stopwords"] == ["The", "and"]
+
+    @pytest.mark.parametrize("setting", [["--stopwords", "stop.txt"], ["--stem"]])
+    def test_character_mode_refuses_stopwords_and_stemming(self, workspace,
+                                                           capsys, setting):
+        # nothing in character mode applies either, so an index must not
+        # record one
+        (workspace / "stop.txt").write_text("The\nand\n", encoding="utf-8")
+        setting = [str(workspace / arg) if arg.endswith(".txt") else arg
+                   for arg in setting]
+        assert main(["index", "--docs", str(workspace / "docs.jsonl"),
+                     "--out", str(workspace / "idx"), "--mode", "character",
+                     *setting]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: character mode applies no stopwords and no stemming\n"
+        assert not (workspace / "idx").exists()
+
+    @pytest.mark.parametrize("key,value", [("stopwords", ["ab"]), ("stemming", True)])
+    def test_character_tokenizer_json_with_stopwords_or_stemming_exits_2(
+            self, workspace, capsys, key, value):
+        index = build(workspace, "--mode", "character")
+        path = index / "tokenizer.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["search", "--index", str(index), "--system", "a",
+                     "--topics", str(workspace / "topics.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed sidecar")
+        assert "character mode applies no stopwords" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("entry,problem", [
         ("new york", "holds whitespace"),
@@ -902,6 +927,26 @@ class TestOptionTable:
         assert code == 2
         assert err.startswith("error: ")
         assert message in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--expand-source", "idx"], "expand_source is read only with translate"),
+        (["--expand-source", "idx", "--expand-all"],
+         "expand_source is read only with translate"),
+        (["--passthrough"], "passthrough is read only with translate"),
+        (["--expand-all"], "expand_all is read only with expand_source"),
+        (["--translate", "dict.tsv", "--expand-all"],
+         "expand_all is read only with expand_source"),
+    ])
+    def test_clir_option_no_path_reads_exits_2(self, workspace, capsys, flags,
+                                                message):
+        """An expansion or pass-through option that no code path would read
+        is refused rather than echoed in the header and hashed into the tag."""
+        build(workspace)
+        flags = [str(workspace / arg) if arg in ("idx", "dict.tsv") else arg
+                 for arg in flags]
+        code, err = self._search_exit(workspace, capsys, "--system", "b", *flags)
+        assert code == 2
+        assert err == f"error: {message}, which is not set\n"
 
     @pytest.mark.parametrize("flags,message", [
         (["--k-cmi", "nan"], "argument --k-cmi: must be a number, got 'nan'"),

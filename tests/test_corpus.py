@@ -151,9 +151,13 @@ class TestLoaders:
         assert load_stopwords(spath, TOKEN_MODE) == frozenset({"don't"})
         assert tokenize("Don't go", TokenizerConfig(
             stopwords=load_stopwords(spath, TOKEN_MODE))) == ["go"]
-        # character mode neither splits words nor strips apostrophes
+        # character mode applies no stopwords, so a config refuses them
         spath.write_text("a b\n'x\n")
-        assert load_stopwords(spath, CHARACTER_MODE) == frozenset({"a b", "'x"})
+        with pytest.raises(ValueError, match="character mode applies no stopwords"):
+            TokenizerConfig(mode=CHARACTER_MODE,
+                            stopwords=load_stopwords(spath, CHARACTER_MODE))
+        with pytest.raises(ValueError, match="character mode applies no stopwords"):
+            TokenizerConfig(mode=CHARACTER_MODE, stemming=True)
 
 
 class TestBuildQuery:

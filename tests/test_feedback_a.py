@@ -18,7 +18,7 @@ from probir.feedback_a import (
 from probir.pipeline import Analyzer, search_topic_a
 from probir.scoring import ScoringParamsA, SystemATables, rank, score_system_a
 
-from corpus_builders import make_index, random_token_rows, random_vocab
+from corpus_builders import make_index, random_token_rows, random_vocab, top_view
 
 NO_CATEGORY = ScoringParamsA(use_category=False)
 TOK = Analyzer(TokenizerConfig())
@@ -58,7 +58,13 @@ class TestAfw:
 
 
 def weighted_doc_ratios(term, top_docs, index, k_afw):
-    return TopDocCounts(index, top_docs, k_afw).ratio(term)
+    return TopDocCounts(top_view(index, top_docs), len(top_docs), k_afw).ratio(term)
+
+
+def adopted(top_docs, index, k_r, k_p, k_afw, kp_literal=False, candidates=None):
+    """``expansion_terms`` over the top k_r of ``top_docs``."""
+    counts = TopDocCounts(top_view(index, top_docs), k_r, k_afw)
+    return expansion_terms(counts, k_p, kp_literal, candidates)
 
 
 class TestWeightedDocRatios:
@@ -153,13 +159,13 @@ class TestExpansionTerms:
         top = ["t1", "t2", "t3", "t4", "t5"]
         # gold at ranks 1,3,5: weighted count 1.5+1.0+0.5 = 3 -> n_obs 3,
         # p0 = 5/50, tail 0.00856, significance 0.99144 >= 0.9
-        got = expansion_terms(top, index, k_r=5, k_p=0.9, k_afw=0.5)
+        got = adopted(top, index, k_r=5, k_p=0.9, k_afw=0.5)
         assert "gold" in got
 
     def test_everywhere_term_never_selected(self):
         index = self.expansion_corpus()
         top = ["t1", "t2", "t3", "t4", "t5"]
-        got = expansion_terms(top, index, k_r=5, k_p=0.9, k_afw=0.5)
+        got = adopted(top, index, k_r=5, k_p=0.9, k_afw=0.5)
         assert "common" not in got  # p0 = 1: present in every collection doc
         # "payload" appears in all five top docs but df=5/50 keeps it eligible
         assert "payload" in got
@@ -167,7 +173,7 @@ class TestExpansionTerms:
     def test_fractional_count_rounds_to_zero(self):
         index = self.expansion_corpus()
         # k_afw = 0.6: a term only in the last of five docs weighs 0.4 -> n_obs 0
-        got = expansion_terms(["t2", "t4", "t1", "t3", "t5"], index,
+        got = adopted(["t2", "t4", "t1", "t3", "t5"], index,
                               k_r=5, k_p=0.0, k_afw=0.6)
         # t5 is rank 5; "gold" sits in t1(3), t3(4), t5(5) with weights
         # 1.0+0.8+0.4 = 2.2 -> n_obs 2 -> still eligible; but a term unique
@@ -180,27 +186,27 @@ class TestExpansionTerms:
             ("e", "x", "rare common words"),
             ("z", "y", "rare something"),
         ])
-        got2 = expansion_terms(["a", "b", "c", "d", "e"], index2,
+        got2 = adopted(["a", "b", "c", "d", "e"], index2,
                                k_r=5, k_p=0.0, k_afw=0.6)
         assert "rare" not in got2
 
     def test_literal_threshold_flips_selection(self):
         index = self.expansion_corpus()
         top = ["t1", "t2", "t3", "t4", "t5"]
-        literal = expansion_terms(top, index, k_r=5, k_p=0.9, k_afw=0.5,
+        literal = adopted(top, index, k_r=5, k_p=0.9, k_afw=0.5,
                                   kp_literal=True)
         assert "gold" not in literal  # tail 0.00856 < 0.9
 
     def test_explicit_candidates_restrict_the_pool(self):
         index = self.expansion_corpus()
         top = ["t1", "t2", "t3", "t4", "t5"]
-        got = expansion_terms(top, index, k_r=5, k_p=0.9, k_afw=0.5,
+        got = adopted(top, index, k_r=5, k_p=0.9, k_afw=0.5,
                               candidates=["payload"])
         assert got == {"payload"}
 
     def test_empty_top_docs(self):
         index = self.expansion_corpus()
-        assert expansion_terms([], index, k_r=5, k_p=0.9, k_afw=0.5) == set()
+        assert adopted([], index, k_r=5, k_p=0.9, k_afw=0.5) == set()
 
 
 class TestFeedbackVector:
@@ -212,7 +218,7 @@ class TestFeedbackVector:
             ("d", "other", "unrelated text here"),
         ])
         vector, idf_map = feedback_vector(
-            {"query": (1.0, 1)}, ["a", "b"], index,
+            {"query": (1.0, 1)}, top_view(index, ["a", "b"]),
             FeedbackAParams(k_r=2, k_p=0.5, k_afw=0.5))
         assert vector["query"] == (1.0, 1)
         assert vector["bonus"] == (1.0, 1)
@@ -222,7 +228,7 @@ class TestFeedbackVector:
 
     def test_unseen_query_terms_have_no_idf(self, toy_index):
         vector, idf_map = feedback_vector(
-            {"enterprise": (1.0, 1), "qqqq": (1.0, 1)}, ["d1"], toy_index,
+            {"enterprise": (1.0, 1), "qqqq": (1.0, 1)}, top_view(toy_index, ["d1"]),
             FeedbackAParams(k_r=1, k_p=1.0))
         assert "qqqq" in vector
         assert "qqqq" not in idf_map
@@ -265,7 +271,7 @@ class TestRunFeedbackA:
         first = rank(index, lambda doc: score_system_a(index, doc, vector,
                                                        NO_CATEGORY), 30)
         params = FeedbackAParams(k_r=3, k_p=0.9, k_afw=0.5)
-        assert "treasure" in expansion_terms(first.doc_ids()[:3], index,
+        assert "treasure" in adopted(first.doc_ids()[:3], index,
                                              3, 0.9, 0.5)
         # the pass feedback starts from is the oracle's ranking
         tables = SystemATables(index, NO_CATEGORY)

@@ -8,7 +8,6 @@ from probir.feedback_b import (
     THETA_BY_P,
     FeedbackBParams,
     PrefixBags,
-    TopDocBag,
     _auto_r_core,
     alpha,
     auto_r,
@@ -19,7 +18,7 @@ from probir.feedback_b import (
 )
 from probir.scoring import Ranking, bm11_query_weight, idf, rank, score_bm11
 
-from corpus_builders import make_index, random_token_rows, random_vocab
+from corpus_builders import make_index, random_token_rows, random_vocab, top_bag
 from oracles import word_prob, word_var
 
 
@@ -44,7 +43,7 @@ class TestRelevance:
     def test_identical_rates_score_zero(self):
         # two identical docs: every word has the same rate in bag and complement
         index = make_index([("a", "", "x y z"), ("b", "", "x y z")])
-        bag = TopDocBag(index, ["a"])
+        bag = top_bag(index, ["a"])
         for word in ("x", "y", "z"):
             assert bag.relevance(word) == 0.0
 
@@ -52,14 +51,14 @@ class TestRelevance:
         index = make_index([("a", "", "gold gold gold dust"),
                             ("b", "", "plain filler text here"),
                             ("c", "", "plain filler text here")])
-        bag = TopDocBag(index, ["a"])
+        bag = top_bag(index, ["a"])
         assert bag.relevance("gold") > 0
 
     def test_absent_word_is_negative(self):
         index = make_index([("a", "", "gold dust"),
                             ("b", "", "plain plain plain filler"),
                             ("c", "", "plain plain plain filler")])
-        bag = TopDocBag(index, ["a"])
+        bag = top_bag(index, ["a"])
         assert bag.relevance("plain") < 0
 
     def test_matches_direct_formula(self):
@@ -73,7 +72,7 @@ class TestRelevance:
                 r[0]: tokenize(r[1], config) + tokenize(r[2], config) for r in rows
             }
             top = [r[0] for r in rows[:2]]
-            bag = TopDocBag(index, top)
+            bag = top_bag(index, top)
             bag_tokens = [t for d in top for t in tokens[d]]
             total = sum(len(t) for t in tokens.values())
             for word in rng.sample(vocab, 5):
@@ -90,6 +89,16 @@ class TestRelevance:
 
 
 class TestTopDocBag:
+    def test_keeps_each_documents_bag_in_rank_order(self):
+        index = make_index([("a", "", "gold gold vault"), ("b", "", "vault maps"),
+                            ("c", "", "dull text")])
+        bag = top_bag(index, ["b", "a"])
+        assert bag.doc_ids == ("b", "a")
+        assert [list(b.items()) for b in bag.doc_bags] == [
+            [("vault", 1), ("maps", 1)], [("gold", 2), ("vault", 1)]]
+        assert list(bag.tf.items()) == [("vault", 2), ("maps", 1), ("gold", 2)]
+        assert (bag.size, bag.comp_size) == (5, 2)
+
     def test_complement_never_negative(self):
         rng = random.Random(7207)
         vocab = random_vocab(rng, 12)
@@ -97,7 +106,7 @@ class TestTopDocBag:
             rows = random_token_rows(rng, rng.randint(2, 10), vocab)
             index = make_index(rows)
             k = rng.randint(1, len(rows))
-            bag = TopDocBag(index, [r[0] for r in rows[:k]])
+            bag = top_bag(index, [r[0] for r in rows[:k]])
             assert bag.size + bag.comp_size == index.total_len
             for word in bag.tf:
                 assert index.term_stats(word).collection_tf - bag.tf[word] >= 0
@@ -112,7 +121,7 @@ class TestSelectTerms:
             ("d", "", "dull mundane filler text"),
             ("e", "", "dull mundane filler text"),
         ])
-        return index, TopDocBag(index, ["a", "b"])
+        return index, top_bag(index, ["a", "b"])
 
     def test_minus_inf_keeps_the_whole_bag(self):
         index, bag = self.build()
@@ -147,7 +156,7 @@ class TestSelectTerms:
         theta = 0.0
         want = sum(1 for w in bag.tf if bag.relevance(w) >= theta)
         assert selected_vocabulary_size(bag, theta) == want
-        assert selected_vocabulary_size(TopDocBag(index, []), theta) == 0
+        assert selected_vocabulary_size(top_bag(index, []), theta) == 0
 
 
 class TestAutoR:
@@ -267,7 +276,7 @@ def oracle_scores(rows, query_bag, top_docs, theta, alpha_value, k_q=1000.0):
 class TestFeedbackWeights:
     def test_query_only_words_scale_by_alpha(self):
         index = make_index([("a", "", "gold maps"), ("b", "", "dull text")])
-        weights = feedback_weights({"gold": 1}, TopDocBag(index, ["a"]),
+        weights = feedback_weights({"gold": 1}, top_bag(index, ["a"]),
                                    FeedbackBParams(theta=math.inf, alpha=2.5))
         assert weights == {
             "gold": 2.5 * bm11_query_weight(1, idf(1, 2), 1000.0)
@@ -280,7 +289,7 @@ class TestFeedbackWeights:
             ("c", "", "dull text filler one"),
             ("d", "", "dull text filler two"),
         ])
-        bag = TopDocBag(index, ["a", "b"])
+        bag = top_bag(index, ["a", "b"])
         weights = feedback_weights({"plain": 1}, bag,
                                    FeedbackBParams(theta=1.0, alpha=1.0))
         assert bag.relevance("gold") >= 1.0
@@ -301,7 +310,7 @@ class TestFeedbackWeights:
             top = [r[0] for r in rows[:3]]
             theta = rng.choice([0.5, 1.281552, 2.0])
             a = rng.choice([1.0, 1.7])
-            weights = feedback_weights(query_bag, TopDocBag(index, top),
+            weights = feedback_weights(query_bag, top_bag(index, top),
                                        FeedbackBParams(theta=theta, alpha=a))
             want = oracle_scores(rows, query_bag, top, theta, a)
             for doc_id in index.doc_ids():
@@ -343,7 +352,7 @@ class TestRunFeedbackB:
         first = rank(index, lambda d: score_bm11(index, d, weights), 4, "q")
         assert first.doc_ids()[0] == "a"
         params = FeedbackBParams(theta=-math.inf, alpha=1.0, r=1)
-        fb = feedback_weights(query_bag, TopDocBag(index, first.doc_ids()[:1]),
+        fb = feedback_weights(query_bag, top_bag(index, first.doc_ids()[:1]),
                               params)
         # Q' = Q ∪ F(D_1) = words of the single top document plus the query
         assert set(fb) == {"gold", "vault"}

@@ -16,9 +16,12 @@ from probir.corpus import (
     tokenize,
 )
 from probir.errors import EmptyQueryError
+from probir.feedback_a import FeedbackAParams
 from probir.feedback_b import AUTO, FeedbackBParams
+from probir.index import Index
 from probir.pipeline import (
     Analyzer,
+    CompiledTopicA,
     _lattice_sums,
     clir_topic,
     compile_bag,
@@ -26,6 +29,7 @@ from probir.pipeline import (
     run_tag,
     search_system_a,
     search_system_b,
+    search_topic_a,
     search_topic_b,
     sweep_b,
 )
@@ -41,6 +45,7 @@ from probir.scoring import (
     score_bm11,
     score_system_a,
     SystemATables,
+    bm11_retrieval,
     system_a_lookup,
     system_a_sums,
 )
@@ -481,3 +486,86 @@ class TestSweepB:
         assert "# mean ap_relax by R" in lines
         assert "# mean ap_relax by alpha" in lines
         assert report.format().endswith("\n")
+
+
+class TestTopDocumentBagsCountedOnce:
+    """``Index.doc_terms`` counts a bag on every call; each search counts a
+    top document's bag at most once per topic that reads it."""
+
+    def setup_method(self):
+        rng = random.Random(1618)
+        vocab = random_vocab(rng, 10)
+        rows = random_token_rows(rng, 40, vocab, max_len=12)
+        self.index = make_index(rows)
+        self.topics = [Topic(query_id=f"q{i}", title=" ".join(rng.sample(vocab, 2)))
+                       for i in range(6)]
+        self.bags = [compile_bag(t, QueryType.VERY_SHORT, TOK)[1] for t in self.topics]
+        # a target-language twin: every word w of a document becomes "wx"
+        self.target = make_index([(doc_id, " ".join(w + "x" for w in title.split()),
+                                   " ".join(w + "x" for w in body.split()))
+                                  for doc_id, title, body in rows])
+        self.dictionary = dictionary_from([(w, w + "x") for w in vocab])
+        self.qrels = {t.query_id: {"d000": 2, "d001": 1} for t in self.topics}
+
+    def count_calls(self, monkeypatch):
+        calls = Counter()
+        original = Index.doc_terms
+
+        def counting(index, doc_id):
+            calls[doc_id] += 1
+            return original(index, doc_id)
+
+        monkeypatch.setattr(Index, "doc_terms", counting)
+        return calls
+
+    def first_tops(self, n):
+        """Each topic's top n documents of its B first retrieval."""
+        return [bm11_retrieval(self.index, bag, 30)[1].doc_ids()[:n]
+                for bag in self.bags]
+
+    def assert_once_per_topic(self, calls, tops):
+        allowed = Counter(doc_id for top in tops for doc_id in set(top))
+        assert calls, "no bag was counted"
+        assert not calls - allowed, calls - allowed
+
+    def test_b_feedback_search(self, monkeypatch):
+        tops = self.first_tops(20)  # auto-R reads at most r_cap = 20 documents
+        calls = self.count_calls(monkeypatch)
+        rankings, _ = search_system_b(self.index, self.topics, QueryType.VERY_SHORT,
+                                      TOK, FeedbackBParams(), cutoff=30)
+        assert len(rankings) == len(self.topics)
+        self.assert_once_per_topic(calls, tops)
+
+    def test_a_feedback_search(self, monkeypatch):
+        extraction = ExtractionConfig(SHORTEST)
+        compiled = [CompiledTopicA(t, QueryType.VERY_SHORT, TOK, extraction)
+                    for t in self.topics]
+        tables = SystemATables(self.index, ScoringParamsA(),
+                               build_query_set_stats([(set(c.vector), c.title_terms)
+                                                      for c in compiled]))
+        feedback = FeedbackAParams(k_r=5)
+        # the ranking feedback starts from is the one the search returns
+        # without feedback
+        tops = [search_topic_a(TOK, c, tables, None, 30).doc_ids()[:feedback.k_r]
+                for c in compiled]
+        calls = self.count_calls(monkeypatch)
+        rankings, _ = search_system_a(self.index, self.topics, QueryType.VERY_SHORT,
+                                      TOK, extraction, ScoringParamsA(), feedback,
+                                      cutoff=30)
+        assert len(rankings) == len(self.topics)
+        self.assert_once_per_topic(calls, tops)
+
+    def test_clir_search_with_expansion(self, monkeypatch):
+        tops = [bm11_retrieval(self.index, bag, 5)[1].doc_ids() for bag in self.bags]
+        calls = self.count_calls(monkeypatch)
+        for t in self.topics:
+            clir_topic(t, QueryType.VERY_SHORT, TOK, self.dictionary, self.target,
+                       source_index=self.index, expansion_docs=5, cutoff=30)
+        self.assert_once_per_topic(calls, tops)
+
+    def test_sweep_over_several_r(self, monkeypatch):
+        tops = self.first_tops(20)
+        calls = self.count_calls(monkeypatch)
+        sweep_b(self.index, self.topics, QueryType.VERY_SHORT, TOK, self.qrels,
+                [0.10, 0.05], [1, 3, 5, 10, AUTO], [1.0, AUTO], cutoff=30)
+        self.assert_once_per_topic(calls, tops)

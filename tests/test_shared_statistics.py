@@ -1,8 +1,8 @@
 """Per-topic feedback statistics computed once and shared, against the plain
-versions in ``oracles``: System A's one-walk feedback counts, the score-only
-lattice DP, System B's relevance table and prefix bags, auto-R and the
-parameter sweep.  Every
-comparison is exact."""
+versions in ``oracles``: the top-document view (its prefix bags, System A's
+feedback counts and document expansion), the score-only lattice DP, System
+B's relevance table, feedback weights, auto-R and the parameter sweep.
+Every comparison is exact."""
 
 import math
 import random
@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from probir import feedback_a, feedback_b
+from probir.clir import document_expansion
 from probir.corpus import CHARACTER_MODE, QueryType, Topic, TokenizerConfig
 from probir.feedback_a import FeedbackAParams, TopDocCounts, expansion_terms, feedback_vector
 from probir.feedback_b import (
     AUTO,
     FeedbackBParams,
     PrefixBags,
-    TopDocBag,
     auto_r,
+    feedback_weights,
     run_feedback_b,
 )
 from probir.pipeline import Analyzer, sweep_b
@@ -26,7 +27,14 @@ from probir.segmentation import build_mi_table, collection_sentences, segment
 from probir.scoring import Ranking, bm11_retrieval
 from probir.term_extraction import lattice_best_path, lattice_best_score
 
-from corpus_builders import make_collection, make_index, random_token_rows, random_vocab
+from corpus_builders import (
+    make_collection,
+    make_index,
+    random_token_rows,
+    random_vocab,
+    top_bag,
+    top_view,
+)
 
 ALPHABET = "abcde"
 SEEDS = st.integers(0, 2**32 - 1)
@@ -92,7 +100,8 @@ class TestOneWalkFeedbackA:
 
         feedback_a.weighted_doc_count = counting
         try:
-            got = feedback_vector(query_vector, top_docs, index, params, candidates)
+            got = feedback_vector(query_vector, top_view(index, top_docs), params,
+                                  candidates)
         finally:
             feedback_a.weighted_doc_count = original
         want = oracles.feedback_vector(query_vector, top_docs, index, params,
@@ -126,9 +135,10 @@ class TestOneWalkFeedbackA:
 
         feedback_a.weighted_doc_count = counting
         try:
-            got = expansion_terms(top_docs, index, k_r, 0.5, 0.5,
-                                  candidates=candidates)
-            default = expansion_terms(top_docs, index, k_r, 0.5, 0.5)
+            got = expansion_terms(TopDocCounts(top_view(index, top_docs), k_r, 0.5),
+                                  0.5, candidates=candidates)
+            default = expansion_terms(
+                TopDocCounts(top_view(index, top_docs), k_r, 0.5), 0.5)
         finally:
             feedback_a.weighted_doc_count = original
         units = {u for doc_id in top_docs[:k_r] for u in index.doc_terms(doc_id)}
@@ -145,11 +155,9 @@ class TestOneWalkFeedbackA:
         rng = random.Random(seed)
         index, terms = corpus(rng, mode)
         docs = top_documents(rng, index)
-        counts = TopDocCounts(index, docs, 0.5)
+        counts = TopDocCounts(top_view(index, docs), len(docs), 0.5)
         for term in terms + [""]:
-            assert counts.ranks(term) == [
-                rank_pos for rank_pos, doc_id in enumerate(docs, start=1)
-                if index.doc_tf(doc_id, term) > 0], term
+            assert counts.ranks(term) == oracles.doc_ranks(term, docs, index), term
             assert counts.ratio(term) == oracles.weighted_doc_ratios(
                 term, docs, index, 0.5)
 
@@ -222,7 +230,7 @@ class TestBagRelevance:
     def test_relevance_table_equals_per_word_oracle(self, seed, mode):
         rng = random.Random(seed)
         index, terms = corpus(rng, mode)
-        bag = TopDocBag(index, top_documents(rng, index))
+        bag = top_bag(index, top_documents(rng, index))
         # the bag's words and words it lacks (some of which no document
         # holds), asked in a random order, so that either kind fills the
         # table first
@@ -245,16 +253,75 @@ class TestPrefixBags:
         rng.shuffle(order)
         for i in order:
             got = prefixes.bag(i)
-            want = TopDocBag(index, doc_ids[:i])
+            want = oracles.FreshBag(index, doc_ids[:i])
             assert got.doc_ids == want.doc_ids
+            assert [list(b.items()) for b in got.doc_bags] == [
+                list(b.items()) for b in want.doc_bags]
             assert list(got.tf.items()) == list(want.tf.items())
             assert (got.size, got.comp_size) == (want.size, want.comp_size)
             # relevance is asked of units: the bag's and some it lacks
             words = list(want.tf) + [t for t in terms if len(index._units(t)) == 1]
-            assert [got.relevance(w) for w in words] == [want.relevance(w) for w in words]
+            relevance = [oracles.relevance(want, w) for w in words]
+            assert [got.relevance(w) for w in words] == relevance
             # and again, now from the memo
-            assert [got.relevance(w) for w in words] == [want.relevance(w) for w in words]
+            assert [got.relevance(w) for w in words] == relevance
             assert prefixes.bag(i) is got
+
+
+class TestTopDocumentView:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS)
+    def test_view_equals_fresh_counts(self, seed):
+        """Everything read from one view of a random ranking equals the
+        oracles that count each bag afresh: the prefix bags with their
+        relevance and feedback weights (keys in order), System A's counts
+        over the top k_r, and document expansion."""
+        rng = random.Random(seed)
+        index, terms = token_corpus(rng)
+        units = [t for t in terms if " " not in t]
+        known = [t for t in units if index.df(t) > 0]
+        doc_ids = top_documents(rng, index)
+        view = top_view(index, doc_ids)
+        order = list(range(len(doc_ids) + 1))
+        rng.shuffle(order)
+        for i in order:
+            got, want = view.bag(i), oracles.FreshBag(index, doc_ids[:i])
+            assert got.doc_ids == want.doc_ids
+            assert [list(b.items()) for b in got.doc_bags] == [
+                list(b.items()) for b in want.doc_bags]
+            assert list(got.tf.items()) == list(want.tf.items())
+            assert (got.size, got.comp_size) == (want.size, want.comp_size)
+            words = list(want.tf) + units
+            assert [got.relevance(w) for w in words] == [
+                oracles.relevance(want, w) for w in words]
+            if i and known:
+                query_bag = {w: rng.randint(1, 2)
+                             for w in rng.sample(known, rng.randint(1, len(known)))}
+                params = FeedbackBParams(
+                    theta=rng.choice([-math.inf, 0.0, 1.281552, math.inf]),
+                    alpha=rng.choice([None, 1.0, -2.0]))
+                assert list(feedback_weights(query_bag, got, params).items()) == list(
+                    oracles.feedback_weights(query_bag, want, params).items())
+
+        k_r = rng.randint(1, len(doc_ids) + 2)
+        k_afw = rng.choice([0.0, 0.5, 0.9])
+        counts = TopDocCounts(view, k_r, k_afw)
+        docs = doc_ids[:k_r]
+        assert counts.docs == docs
+        assert counts.units == tuple(dict.fromkeys(
+            unit for bag in oracles.FreshBag(index, docs).doc_bags for unit in bag))
+        for term in terms + [""]:
+            assert counts.ranks(term) == oracles.doc_ranks(term, docs, index), term
+            assert counts.ratio(term) == oracles.weighted_doc_ratios(
+                term, docs, index, k_afw)
+
+        query_bag = {w: rng.randint(1, 2)
+                     for w in rng.sample(units, rng.randint(1, len(units)))}
+        expansion = (query_bag, index, rng.randint(0, index.n_docs + 1),
+                     rng.choice([-math.inf, 0.0, 1.281552, math.inf]),
+                     rng.random() < 0.3)
+        assert list(document_expansion(*expansion).items()) == list(
+            oracles.document_expansion(*expansion).items())
 
 
 class TestSharedPrefixesB:

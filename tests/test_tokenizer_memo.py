@@ -37,9 +37,12 @@ TEXTS = st.builds(" ".join, st.lists(PIECES, max_size=12))
 _WORD_RE = re.compile(r"[\w']+")
 
 
-def draw_stopwords(data, texts):
+def draw_stopwords(data, texts, mode=TOKEN_MODE):
     """Some of the texts' lowercased words and a few others; only entries
-    token mode can match (no uppercase letter)."""
+    token mode can match (no uppercase letter).  None in character mode,
+    which applies no stopwords."""
+    if mode == CHARACTER_MODE:
+        return frozenset()
     words = sorted({raw.strip("'") for text in texts
                     for raw in _WORD_RE.findall(text.lower())} | {"the", "zz"})
     words = [w for w in words if w and w == w.lower()]
@@ -50,8 +53,8 @@ def draw_stopwords(data, texts):
 @given(data=st.data(), texts=st.lists(TEXTS, min_size=1, max_size=5),
        stemming=st.booleans(), mode=st.sampled_from([TOKEN_MODE, CHARACTER_MODE]))
 def test_memoised_tokenizer_equals_per_token_oracle(data, texts, stemming, mode):
-    config = TokenizerConfig(mode=mode, stopwords=draw_stopwords(data, texts),
-                             stemming=stemming)
+    config = TokenizerConfig(mode=mode, stopwords=draw_stopwords(data, texts, mode),
+                             stemming=stemming and mode == TOKEN_MODE)
     # one config reads every text, so later texts meet a warm memo
     for text in texts:
         assert tokenize(text, config) == oracles.tokenize(text, config), text
@@ -93,8 +96,8 @@ ROW_TEXTS = st.lists(st.tuples(TEXTS, TEXTS).filter(lambda tb: any(tb)),
        mode=st.sampled_from([TOKEN_MODE, CHARACTER_MODE]))
 def test_saved_documents_equal_an_oracle_tokenized_build(data, rows, stemming, mode):
     texts = [text for row in rows for text in row]
-    config = TokenizerConfig(mode=mode, stopwords=draw_stopwords(data, texts),
-                             stemming=stemming)
+    config = TokenizerConfig(mode=mode, stopwords=draw_stopwords(data, texts, mode),
+                             stemming=stemming and mode == TOKEN_MODE)
     collection = make_collection(
         [(f"d{i}", title, body) for i, (title, body) in enumerate(rows)])
     with tempfile.TemporaryDirectory() as tmp:
@@ -111,9 +114,9 @@ class TestStopwordCase:
         with pytest.raises(ValueError, match="'The' has an uppercase letter"):
             TokenizerConfig(stopwords=frozenset({"the", "The"}))
 
-    def test_character_mode_keeps_uppercase_entries(self):
-        config = TokenizerConfig(mode=CHARACTER_MODE, stopwords=frozenset({"The"}))
-        assert config.stopwords == {"The"}
+    def test_character_mode_refuses_stopword_entries(self):
+        with pytest.raises(ValueError, match="character mode applies no stopwords"):
+            TokenizerConfig(mode=CHARACTER_MODE, stopwords=frozenset({"The"}))
 
     def test_stopword_file_names_the_line(self, tmp_path):
         path = tmp_path / "stop.txt"

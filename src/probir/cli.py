@@ -133,7 +133,7 @@ _K_CMI = _parsed(float, lambda x: not math.isnan(x), "a number")
 class Option(NamedTuple):
     """One `search` or `sweep` option: config key (and argparse dest), flag,
     default, the parser of a flag's or a config value's text, and the
-    systems that read it ("a", "b" or "ab"; `translate` runs are "b")."""
+    systems that read it ("a", "b", "ab", or "t": only `translate` runs)."""
 
     key: str
     flag: str
@@ -183,12 +183,12 @@ SEARCH_OPTIONS = (
     Option("alpha", "--alpha", AUTO, _or_auto(_FLOAT), "b"),
     Option("r_cap", "--r-cap", 20, _INT, "b"),
     # cross-lingual
-    Option("translate", "--translate", None, str, "b"),
-    Option("expand_source", "--expand-source", None, str, "b"),
+    Option("translate", "--translate", None, str, "t"),
+    Option("expand_source", "--expand-source", None, str, "t"),
     Option("expand_docs", "--expand-docs", 5,
-           _parsed(int, lambda n: n >= 0, ">= 0"), "b"),
-    Option("expand_all", "--expand-all", False, _boolean, "b"),
-    Option("passthrough", "--passthrough", False, _boolean, "b"),
+           _parsed(int, lambda n: n >= 0, ">= 0"), "t"),
+    Option("expand_all", "--expand-all", False, _boolean, "t"),
+    Option("passthrough", "--passthrough", False, _boolean, "t"),
     # character mode; None takes the index's calibrated threshold
     Option("k_cmi", "--k-cmi", None, _K_CMI),
 )
@@ -448,8 +448,9 @@ def cmd_search(args) -> int:
 
     # an unset option (None) is left out, so the header reads back as a
     # config file
+    reads = {cfg["system"], "t"} if cfg["translate"] else {cfg["system"]}
     echo = {option.key: cfg[option.key] for option in SEARCH_OPTIONS
-            if cfg["system"] in option.systems and cfg[option.key] is not None}
+            if reads & set(option.systems) and cfg[option.key] is not None}
     echo["index"] = str(args.index)
     echo["topics"] = str(args.topics)
     tag = cfg["tag"] or run_tag(echo)

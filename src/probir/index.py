@@ -2,34 +2,36 @@
 
 One layout serves both tokenizer modes.  Every document keeps its analysed
 title and body *streams*: a tuple of word tokens in token mode, a string of
-characters in character mode.  A *unit* is one element of a stream, and a
-single unit → doc → tf map, the postings, is the index's only count table:
-no document keeps a bag; ``doc_terms`` counts one for ``feedback_b.PrefixBags``.
-A *term* is a run of consecutive units ("enterprise amalgamation" is two
-token units, "東京" two character units); it is found by scanning the
-streams of the documents that hold all of its units.
+characters in character mode.  A *unit* is one element of a stream.  A
+*term* is a run of consecutive units ("enterprise amalgamation" is two
+token units, "東京" two character units).  One term → doc → tf table, the
+postings, is the index's only count table, and every tf is read from it:
+no document keeps a bag (``doc_terms`` counts one for
+``feedback_b.PrefixBags``).
 
 Occurrences are counted non-overlapping, in the title and the body
 separately (a match never spans the two), and body positions are 1-based.
 
 ``postings`` gives a term's doc -> tf, so that a scorer walks the documents
-a term occurs in rather than asking about every (term, document) pair; a
-term of several units has its postings counted on first use and kept.
-
-The postings are counted from the streams in one pass: ``load_index`` counts
-them before it returns, so no search pays for them inside a topic, and an
-index from ``build_index`` counts them on its first lookup, so ``probir
-index`` counts nothing it does not write.
+a term occurs in rather than asking about every (term, document) pair;
+``doc_tf`` and ``term_stats`` read the same map.  The units' postings are
+counted from the streams in one pass: ``load_index`` counts them before it
+returns, so no search pays for them inside a topic, and an index from
+``build_index`` counts them on its first lookup, so ``probir index`` counts
+nothing it does not write.  A term of several units is counted once, on
+first use, by scanning the streams of the documents that hold all of its
+units, and joins the table.
 
 No document keeps first positions, since only System A's location factor
 reads them.  ``first_position`` scans a document's streams;
 ``first_position_maps`` builds every document's unit -> first position map
 in one pass, for the ``SystemATables`` of a run with location on, and
-``first_positions`` reads a term's from those maps.
+``first_positions`` reads a unit's from those maps; a longer term's are
+kept from the scan that counted it.
 
-An Index does not change once built, apart from the tables it counts on
-first use, and is safe to share across readers: a table is stored only
-once complete, and counting it twice gives the same table.
+An Index does not change once built, apart from what it counts on first
+use, and is safe to share across readers: a table or map is stored only
+once complete, and counting it twice gives the same result.
 """
 
 from __future__ import annotations
@@ -99,19 +101,6 @@ def _sequence_starts(haystack: Sequence[str], needle: Sequence[str]) -> list[int
         return starts
 
 
-def _run_starts(entry, units) -> tuple[list[int], list[int]]:
-    """Start positions of a run of two or more units in one document's
-    title and in its body."""
-    return _sequence_starts(entry.title, units), _sequence_starts(entry.body, units)
-
-
-def _run_tf(title_starts, body_starts, width) -> int:
-    """Non-overlapping occurrences of a run of ``width`` units from its
-    ``_run_starts``."""
-    return (count_nonoverlapping(title_starts, width)
-            + count_nonoverlapping(body_starts, width))
-
-
 class _Doc:
     """One document's streams, category and length.  It keeps no counts,
     which the index's postings hold, and no first positions, which
@@ -136,15 +125,14 @@ class Index:
     def __init__(self, mode: str):
         self.mode = mode
         self._docs: dict[str, _Doc] = {}  # in collection order
-        # unit -> {doc_id: tf}, counted by _count_postings
+        # term -> {doc_id: tf}: the units, then each longer term counted
         self._postings: dict[str, dict[str, int]] | None = None
         self.n_docs = 0
         self.total_len = 0
         self.avg_len = 0.0
         self._category_counts: Counter = Counter()
         # built on first use and kept
-        self._term_postings: dict[str, dict[str, int]] = {}  # terms of 2+ units
-        self._term_firsts: dict[str, list] = {}  # their first_positions
+        self._term_firsts: dict[str, list] = {}  # longer terms' first_positions
         self._term_stats: dict[str, TermStats] = {}
 
     # -- construction ----------------------------------------------------
@@ -158,10 +146,12 @@ class Index:
                                   category)
 
     def _count_postings(self) -> dict[str, dict[str, int]]:
-        """Count the postings from the streams in one pass and keep them.
-        Each unit's map lists its documents in collection order, and the
-        units come in order of first occurrence.  Raises TypeError naming
-        the document whose stream holds a unit that is not a string."""
+        """Count the units' postings from the streams in one pass and keep
+        them.  Each unit's map lists its documents in collection order, and
+        the units come in order of first occurrence; a longer term joins the
+        table later (``postings``), its map in ``candidate_docs`` set order.
+        Raises TypeError naming the document whose stream holds a unit that
+        is not a string."""
         table: dict[str, dict[str, int]] = {}
         get = table.get
         for doc_id, entry in self._docs.items():
@@ -241,25 +231,23 @@ class Index:
         return term if self.mode == CHARACTER_MODE else tuple(term.split(TERM_SEP))
 
     def doc_tf(self, doc_id: str, term: str) -> int:
-        """Occurrences of ``term`` in one document (title + body)."""
-        entry = self._entry(doc_id)
+        """Occurrences of ``term`` in one document (title + body), read from
+        the posting table, which ``postings`` adds a longer term to."""
+        self._entry(doc_id)
         # the table is read inline, not through _table: this runs once
         # per posting of a ranking pass
         table = self._postings
         if table is None:
             table = self._count_postings()
         posting = table.get(term)
-        if posting is not None:  # a single unit
-            return posting.get(doc_id, 0)
-        units = self._units(term)
-        if len(units) < 2:  # a single unit absent from this document
-            return 0
-        return _run_tf(*_run_starts(entry, units), len(units))
+        if posting is None:
+            posting = self.postings(term)
+        return posting.get(doc_id, 0)
 
     def candidate_docs(self, term: str) -> set[str]:
         """Documents holding every unit of ``term``: a superset of the docs
-        where it occurs, whose tf ``doc_tf`` then counts.  The empty term
-        has none."""
+        where it occurs, which ``postings`` scans to count a longer term.
+        The empty term has none."""
         if not term:
             return set()
         table = self._table()
@@ -274,31 +262,33 @@ class Index:
 
     def postings(self, term: str) -> Mapping[str, int]:
         """doc_id -> tf of every document the term occurs in; empty for an
-        unseen term.  A single unit's is the stored map; a longer term's is
-        counted once over ``candidate_docs`` and kept, with its first
-        positions (see ``first_positions``) from the same scan.  Callers
-        must not mutate it."""
-        posting = self._table().get(term)
-        if posting is not None:  # a single unit
+        unseen term.  The posting table's map is taken first; a longer
+        term absent from it is counted once over ``candidate_docs`` and
+        joins it, with its first positions (see ``first_positions``) from
+        the same scan.  Callers must not mutate it."""
+        table = self._table()
+        posting = table.get(term)
+        if posting is not None:
             return posting
-        posting = self._term_postings.get(term)
-        if posting is None:
-            units = self._units(term)
-            if len(units) < 2:  # a single unit no document holds
-                return {}
-            docs = self._docs
-            posting = {}
-            firsts = []
-            for doc_id in self.candidate_docs(term):
-                title_starts, body_starts = _run_starts(docs[doc_id], units)
-                tf = _run_tf(title_starts, body_starts, len(units))
-                if tf:
-                    posting[doc_id] = tf
-                    firsts.append(IN_TITLE if title_starts else body_starts[0])
-            # kept only once complete, and the first positions before the
-            # map, so no reader sees a partial map or a map without them
-            self._term_firsts[term] = firsts
-            self._term_postings[term] = posting
+        units = self._units(term)
+        width = len(units)
+        if width < 2:  # a single unit no document holds
+            return {}
+        posting = {}
+        firsts = []
+        for doc_id in self.candidate_docs(term):
+            entry = self._docs[doc_id]
+            title_starts = _sequence_starts(entry.title, units)
+            body_starts = _sequence_starts(entry.body, units)
+            tf = (count_nonoverlapping(title_starts, width)
+                  + count_nonoverlapping(body_starts, width))
+            if tf:
+                posting[doc_id] = tf
+                firsts.append(IN_TITLE if title_starts else body_starts[0])
+        # kept only once complete, and the first positions before the
+        # map, so no reader sees a partial map or a map without them
+        self._term_firsts[term] = firsts
+        table[term] = posting
         return posting
 
     def term_stats(self, term: str) -> TermStats:
@@ -343,10 +333,10 @@ class Index:
         from ``maps`` (``first_position_maps``); a longer term's list is
         kept from the scan that counted its postings, and callers must not
         mutate it."""
-        posting = self._table().get(term)
-        if posting is None:  # a term of several units, or unseen
-            self.postings(term)  # counts a longer term's first positions
-            return self._term_firsts.get(term, [])
+        posting = self.postings(term)  # counts a longer term's first positions
+        firsts = self._term_firsts.get(term)
+        if firsts is not None:  # a longer term
+            return firsts
         return [maps[doc_id][term] for doc_id in posting]
 
     # -- persistence -------------------------------------------------------

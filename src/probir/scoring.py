@@ -13,8 +13,9 @@ Two scorers share the TF machinery:
 Both systems rank term-at-a-time (Turtle & Flood, "Query evaluation:
 strategies and optimizations", IPM 1995): each query term's statistics are
 computed once, and its contribution is added to the documents in its
-postings.  ``bm11_rank`` is System B's one ranking; ``bm11_retrieval``, the
-first retrieval that search, the feedback sweep and cross-lingual document
+postings.  ``bm11_rank``, with k_t = 1, is System B's one ranking: it walks
+each word's postings (``Index.postings``).  ``bm11_retrieval``, the first
+retrieval that search, the feedback sweep and cross-lingual document
 expansion share, and the feedback pass both rank through it.
 
 System A ranks in two steps, and each reads the one ``SystemATables`` of
@@ -486,24 +487,25 @@ def rank(index: Index, scorer: Callable[[str], float], cutoff: int,
 
 
 def bm11_rank(index: Index, weights: Mapping[str, float], cutoff: int,
-              query_id: str = "", k_t: float = 1.0) -> Ranking:
-    """``rank(index, lambda d: score_bm11(index, d, weights, k_t), cutoff,
-    query_id)``, computed term-at-a-time.
+              query_id: str = "") -> Ranking:
+    """``rank(index, lambda d: score_bm11(index, d, weights), cutoff,
+    query_id)``, computed term-at-a-time over each word's postings.
 
     Words are visited in the order of ``weights``, so each document gets
     score_bm11's additions in score_bm11's order and the same float.  A
     document no word reaches scores 0.0, which ranks above negative scores
     (a negative α makes them).
+    Each posting's tf is read through ``Index.doc_tf``, which perfbench's
+    tracer counts; reading ``postings(term).items()`` waits on its retarget.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     acc: dict[str, float] = {}
     for term, weight in weights.items():
-        for doc_id in index.candidate_docs(term):
-            tf = index.doc_tf(doc_id, term)
-            if tf:
-                acc[doc_id] = acc.get(doc_id, 0.0) + tf_factor(
-                    tf, index.doc_len(doc_id), index.avg_len, k_t) * weight
+        for doc_id in index.postings(term):
+            acc[doc_id] = acc.get(doc_id, 0.0) + tf_factor(
+                index.doc_tf(doc_id, term), index.doc_len(doc_id),
+                index.avg_len) * weight
     return _top([(-acc.get(doc_id, 0.0), doc_id) for doc_id in index.doc_ids()],
                 cutoff, query_id)
 

@@ -111,6 +111,19 @@ def stream_counts(streams):
     return postings, bags
 
 
+def run_tf(stream, units):
+    """Non-overlapping occurrences of the run ``units`` in one stream,
+    tried at every start from the left."""
+    count, i, width = 0, 0, len(units)
+    while i + width <= len(stream):
+        if list(stream[i:i + width]) == list(units):
+            count += 1
+            i += width
+        else:
+            i += 1
+    return count
+
+
 def word_prob(tf, size):
     """Smoothed occurrence probability (tf+1)/(size+2)."""
     return (tf + 1) / (size + 2)

@@ -889,6 +889,18 @@ class TestOptionTable:
         assert "tag" not in a_keys | b_keys
         # unset options are left out
         assert not {"theta", "translate", "expand_source", "k_cmi"} & (a_keys | b_keys)
+        # only a translate run reads the cross-lingual rows
+        write_jsonl(workspace / "pairs.jsonl", [
+            {"id": "1", "source": ["solar"], "target": ["solar"]},
+            {"id": "2", "source": ["salt"], "target": ["salt"]}])
+        main(["build-dict", "--pairs", str(workspace / "pairs.jsonl"),
+              "--out", str(workspace / "dict.tsv")])
+        t_run = search(workspace, "t.txt", "--translate", str(workspace / "dict.tsv"))
+        t_keys = {line.split()[1] for line in t_run.read_text().splitlines()
+                  if line.startswith("# ")}
+        clir = {"expand_docs", "expand_all", "passthrough"}
+        assert not clir & (a_keys | b_keys)
+        assert clir | {"translate"} | b_keys <= t_keys
 
     @pytest.mark.parametrize("system", ["a", "b"])
     def test_header_option_lines_read_back_as_a_config_file(self, workspace,

@@ -55,9 +55,9 @@ CATEGORIES = ["x", "y", "z", None]
 MODES = st.sampled_from(["token", CHARACTER_MODE])
 
 
-def corpus(rng, mode, max_docs=9):
-    """A categorised index and its words, plus words no document holds and
-    a unit that only titles hold."""
+def corpus_rows(rng, mode, max_docs=9):
+    """A categorised index's rows and its words, plus words no document
+    holds and a unit that only titles hold."""
     if mode == CHARACTER_MODE:
         def text(low, high):
             return "".join(rng.choices(ALPHABET, k=rng.randint(low, high)))
@@ -73,7 +73,13 @@ def corpus(rng, mode, max_docs=9):
     rows = [(doc_id, JOINER[mode].join([title, title_only])
              if rng.random() < 0.5 else title, body, category)
             for doc_id, title, body, category in rows]
-    return make_index(rows, mode=mode), words + [title_only]
+    return rows, words + [title_only]
+
+
+def corpus(rng, mode, max_docs=9):
+    """The index of ``corpus_rows`` and its words."""
+    rows, words = corpus_rows(rng, mode, max_docs)
+    return make_index(rows, mode=mode), words
 
 
 def terms_of(rng, mode, words):
@@ -111,21 +117,35 @@ class TestTables:
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, mode=MODES)
     def test_postings_and_term_stats_equal_per_document_counts(self, seed, mode):
+        """postings, doc_tf, term_stats and first_positions equal a plain
+        count of the analysed streams, whether first_positions or doc_tf
+        counts a longer term first."""
         rng = random.Random(seed)
-        index, words = corpus(rng, mode)
+        rows, words = corpus_rows(rng, mode)
+        config = TokenizerConfig(mode=mode)
+        streams = {doc_id: (oracles.tokenize(title, config),
+                            oracles.tokenize(body, config))
+                   for doc_id, title, body, _ in rows}
         terms = terms_of(rng, mode, words)
-        for idx in built_and_loaded(index):
-            maps = idx.first_position_maps()
-            for term in terms:
-                # asked first, so that a longer term's scan is counted here
-                firsts = idx.first_positions(term, maps)
-                holding = {d: tf for d in idx.doc_ids()
-                           if (tf := idx.doc_tf(d, term)) > 0}
-                assert dict(idx.postings(term)) == holding, term
-                assert firsts == [idx.first_position(d, term)
-                                  for d in idx.postings(term)], term
-                assert idx.term_stats(term) == TermStats(len(holding),
-                                                         sum(holding.values()))
+        for doc_tf_first in (False, True):
+            for idx in built_and_loaded(make_index(rows, mode=mode)):
+                maps = idx.first_position_maps()
+                for term in terms:
+                    units = term.split(" ") if mode == "token" else list(term)
+                    tfs = {d: oracles.run_tf(title, units)
+                           + oracles.run_tf(body, units)
+                           for d, (title, body) in streams.items()}
+                    holding = {d: tf for d, tf in tfs.items() if tf}
+                    if not doc_tf_first:
+                        firsts = idx.first_positions(term, maps)
+                    assert {d: idx.doc_tf(d, term) for d in streams} == tfs, term
+                    if doc_tf_first:
+                        firsts = idx.first_positions(term, maps)
+                    assert dict(idx.postings(term)) == holding, term
+                    assert firsts == [idx.first_position(d, term)
+                                      for d in idx.postings(term)], term
+                    assert idx.term_stats(term) == TermStats(
+                        len(holding), sum(holding.values()))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, mode=MODES)

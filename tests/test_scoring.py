@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import probir.index
 from probir.clir import document_expansion
 from probir.corpus import TokenizerConfig, tokenize
 from probir.errors import ZeroDocumentFrequencyError
@@ -444,8 +445,8 @@ class TestBm11Retrieval:
         assert expanded == {**bag, **{word: 1 for word in added}}
 
 
-def plain_bm11_ranking(index, weights, cutoff, k_t=1.0):
-    return rank(index, lambda d: score_bm11(index, d, weights, k_t), cutoff, "q")
+def plain_bm11_ranking(index, weights, cutoff):
+    return rank(index, lambda d: score_bm11(index, d, weights), cutoff, "q")
 
 
 class TestBm11Rank:
@@ -470,10 +471,9 @@ class TestBm11Rank:
             weights[self.EVERY] = bm11_word_weight(index, self.EVERY, 1)
             assert weights[self.EVERY] == 0.0
         cutoff = data.draw(st.integers(1, n + 2), label="cutoff")
-        k_t = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="k_t")
 
-        fast = bm11_rank(index, weights, cutoff, "q", k_t)
-        plain = plain_bm11_ranking(index, weights, cutoff, k_t)
+        fast = bm11_rank(index, weights, cutoff, "q")
+        plain = plain_bm11_ranking(index, weights, cutoff)
         assert fast.items == plain.items  # floats compared with ==
         assert fast == plain
 
@@ -483,6 +483,24 @@ class TestBm11Rank:
         for cutoff in range(1, char_index.n_docs + 2):
             assert (bm11_rank(char_index, weights, cutoff, "q")
                     == plain_bm11_ranking(char_index, weights, cutoff))
+
+    def test_longer_words_are_counted_once(self, char_index, monkeypatch):
+        """A second ranking over words of several characters reads their
+        counted postings and scans no stream again."""
+        scans = []
+        sequence_starts = probir.index._sequence_starts
+
+        def counted(haystack, needle):
+            scans.append(needle)
+            return sequence_starts(haystack, needle)
+
+        monkeypatch.setattr(probir.index, "_sequence_starts", counted)
+        weights = {"ab": 1.5, "cdcd": 2.0, "a": 0.7, "xyzw": 0.25, "zz": 1.0}
+        first = bm11_rank(char_index, weights, char_index.n_docs, "q")
+        assert scans
+        scans.clear()
+        assert bm11_rank(char_index, weights, char_index.n_docs, "q") == first
+        assert scans == []
 
     def test_cutoff_below_one_raises(self, toy_index):
         with pytest.raises(ValueError):

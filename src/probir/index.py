@@ -20,14 +20,15 @@ returns, so no search pays for them inside a topic, and an index from
 ``build_index`` counts them on its first lookup, so ``probir index`` counts
 nothing it does not write.  A term of several units is counted once, on
 first use, by scanning the streams of the documents that hold all of its
-units, and joins the table.
+units, and joins the table.  The table holds counts only.
 
 No document keeps first positions, since only System A's location factor
-reads them.  ``first_position`` scans a document's streams;
-``first_position_maps`` builds every document's unit -> first position map
-in one pass, for the ``SystemATables`` of a run with location on, and
-``first_positions`` reads a unit's from those maps; a longer term's are
-kept from the scan that counted it.
+reads them, and the posting table keeps none either.  ``first_position``
+scans a document's streams; ``first_position_maps`` builds every
+document's unit -> first position map in one pass, for the
+``SystemATables`` of a run with location on, which scans with
+``first_position`` for a longer term.  No unit is empty or holds
+whitespace (``load_index`` refuses one), so no unit equals a longer term.
 
 An Index does not change once built, apart from what it counts on first
 use, and is safe to share across readers: a table or map is stored only
@@ -132,7 +133,6 @@ class Index:
         self.avg_len = 0.0
         self._category_counts: Counter = Counter()
         # built on first use and kept
-        self._term_firsts: dict[str, list] = {}  # longer terms' first_positions
         self._term_stats: dict[str, TermStats] = {}
 
     # -- construction ----------------------------------------------------
@@ -149,9 +149,10 @@ class Index:
         """Count the units' postings from the streams in one pass and keep
         them.  Each unit's map lists its documents in collection order, and
         the units come in order of first occurrence; a longer term joins the
-        table later (``postings``), its map in ``candidate_docs`` set order.
-        Raises TypeError naming the document whose stream holds a unit that
-        is not a string."""
+        table later (``postings``).  Raises TypeError naming the document
+        whose stream holds a unit that is not a string, and ValueError
+        naming the one whose stream holds a unit that is empty or holds
+        whitespace."""
         table: dict[str, dict[str, int]] = {}
         get = table.get
         for doc_id, entry in self._docs.items():
@@ -164,6 +165,10 @@ class Index:
                             # unit fails at get, and no other type equals a str
                             if type(unit) is not str:
                                 raise TypeError
+                            if unit.split() != [unit]:
+                                raise ValueError(
+                                    f"document {doc_id!r}: unit {unit!r} is "
+                                    "empty or holds whitespace")
                             table[unit] = {doc_id: 1}
                         else:
                             posting[doc_id] = posting.get(doc_id, 0) + 1
@@ -244,51 +249,36 @@ class Index:
             posting = self.postings(term)
         return posting.get(doc_id, 0)
 
-    def candidate_docs(self, term: str) -> set[str]:
-        """Documents holding every unit of ``term``: a superset of the docs
-        where it occurs, which ``postings`` scans to count a longer term.
-        The empty term has none."""
-        if not term:
-            return set()
-        table = self._table()
-        maps = [table.get(unit) for unit in set(self._units(term))]
-        if None in maps:
-            return set()
-        maps.sort(key=len)
-        docs = set(maps[0])
-        for m in maps[1:]:
-            docs &= m.keys()
-        return docs
-
     def postings(self, term: str) -> Mapping[str, int]:
         """doc_id -> tf of every document the term occurs in; empty for an
         unseen term.  The posting table's map is taken first; a longer
-        term absent from it is counted once over ``candidate_docs`` and
-        joins it, with its first positions (see ``first_positions``) from
-        the same scan.  Callers must not mutate it."""
+        term absent from it is counted once, over the documents that hold
+        every one of its units, and its map joins the table.  Callers must
+        not mutate it."""
         table = self._table()
         posting = table.get(term)
         if posting is not None:
             return posting
         units = self._units(term)
         width = len(units)
-        if width < 2:  # a single unit no document holds
+        if width < 2:  # a single unit no document holds, or the empty term
             return {}
         posting = {}
-        firsts = []
-        for doc_id in self.candidate_docs(term):
-            entry = self._docs[doc_id]
-            title_starts = _sequence_starts(entry.title, units)
-            body_starts = _sequence_starts(entry.body, units)
-            tf = (count_nonoverlapping(title_starts, width)
-                  + count_nonoverlapping(body_starts, width))
-            if tf:
-                posting[doc_id] = tf
-                firsts.append(IN_TITLE if title_starts else body_starts[0])
-        # kept only once complete, and the first positions before the
-        # map, so no reader sees a partial map or a map without them
-        self._term_firsts[term] = firsts
-        table[term] = posting
+        maps = [table.get(unit) for unit in set(units)]
+        if None not in maps:
+            maps.sort(key=len)
+            docs = set(maps[0])
+            for m in maps[1:]:
+                docs &= m.keys()
+            for doc_id in docs:
+                entry = self._docs[doc_id]
+                title_starts = _sequence_starts(entry.title, units)
+                body_starts = _sequence_starts(entry.body, units)
+                tf = (count_nonoverlapping(title_starts, width)
+                      + count_nonoverlapping(body_starts, width))
+                if tf:
+                    posting[doc_id] = tf
+        table[term] = posting  # stored only once complete
         return posting
 
     def term_stats(self, term: str) -> TermStats:
@@ -306,8 +296,9 @@ class Index:
 
     def first_position(self, doc_id: str, term: str):
         """IN_TITLE if the term appears in the title, else the first body
-        position (1-based), else None.  It scans the document's streams;
-        a pass over many documents reads ``first_positions`` instead."""
+        position (1-based), else None.  It scans the document's streams,
+        and is the one place a longer term's first position comes from;
+        a unit's is also in ``first_position_maps``."""
         entry = self._entry(doc_id)
         units = self._units(term)
         if _sequence_starts(entry.title, units):
@@ -326,18 +317,6 @@ class Index:
                                             range(len(entry.body), 0, -1)))
             first.update(dict.fromkeys(entry.title, IN_TITLE))
         return maps
-
-    def first_positions(self, term: str, maps: Mapping[str, Mapping]) -> list:
-        """``first_position`` of the term in each document of
-        ``postings(term)``, in the postings' order.  A single unit's is read
-        from ``maps`` (``first_position_maps``); a longer term's list is
-        kept from the scan that counted its postings, and callers must not
-        mutate it."""
-        posting = self.postings(term)  # counts a longer term's first positions
-        firsts = self._term_firsts.get(term)
-        if firsts is not None:  # a longer term
-            return firsts
-        return [maps[doc_id][term] for doc_id in posting]
 
     # -- persistence -------------------------------------------------------
 
@@ -422,7 +401,8 @@ def _load_meta(path: Path, expected_mode: str | None) -> dict:
 
 def load_index(path, expected_mode: str | None = None) -> Index:
     """Load a saved index; verifies version, checksum, mode and the type of
-    every stored field, and counts the postings before it returns."""
+    every stored field, that no unit is empty or holds whitespace, and
+    counts the postings before it returns."""
     path = Path(path)
     meta = _load_meta(path, expected_mode)
     documents = _load_json(path, DOCUMENTS_FILE, meta["checksums"][DOCUMENTS_FILE])
@@ -446,7 +426,7 @@ def load_index(path, expected_mode: str | None = None) -> Index:
         raise IndexLoadError(f"{path}: malformed index payload ({exc!r})") from exc
     try:
         index._count_postings()
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise IndexLoadError(f"{path}: malformed index payload: {exc}") from None
     index._finalize()
     if index.n_docs == 0 or index.n_docs != meta.get("n_docs"):

@@ -331,13 +331,16 @@ class SystemATables:
     With location on, the tables also own every document's unit -> first
     position map (``Index.first_position_maps``), built once here, before
     the run's first topic; the index keeps none, so a run without
-    location, System B and ``probir index`` never build them.
+    location, System B and ``probir index`` never build them.  A longer
+    term is in no map, and its first positions are scanned with
+    ``Index.first_position``.
 
     A term's K_loc values are an array in the order of its postings, built
     on first use and kept for as long as the tables are:
     ``search_system_a`` keeps one set for all of its topics, since most of
     the terms a topic asks for (feedback adopts the same common words) were
-    asked for by an earlier topic.
+    asked for by an earlier topic, and a longer term's documents are
+    scanned once per run.
     """
 
     def __init__(self, index: Index, params: ScoringParamsA,
@@ -359,19 +362,25 @@ class SystemATables:
     def location_factors(self, term: str) -> array:
         """``k_location`` of the term's ``first_position`` in each document
         of ``Index.postings(term)``, in the postings' order: its expression
-        evaluated inline over ``Index.first_positions`` read from the
-        tables' maps, the same float.  A document of the postings holds the
-        term, so no position is None.  Asked only when location is on."""
+        evaluated inline, the same float.  A unit's first position is read
+        from the tables' maps; a longer term is in none of them (no unit
+        equals one), and ``Index.first_position`` scans for it.  A document
+        of the postings holds the term, so no position is None.  Asked only
+        when location is on."""
         factors = self._location.get(term)
         if factors is None:
             index = self.index
             k_loc1, k_loc2 = self.params.k_loc1, self.params.k_loc2
-            lengths = self.lengths
+            lengths, maps = self.lengths, self._firsts
+            postings = index.postings(term)
+            # a position is IN_TITLE or 1-based, so a map's miss is the
+            # only falsy read
+            firsts = [maps[doc_id].get(term) or index.first_position(doc_id, term)
+                      for doc_id in postings]
             factors = self._location[term] = array("d", [
                 k_loc1 if first == IN_TITLE
                 else 1.0 + k_loc2 * (lengths[doc_id] - 2 * first) / lengths[doc_id]
-                for doc_id, first in zip(
-                    index.postings(term), index.first_positions(term, self._firsts))])
+                for doc_id, first in zip(postings, firsts)])
         return factors
 
 

@@ -147,15 +147,9 @@ def _phase1_spans(pmis: Sequence[float], n: int) -> list[tuple[int, int]]:
     return spans
 
 
-def segment_phase1(sentence: str, table: MiTable) -> list[str]:
-    """Split the weakest adjacent pair (leftmost on ties) of every fragment
-    longer than two characters, until all fragments have length <= 2."""
-    spans = _phase1_spans(_pair_pmis(sentence, table), len(sentence))
-    return [sentence[start:stop] for start, stop in spans]
-
-
 def segment(sentence: str, table: MiTable, k_cmi: float) -> list[str]:
-    """Full segmentation: phase 1, then threshold-split 2-char fragments."""
+    """Full segmentation: phase 1, then threshold-split 2-char fragments.
+    A k_cmi of -inf splits none, leaving phase 1's fragments."""
     pmis = _pair_pmis(sentence, table)
     words = []
     for start, stop in _phase1_spans(pmis, len(sentence)):

@@ -21,6 +21,7 @@ from probir.corpus import CHARACTER_MODE, default_stem
 from probir.errors import CalibrationError
 from probir.feedback_a import ROUND_EPS, afw, binomial_tail, feedback_idf
 from probir.feedback_b import AUTO, THETA_BY_P, FeedbackBParams, _auto_r_core
+from probir.index import IN_TITLE
 from probir.pipeline import SweepReport, SweepRow, compile_bag
 from probir.scoring import (
     bm11_rank,
@@ -122,6 +123,21 @@ def run_tf(stream, units):
         else:
             i += 1
     return count
+
+
+def first_position(title, body, units):
+    """System A's location input the plain way, from one document's title
+    and body streams: IN_TITLE if the run ``units`` occurs in the title,
+    else the 1-based start of its first occurrence in the body, else
+    None, trying every start from the left."""
+    width = len(units)
+    if any(list(title[i:i + width]) == list(units)
+           for i in range(len(title) - width + 1)):
+        return IN_TITLE
+    for i in range(len(body) - width + 1):
+        if list(body[i:i + width]) == list(units):
+            return i + 1
+    return None
 
 
 def word_prob(tf, size):

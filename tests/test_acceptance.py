@@ -53,12 +53,12 @@ from probir.segmentation import (
     calibrate_kcmi,
     pmi,
     segment,
-    segment_phase1,
 )
 from probir.term_extraction import all_term_patterns, lattice_best_path
 from probir.index import IN_TITLE
 
 from corpus_builders import make_index, random_token_rows, random_vocab
+import oracles
 
 
 def report(number, message):
@@ -429,7 +429,8 @@ def exhaustive_best_distance(sample, table, target_share):
     """Scan every candidate threshold by actually segmenting the sample."""
     pair_pmis = sorted({
         pmi(table, frag[0], frag[1])
-        for s in sample for frag in segment_phase1(s, table) if len(frag) == 2
+        for s in sample for frag in oracles.segment_phase1(s, table)
+        if len(frag) == 2
     })
     best = math.inf
     for threshold in [pair_pmis[0] - 1.0] + pair_pmis:

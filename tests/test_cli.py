@@ -477,6 +477,26 @@ class TestSearchCommand:
         assert err.startswith("error:") and "Traceback" not in err
         assert "document 'd3': a token is not a string" in err
 
+    @pytest.mark.parametrize("token", ["", "solar panels"],
+                             ids=["empty", "whitespace"])
+    def test_token_that_is_empty_or_holds_whitespace_exits_2(
+            self, workspace, capsys, token):
+        index = build(workspace)
+        path = index / "documents.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["docs"][0]["body"] = ["beta", token]
+        data = json.dumps(payload).encode("utf-8")
+        path.write_bytes(data)
+        meta = json.loads((index / "meta.json").read_text(encoding="utf-8"))
+        meta["checksums"]["documents.json"] = hashlib.sha256(data).hexdigest()
+        (index / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        code = main(["search", "--index", str(index),
+                     "--topics", str(workspace / "topics.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"document 'd1': unit {token!r} is empty or holds whitespace" in err
+
     def test_tokenizer_mode_must_match_index(self, workspace, capsys):
         index = build(workspace)
         payload = json.loads((index / "tokenizer.json").read_text(encoding="utf-8"))

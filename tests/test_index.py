@@ -142,8 +142,9 @@ class TestCharacterIndex:
 @pytest.mark.parametrize("index_name", ["toy_index", "char_index"])
 def test_empty_term_has_no_candidates_and_no_statistics(request, index_name):
     index = request.getfixturevalue(index_name)
-    assert index.candidate_docs("") == set()
+    assert index.postings("") == {}
     assert index.term_stats("") == TermStats(0, 0)
+    assert all(index.doc_tf(d, "") == 0 for d in index.doc_ids())
 
 
 # Small unit sets make repeats, overlapping runs and misses frequent; the
@@ -210,7 +211,7 @@ def check_against_oracles(index, mode, rows, fields, terms):
             if tf:
                 holding[doc_id] = tf
         assert index.term_stats(term) == TermStats(len(holding), sum(holding.values()))
-        assert index.candidate_docs(term) >= holding.keys()
+        assert dict(index.postings(term)) == holding
 
 
 @pytest.mark.parametrize("mode", [TOKEN_MODE, CHARACTER_MODE])
@@ -370,6 +371,11 @@ class TestSaveLoad:
         ("toy_index", "doc_id", "d2", "repeated doc_id"),
         ("toy_index", "doc_id", None, "bad or repeated doc_id"),
         ("toy_index", "doc_id", "d 9", "bad or repeated doc_id"),
+        # a unit that is empty or holds whitespace could equal a longer term
+        ("toy_index", "body", ["beta", ""], "'d1': unit '' is empty or holds"),
+        ("toy_index", "title", ["beta gamma"], "unit 'beta gamma' is empty or holds"),
+        ("toy_index", "body", ["a\tb"], "empty or holds whitespace"),
+        ("char_index", "body", "ab cd", "unit ' ' is empty or holds whitespace"),
     ])
     def test_field_of_the_wrong_type_is_refused(self, request, tmp_path, index_name,
                                                 field, value, message):

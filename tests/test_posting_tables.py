@@ -90,6 +90,18 @@ def terms_of(rng, mode, words):
                     for _ in range(5)]
 
 
+def units_of(term, mode):
+    return term.split(" ") if mode == "token" else list(term)
+
+
+def analysed_streams(rows, mode):
+    """doc_id -> (title units, body units), by the plain tokenizer."""
+    config = TokenizerConfig(mode=mode)
+    return {doc_id: (oracles.tokenize(title, config),
+                     oracles.tokenize(body, config))
+            for doc_id, title, body, _ in rows}
+
+
 def analyzer_for(index, k_cmi=0.0):
     """The index's analyzer; a character index's MI table counts its stored
     texts."""
@@ -117,69 +129,69 @@ class TestTables:
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, mode=MODES)
     def test_postings_and_term_stats_equal_per_document_counts(self, seed, mode):
-        """postings, doc_tf, term_stats and first_positions equal a plain
-        count of the analysed streams, whether first_positions or doc_tf
-        counts a longer term first."""
+        """postings, doc_tf and term_stats equal a plain count of the
+        analysed streams, whether postings or doc_tf counts a longer term
+        first."""
         rng = random.Random(seed)
         rows, words = corpus_rows(rng, mode)
-        config = TokenizerConfig(mode=mode)
-        streams = {doc_id: (oracles.tokenize(title, config),
-                            oracles.tokenize(body, config))
-                   for doc_id, title, body, _ in rows}
+        streams = analysed_streams(rows, mode)
         terms = terms_of(rng, mode, words)
         for doc_tf_first in (False, True):
             for idx in built_and_loaded(make_index(rows, mode=mode)):
-                maps = idx.first_position_maps()
                 for term in terms:
-                    units = term.split(" ") if mode == "token" else list(term)
+                    units = units_of(term, mode)
                     tfs = {d: oracles.run_tf(title, units)
                            + oracles.run_tf(body, units)
                            for d, (title, body) in streams.items()}
                     holding = {d: tf for d, tf in tfs.items() if tf}
                     if not doc_tf_first:
-                        firsts = idx.first_positions(term, maps)
+                        assert dict(idx.postings(term)) == holding, term
                     assert {d: idx.doc_tf(d, term) for d in streams} == tfs, term
-                    if doc_tf_first:
-                        firsts = idx.first_positions(term, maps)
                     assert dict(idx.postings(term)) == holding, term
-                    assert firsts == [idx.first_position(d, term)
-                                      for d in idx.postings(term)], term
                     assert idx.term_stats(term) == TermStats(
                         len(holding), sum(holding.values()))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, mode=MODES)
     def test_system_a_tables_equal_per_document_lookups(self, seed, mode):
+        """The tables' norms, bonuses and categories equal the index's
+        per-document lookups, and each K_loc equals ``k_location`` of a
+        plain scan for the term's first position, for units and longer
+        terms alike, whether location_factors or the postings count a
+        longer term first."""
         rng = random.Random(seed)
-        index, words = corpus(rng, mode)
+        rows, words = corpus_rows(rng, mode)
+        streams = analysed_streams(rows, mode)
         terms = terms_of(rng, mode, words)
         params = ScoringParamsA(
             # not only powers of two
             k_t=rng.choice([0.3, 0.7, 1.0, 1.7]), k_loc1=rng.choice([1.0, 1.2, 3.0]),
             k_loc2=rng.choice([0.0, 0.1, 0.37, 0.9]))
-        for idx in built_and_loaded(index):
-            tables = SystemATables(idx, params)
-            maps = idx.first_position_maps()
-            docs = idx.doc_ids()
-            assert tables.norms == {d: params.k_t * idx.doc_len(d) / idx.avg_len
-                                    for d in docs}
-            assert tables.bonuses == {d: length_bonus(idx.doc_len(d), idx.avg_len)
-                                      for d in docs}
-            assert tables.categories == {d: idx.doc_category(d) for d in docs}
-            for term in terms:
-                postings = idx.postings(term)
-                for d, tf in postings.items():
-                    assert tf / (tf + tables.norms[d]) == tf_factor(
-                        tf, idx.doc_len(d), idx.avg_len, params.k_t)
-                assert idx.first_positions(term, maps) == [
-                    idx.first_position(d, term) for d in postings]
-                factors = tables.location_factors(term)
-                # one value per posting, in the postings' order
-                assert list(factors) == [
-                    k_location(idx.first_position(d, term), idx.doc_len(d),
-                               params.k_loc1, params.k_loc2)
-                    for d in postings]
-                assert tables.location_factors(term) is factors
+        for location_first in (False, True):
+            for idx in built_and_loaded(make_index(rows, mode=mode)):
+                tables = SystemATables(idx, params)
+                docs = idx.doc_ids()
+                assert tables.norms == {d: params.k_t * idx.doc_len(d) / idx.avg_len
+                                        for d in docs}
+                assert tables.bonuses == {d: length_bonus(idx.doc_len(d), idx.avg_len)
+                                          for d in docs}
+                assert tables.categories == {d: idx.doc_category(d) for d in docs}
+                for term in terms:
+                    if location_first:
+                        factors = tables.location_factors(term)
+                    postings = idx.postings(term)
+                    for d, tf in postings.items():
+                        assert tf / (tf + tables.norms[d]) == tf_factor(
+                            tf, idx.doc_len(d), idx.avg_len, params.k_t)
+                    if not location_first:
+                        factors = tables.location_factors(term)
+                    # one value per posting, in the postings' order
+                    units = units_of(term, mode)
+                    assert list(factors) == [
+                        k_location(oracles.first_position(*streams[d], units),
+                                   idx.doc_len(d), params.k_loc1, params.k_loc2)
+                        for d in postings], term
+                    assert tables.location_factors(term) is factors
 
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, mode=MODES)

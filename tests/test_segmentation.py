@@ -14,7 +14,6 @@ from probir.segmentation import (
     collection_sentences,
     pmi,
     segment,
-    segment_phase1,
 )
 
 import oracles
@@ -81,27 +80,32 @@ class TestPmi:
         assert pmi(table, "a", "b") == 0.0
 
 
+def phase1(sentence, table):
+    """``segment``'s phase-1 fragments: k_cmi = -inf splits no pair."""
+    return segment(sentence, table, -math.inf)
+
+
 class TestSegmentPhase1:
     def test_short_fragments_untouched(self):
         table = collocation_table()
-        assert segment_phase1("ab", table) == ["ab"]
-        assert segment_phase1("a", table) == ["a"]
-        assert segment_phase1("", table) == []
+        assert phase1("ab", table) == ["ab"]
+        assert phase1("a", table) == ["a"]
+        assert phase1("", table) == []
 
     def test_splits_lowest_pmi_pair(self):
         # bc never occurs: the weakest link in "abcd"
-        assert segment_phase1("abcd", collocation_table()) == ["ab", "cd"]
+        assert phase1("abcd", collocation_table()) == ["ab", "cd"]
 
     def test_three_characters(self):
         # ef weak, gh impossible: "egh"... use pairs from the 4-pair table
         table = four_pair_table()
         # in "abe": pair be never seen and e frequent -> (b,e) weakest
-        assert segment_phase1("abe", table) == ["ab", "e"]
+        assert phase1("abe", table) == ["ab", "e"]
 
     def test_equal_pmi_splits_leftmost(self):
         # an empty table scores every pair 0.0
         table = MiTable({}, {}, 0, 0)
-        assert segment_phase1("abcd", table) == ["a", "b", "cd"]
+        assert phase1("abcd", table) == ["a", "b", "cd"]
 
     def test_all_fragments_at_most_two_chars(self):
         rng = random.Random(11)
@@ -109,7 +113,7 @@ class TestSegmentPhase1:
         alphabet = "abcdefgh"
         for _ in range(50):
             sentence = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 15)))
-            frags = segment_phase1(sentence, table)
+            frags = phase1(sentence, table)
             assert all(1 <= len(f) <= 2 for f in frags)
             assert "".join(frags) == sentence
 
@@ -118,7 +122,7 @@ class TestSegment:
     def test_threshold_minus_inf_equals_phase1(self):
         table = four_pair_table()
         for s in ("abcd", "abe", "gghh"):
-            assert segment(s, table, -math.inf) == segment_phase1(s, table)
+            assert segment(s, table, -math.inf) == oracles.segment_phase1(s, table)
 
     def test_threshold_plus_inf_splits_everything(self):
         table = four_pair_table()
@@ -169,7 +173,7 @@ class TestCalibrateKcmi:
             ones = 0
             pair_pmis = []
             for sentence in sample:
-                for frag in segment_phase1(sentence, table):
+                for frag in oracles.segment_phase1(sentence, table):
                     if len(frag) == 1:
                         ones += 1
                     else:
@@ -277,7 +281,7 @@ class TestAgainstGlobalLoop:
     def test_phase1_segment_and_calibration_equal_the_oracle(self, case):
         table, sample, k_cmi, target = case
         for sentence in sample:
-            assert segment_phase1(sentence, table) == oracles.segment_phase1(
+            assert phase1(sentence, table) == oracles.segment_phase1(
                 sentence, table)
             assert segment(sentence, table, k_cmi) == oracles.segment(
                 sentence, table, k_cmi)
@@ -290,7 +294,7 @@ class TestAgainstGlobalLoop:
         table = build_mi_table(["abcab", "ccab", "ba", "a"])
         sentence = "".join(random.Random(3000).choices("abc", k=3000))
         fragments = oracles.segment_phase1(sentence, table)
-        assert segment_phase1(sentence, table) == fragments
+        assert phase1(sentence, table) == fragments
         for k_cmi in (-math.inf, 0.0, math.inf):
             assert segment(sentence, table, k_cmi) == oracles.threshold_split(
                 fragments, table, k_cmi)
@@ -306,7 +310,7 @@ class TestAgainstGlobalLoop:
         table = build_mi_table([])
         sentence = "".join(random.Random(seed).choices("abcdef", k=length))
         want = list(sentence[:-2]) + [sentence[-2:]]
-        assert segment_phase1(sentence, table) == want
+        assert phase1(sentence, table) == want
         assert segment(sentence, table, 0.0) == list(sentence)
         assert segment(sentence, table, -1.0) == want
         assert calibrate_kcmi([sentence], table, RatioTarget(0, 1)) == -1.0

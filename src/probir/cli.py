@@ -373,13 +373,17 @@ def cmd_index(args) -> int:
                              stemming=args.stem)
     collection = load_documents(args.docs)
     index = build_index(collection, config)
-    index.save(args.out)
-    _save_tokenizer(args.out, config)
+    # the MI table and threshold come before the first write, so a corpus
+    # whose threshold cannot be calibrated leaves no directory behind
+    mi = None
     if args.mode == CHARACTER_MODE:
         sentences = collection_sentences(collection, config)
         table = build_mi_table(sentences)
-        k_cmi = calibrate_kcmi(sentences, table, args.ratio)
-        _save_mi(args.out, table, k_cmi)
+        mi = table, calibrate_kcmi(sentences, table, args.ratio)
+    index.save(args.out)
+    _save_tokenizer(args.out, config)
+    if mi is not None:
+        _save_mi(args.out, *mi)
     print(f"indexed {index.n_docs} documents ({index.mode} mode) -> {args.out}")
     return 0
 
@@ -613,6 +617,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a directory, a file in the way, no permission
+        reason = exc if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+        print(f"error: {reason}", file=sys.stderr)
         return 2
     except (ProbirError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -270,22 +270,37 @@ def _read_jsonl(path) -> Iterable[tuple[int, dict]]:
             yield line_no, record
 
 
+def _text(path, line_no: int, record: dict, key: str) -> str | None:
+    """A record's optional text field: its string, or None when it is
+    absent or null; any other value is refused, naming the line."""
+    value = record.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ParseError(path, line_no, f"{key} must be a string or null")
+    return value
+
+
+def _id(path, line_no: int, record: dict, key: str) -> str:
+    """A record's id: a string as it is, or an integer's digits; a missing
+    id or one of any other type is refused, naming the line."""
+    if key not in record:
+        raise ParseError(path, line_no, f"missing field {key!r}")
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ParseError(path, line_no, f"{key} must be a string or an integer")
+    return str(value)
+
+
 def load_documents(path) -> DocumentCollection:
     """Load a JSONL document file; duplicate doc_ids are rejected by line."""
     collection = DocumentCollection()
     for line_no, record in _read_jsonl(path):
-        category = record.get("category")
-        if category is not None and not isinstance(category, str):
-            raise ParseError(path, line_no, "category must be a string or null")
         try:
             doc = Document(
-                doc_id=str(record["doc_id"]),
-                title=str(record.get("title", "") or ""),
-                body=str(record.get("body", "") or ""),
-                category=category,
+                doc_id=_id(path, line_no, record, "doc_id"),
+                title=_text(path, line_no, record, "title") or "",
+                body=_text(path, line_no, record, "body") or "",
+                category=_text(path, line_no, record, "category"),
             )
-        except KeyError as exc:
-            raise ParseError(path, line_no, f"missing field {exc.args[0]!r}") from exc
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from exc
         if doc.doc_id in collection:
@@ -300,16 +315,10 @@ def load_topics(path) -> list[Topic]:
     seen = set()
     for line_no, record in _read_jsonl(path):
         try:
-            topic = Topic(
-                query_id=str(record["query_id"]),
-                title=str(record.get("title", "") or ""),
-                description=str(record.get("description", "") or ""),
-                narrative=str(record.get("narrative", "") or ""),
-                concepts=str(record.get("concepts", "") or ""),
-                field=str(record.get("field", "") or ""),
-            )
-        except KeyError as exc:
-            raise ParseError(path, line_no, f"missing field {exc.args[0]!r}") from exc
+            topic = Topic(_id(path, line_no, record, "query_id"),
+                          *(_text(path, line_no, record, key) or ""
+                            for key in ("title", "description", "narrative",
+                                        "concepts", "field")))
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from exc
         if topic.query_id in seen:

@@ -42,7 +42,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import (
     CHARACTER_MODE,
@@ -83,23 +83,24 @@ def count_nonoverlapping(starts: Iterable[int], width: int) -> int:
     return count
 
 
-def _sequence_starts(haystack: Sequence[str], needle: Sequence[str]) -> list[int]:
+def _sequence_starts(haystack: Sequence[str], needle: Sequence[str]
+                     ) -> Iterator[int]:
     """1-based start positions of a unit run inside a stream (a tuple of
-    tokens or a string of characters)."""
+    tokens or a string of characters), in order and lazily: a reader that
+    wants the first stops the scan there."""
     n, m = len(haystack), len(needle)
     if m == 0 or m > n:
-        return []
+        return
     first = needle[0]
     stop = n - m + 1  # one past the last start that fits
-    starts = []
     i = -1
-    try:
-        while True:
+    while True:
+        try:
             i = haystack.index(first, i + 1, stop)
-            if haystack[i : i + m] == needle:
-                starts.append(i + 1)
-    except ValueError:
-        return starts
+        except ValueError:
+            return
+        if haystack[i : i + m] == needle:
+            yield i + 1
 
 
 class _Doc:
@@ -296,15 +297,14 @@ class Index:
 
     def first_position(self, doc_id: str, term: str):
         """IN_TITLE if the term appears in the title, else the first body
-        position (1-based), else None.  It scans the document's streams,
-        and is the one place a longer term's first position comes from;
-        a unit's is also in ``first_position_maps``."""
+        position (1-based), else None.  It scans the document's streams up
+        to the first start only, and is the one place a longer term's first
+        position comes from; a unit's is also in ``first_position_maps``."""
         entry = self._entry(doc_id)
         units = self._units(term)
-        if _sequence_starts(entry.title, units):
+        if next(_sequence_starts(entry.title, units), None) is not None:
             return IN_TITLE
-        starts = _sequence_starts(entry.body, units)
-        return starts[0] if starts else None
+        return next(_sequence_starts(entry.body, units), None)
 
     def first_position_maps(self) -> dict[str, dict]:
         """doc_id -> {unit: its ``first_position`` in the document}, for

@@ -52,7 +52,6 @@ from .scoring import (
     rank,
     score_bm11,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
     score_system_a,  # noqa: F401  (not called; perfbench/tracing.py wraps it here)
-    system_a_contributions,
     system_a_lookup,
     system_a_sums,
 )
@@ -160,12 +159,14 @@ def _lattice_sums(tables: SystemATables, compiled: CompiledTopicA, idf_map,
     span or extra term reaches.
 
     A path term's contribution (weight 1, the query's tf_q or 1) is
-    computed once, as a doc -> addend map, for every span the DP can ask
-    for; each phrase's spans are joined once into rows of those maps, and
-    ``lattice_best_score`` runs the score-only DP over the rows for the
-    documents holding some span of the phrase.  For every other document
-    all of the phrase's contributions are 0.0, and so is its path score.
-    A phrase the lattice refuses raises even when no document holds a span.
+    computed once for every span the DP can ask for, as
+    ``system_a_sums`` of the one-term vector into a fresh accumulator: its
+    doc -> addend map.  Each phrase's spans are joined once into rows of
+    those maps, and ``lattice_best_score`` runs the score-only DP over the
+    rows for the documents holding some span of the phrase.  For every
+    other document all of the phrase's contributions are 0.0, and so is
+    its path score.  A phrase the lattice refuses raises even when no
+    document holds a span.
     """
     vector = compiled.vector
     contributions: dict[str, dict[str, float]] = {}
@@ -181,9 +182,9 @@ def _lattice_sums(tables: SystemATables, compiled: CompiledTopicA, idf_map,
                 addends = contributions.get(term)
                 if addends is None:
                     entry = vector.get(term)
-                    addends = contributions[term] = system_a_contributions(
-                        tables, term, 1.0, entry.tf_q if entry is not None else 1,
-                        idf_map)
+                    tf_q = entry.tf_q if entry is not None else 1
+                    addends = contributions[term] = system_a_sums(
+                        tables, {term: (1.0, tf_q)}, idf_map)
                 hits.update(addends)
                 row.append(addends)
             rows.append(row)

@@ -20,15 +20,14 @@ expansion share, and the feedback pass both rank through it.
 
 System A ranks in two steps, and each reads the one ``SystemATables`` of
 its run: the index, the params and the query-set statistics, with the
-per-document tables built from them.  ``system_a_sums`` walks each term's
-postings (``Index.postings``) and adds every posting's addend straight into
-one accumulator: the term's IDF, TF_q, rarity and K_loc array
-(``_term_factors``) are computed once per term, each document's length
-norm comes from the tables, and the factors are multiplied in the
-oracle's order.  ``system_a_contributions`` keeps the same product as a
-doc -> addend map for the lattice, which reads a span's addends more than
-once.  ``system_a_lookup`` turns the sums into the per-document score
-``rank`` asks for: it adds the length bonus and multiplies by K_cat
+per-document tables built from them.  ``system_a_sums`` is the one fast
+place that multiplies a term's addend: it walks each term's postings
+(``Index.postings``), takes the term's IDF, TF_q, rarity and K_loc array
+once, and adds every posting's addend straight into one accumulator, its
+factors multiplied in the oracle's order.  The lattice asks it for one
+span at a time, into a fresh accumulator, and reads the span's addends
+from that map.  ``system_a_lookup`` turns the sums into the per-document
+score ``rank`` asks for: it adds the length bonus and multiplies by K_cat
 against the reference ranking it is given, counted once per category
 (``category_factors``).  The term sums do not depend on K_cat, so a
 topic's neutral pass and category pass share them.
@@ -384,50 +383,6 @@ class SystemATables:
         return factors
 
 
-def _term_factors(tables: SystemATables, term: str, tf_q: int,
-                  idf_map: Mapping[str, float] | None):
-    """What a term's addend in the extended score shares across documents:
-    its postings, IDF (``idf_map``'s when it has the term), TF_q, the K_loc
-    of each posting and the rarity factor; None for an unseen term.  A
-    factor that is off is 1.0, and multiplying by 1.0 leaves every float as
-    it is."""
-    index, params = tables.index, tables.params
-    postings = index.postings(term)
-    if not postings:
-        return None
-    if idf_map is not None and term in idf_map:
-        term_idf = idf_map[term]
-    else:
-        term_idf = idf(len(postings), index.n_docs)
-    k_locs = (tables.location_factors(term) if params.use_location
-              else repeat(1.0))
-    rarity = (query_rarity_factor(term, tables.qstats, params.k_nq)
-              if params.use_query_rarity else 1.0)
-    return (postings, term_idf, query_tf_saturation(tf_q, params.k_q_a), k_locs,
-            rarity)
-
-
-def system_a_contributions(tables: SystemATables, term: str, weight: float,
-                           tf_q: int, idf_map: Mapping[str, float] | None = None
-                           ) -> dict[str, float]:
-    """``system_a_term_contribution`` of ``term`` for every document in its
-    postings, doc_id -> addend; every other document's addend is 0.0.
-
-    The term's factors come from ``_term_factors`` and each posting's TF
-    factor from ``tables``; they are multiplied in
-    ``system_a_term_contribution``'s order, as in ``system_a_sums``, so each
-    addend is the same float.
-    """
-    factors = _term_factors(tables, term, tf_q, idf_map)
-    if factors is None:
-        return {}
-    postings, term_idf, tf_q_factor, k_locs, rarity = factors
-    norms = tables.norms
-    return {doc_id: tf / (tf + norms[doc_id]) * term_idf * tf_q_factor
-            * k_loc * rarity * weight
-            for (doc_id, tf), k_loc in zip(postings.items(), k_locs)}
-
-
 def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]],
                   idf_map: Mapping[str, float] | None = None,
                   acc: dict[str, float] | None = None) -> dict[str, float]:
@@ -435,20 +390,40 @@ def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]]
     some term reaches: ``score_system_a``'s sum before the length bonus and
     K_cat, which are left to ``system_a_lookup``.
 
-    Terms are visited in vector order and each adds its addends, the
-    products of ``system_a_contributions``, straight into the accumulator,
-    so every document gets ``score_system_a``'s additions in its order.
-    ``acc`` holds sums to start from (the lattice's path scores) and is
-    added to in place.
+    The one fast place that multiplies System A's addend.  Each term's
+    postings, IDF (``idf_map``'s when it has the term), TF_q, K_loc array
+    and rarity are taken once; a factor that is off is 1.0, which leaves
+    every float as it is.  Each posting's addend is multiplied in
+    ``system_a_term_contribution``'s order, with the document's norm from
+    the tables, and added straight into the accumulator; terms are visited
+    in vector order, so every document gets ``score_system_a``'s additions
+    in its order.  ``acc`` holds sums to start from (the lattice's path
+    scores) and is added to in place.
+
+    With a one-term vector of weight 1.0 and a fresh accumulator, the
+    result is that term's doc -> addend map, which the lattice reads for
+    each span: each value is 0.0 + x, which is x unless x is -0.0, and no
+    such addend is.  Every factor is >= +0.0 (the TF factor, log(n/df),
+    TF_q, K_loc with k_loc2 < 1, rarity, the weight 1.0), and a feedback
+    IDF is ``feedback_idf``'s ``max(0.0, ...)``, +0.0 where the value is
+    -0.0.
     """
     acc = {} if acc is None else acc
     get = acc.get
-    norms = tables.norms
+    index, params, norms = tables.index, tables.params, tables.norms
     for term, (weight, tf_q) in vector.items():
-        factors = _term_factors(tables, term, tf_q, idf_map)
-        if factors is None:
+        postings = index.postings(term)
+        if not postings:
             continue
-        postings, term_idf, tf_q_factor, k_locs, rarity = factors
+        if idf_map is not None and term in idf_map:
+            term_idf = idf_map[term]
+        else:
+            term_idf = idf(len(postings), index.n_docs)
+        tf_q_factor = query_tf_saturation(tf_q, params.k_q_a)
+        k_locs = (tables.location_factors(term) if params.use_location
+                  else repeat(1.0))
+        rarity = (query_rarity_factor(term, tables.qstats, params.k_nq)
+                  if params.use_query_rarity else 1.0)
         for (doc_id, tf), k_loc in zip(postings.items(), k_locs):
             acc[doc_id] = get(doc_id, 0.0) + (tf / (tf + norms[doc_id]) * term_idf
                                               * tf_q_factor * k_loc * rarity * weight)

@@ -2,10 +2,12 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -183,6 +185,16 @@ class TestIndexCommand:
                      "--out", str(workspace / "idx")])
         assert code == 2
         assert "error: no such file:" in capsys.readouterr().err
+
+    def test_failed_character_index_writes_nothing(self, workspace, capsys):
+        # one-character sentences give the threshold no fragment to calibrate on
+        write_jsonl(workspace / "short.jsonl",
+                    [{"doc_id": "d1", "title": "", "body": "a. b. c"}])
+        code = main(["index", "--docs", str(workspace / "short.jsonl"),
+                     "--out", str(workspace / "idx"), "--mode", "character"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (workspace / "idx").exists()
 
     def test_opened_index_takes_the_stored_k_cmi_unless_one_is_given(
             self, workspace):
@@ -723,6 +735,34 @@ class TestEvalCommand:
                      "--qrels", str(workspace / "nope.txt")])
         assert code == 2
         assert "error: no such file:" in capsys.readouterr().err
+
+
+class TestPathErrors:
+    # a path that is not a readable file: "{ws}" is the workspace, and
+    # "adir" a directory in it
+    @pytest.mark.parametrize("argv,culprit,error", [
+        (["search", "--index", "{ws}/idx", "--topics", "{ws}/adir"],
+         "{ws}/adir", errno.EISDIR),
+        (["search", "--index", "{ws}/idx", "--topics", "{ws}/topics.jsonl",
+          "--config", "{ws}/adir"], "{ws}/adir", errno.EISDIR),
+        (["search", "--index", "{ws}/idx", "--topics", "{ws}/topics.jsonl",
+          "--out", "{ws}/adir"], "{ws}/adir", errno.EISDIR),
+        (["eval", "--run", "{ws}/adir", "--qrels", "{ws}/qrels.txt"],
+         "{ws}/adir", errno.EISDIR),
+        (["index", "--docs", "{ws}/docs.jsonl", "--out", "{ws}/idx2",
+          "--stopwords", "{ws}/adir"], "{ws}/adir", errno.EISDIR),
+        (["index", "--docs", "{ws}/docs.jsonl", "--out", "{ws}/docs.jsonl/x"],
+         "{ws}/docs.jsonl/x", errno.ENOTDIR),
+    ], ids=["search-topics", "search-config", "search-out", "eval-run",
+            "index-stopwords", "index-out"])
+    def test_exits_2_naming_the_path(self, workspace, capsys, argv, culprit,
+                                     error):
+        build(workspace)
+        (workspace / "adir").mkdir()
+        capsys.readouterr()
+        assert main([arg.format(ws=workspace) for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {culprit.format(ws=workspace)}: {os.strerror(error)}\n")
 
 
 class TestSweepCommand:

@@ -134,6 +134,69 @@ class TestLoaders:
         with pytest.raises(ParseError, match=":1: query_id .* contains whitespace"):
             load_topics(path)
 
+    # a text field that is not a string would be read as its repr
+    @pytest.mark.parametrize("value", [["x"], {"x": 1}, 3, 0, True, False, 1.5])
+    @pytest.mark.parametrize("key", ["title", "body", "category"])
+    def test_non_string_document_text_names_line(self, tmp_path, key, value):
+        path = tmp_path / "docs.jsonl"
+        rows = [{"doc_id": "a", "title": "T", "body": "B"},
+                {"doc_id": "b", "title": "T", "body": "B", key: value}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ParseError, match=f":2: {key} must be a string or null"):
+            load_documents(path)
+
+    @pytest.mark.parametrize("value", [["x"], {"x": 1}, 3, 0, True, 1.5])
+    @pytest.mark.parametrize("key", ["title", "description", "narrative",
+                                     "concepts", "field"])
+    def test_non_string_topic_text_names_line(self, tmp_path, key, value):
+        path = tmp_path / "topics.jsonl"
+        path.write_text(json.dumps({"query_id": "q1", "title": "T", key: value})
+                        + "\n")
+        with pytest.raises(ParseError, match=f":1: {key} must be a string or null"):
+            load_topics(path)
+
+    def test_absent_or_null_text_is_empty(self, tmp_path):
+        dpath = tmp_path / "docs.jsonl"
+        dpath.write_text(json.dumps({"doc_id": "a", "title": None, "body": "B",
+                                     "category": None}) + "\n"
+                         + json.dumps({"doc_id": "b", "title": "T"}) + "\n")
+        docs = load_documents(dpath)
+        assert (docs["a"].title, docs["a"].category) == ("", None)
+        assert (docs["b"].body, docs["b"].category) == ("", None)
+        tpath = tmp_path / "topics.jsonl"
+        tpath.write_text(json.dumps({"query_id": "q1", "title": "T",
+                                     "description": None}) + "\n")
+        assert load_topics(tpath) == [Topic("q1", "T")]
+
+    def test_integer_ids_are_read_as_their_digits(self, tmp_path):
+        dpath = tmp_path / "docs.jsonl"
+        dpath.write_text(json.dumps({"doc_id": 7, "title": "T"}) + "\n")
+        assert "7" in load_documents(dpath)
+        tpath = tmp_path / "topics.jsonl"
+        tpath.write_text(json.dumps({"query_id": 12, "title": "T"}) + "\n")
+        assert load_topics(tpath)[0].query_id == "12"
+
+    @pytest.mark.parametrize("bad_id", [["a"], {"a": 1}, True, False, 1.5, None])
+    def test_id_that_is_not_a_string_or_integer_names_line(self, tmp_path,
+                                                           bad_id):
+        dpath = tmp_path / "docs.jsonl"
+        rows = [{"doc_id": "a", "title": "T"}, {"doc_id": bad_id, "title": "T"}]
+        dpath.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ParseError,
+                           match=":2: doc_id must be a string or an integer"):
+            load_documents(dpath)
+        tpath = tmp_path / "topics.jsonl"
+        tpath.write_text(json.dumps({"query_id": bad_id, "title": "T"}) + "\n")
+        with pytest.raises(ParseError,
+                           match=":1: query_id must be a string or an integer"):
+            load_topics(tpath)
+
+    def test_missing_id_names_line(self, tmp_path):
+        path = tmp_path / "topics.jsonl"
+        path.write_text(json.dumps({"title": "T"}) + "\n")
+        with pytest.raises(ParseError, match=":1: missing field 'query_id'"):
+            load_topics(path)
+
     def test_topics_and_stopwords(self, tmp_path):
         tpath = tmp_path / "topics.jsonl"
         tpath.write_text(json.dumps({"query_id": "q1", "title": "T",

@@ -11,9 +11,11 @@ header: its option lines, less the `# `, are a config file.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -355,6 +357,22 @@ def _open_index(index_dir, k_cmi: float | None) -> tuple[Index, Analyzer]:
                            stored_kcmi if k_cmi is None else k_cmi)
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an ``--out`` that cannot be written, before any work is done:
+    a directory, or a path whose directory is missing or is a file.  It
+    raises the OSError that the write would, and creates nothing."""
+    if not out:  # written to standard output
+        return
+    path = Path(out)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), out)
+
+
 def _parse_ratio(text: str) -> RatioTarget:
     try:
         a, b = text.split(":")
@@ -415,6 +433,7 @@ def cmd_search(args) -> int:
                        ("expand_all", "expand_source")):  # unread without the other
         if cfg[key] and not cfg[needs]:
             raise ValueError(f"{key} is read only with {needs}, which is not set")
+    _check_out(args.out)
     index, analyzer = _open_index(args.index, cfg["k_cmi"])
     topics = load_topics(args.topics)
     qtype = QueryType(cfg["qtype"])
@@ -473,6 +492,7 @@ def cmd_search(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args, SWEEP_OPTIONS)
+    _check_out(args.out)
     index, analyzer = _open_index(args.index, cfg["k_cmi"])
     topics = load_topics(args.topics)
     qrels = load_qrels(args.qrels)

@@ -12,6 +12,14 @@ no document keeps a bag (``doc_terms`` counts one for
 Occurrences are counted non-overlapping, in the title and the body
 separately (a match never spans the two), and body positions are 1-based.
 
+A document's length is its count of units, title and body together.  The
+index keeps every length in one doc_id -> length map, ``lengths``, built
+once with the index, in collection order: ``doc_len`` and ``total_len``
+read it, System B's ranking reads it once per posting, and System A's
+tables read it once per run.  What a scorer derives from a length with its
+own parameters (System A's k_t norm, the length bonus) stays with the
+scorer's run.
+
 ``postings`` gives a term's doc -> tf, so that a scorer walks the documents
 a term occurs in rather than asking about every (term, document) pair;
 ``doc_tf`` and ``term_stats`` read the same map.  The units' postings are
@@ -104,17 +112,17 @@ def _sequence_starts(haystack: Sequence[str], needle: Sequence[str]
 
 
 class _Doc:
-    """One document's streams, category and length.  It keeps no counts,
-    which the index's postings hold, and no first positions, which
-    ``first_position_maps`` builds for a run that reads them."""
+    """One document's streams and category.  It keeps no counts, which the
+    index's postings hold, no length, which the index's length map holds,
+    and no first positions, which ``first_position_maps`` builds for a run
+    that reads them."""
 
-    __slots__ = ("title", "body", "category", "length")
+    __slots__ = ("title", "body", "category")
 
     def __init__(self, title, body, category):
         self.title = title
         self.body = body
         self.category = category
-        self.length = len(title) + len(body)
 
 
 class Index:
@@ -129,6 +137,8 @@ class Index:
         self._docs: dict[str, _Doc] = {}  # in collection order
         # term -> {doc_id: tf}: the units, then each longer term counted
         self._postings: dict[str, dict[str, int]] | None = None
+        # doc_id -> length (title + body units), in collection order
+        self.lengths: dict[str, int] = {}
         self.n_docs = 0
         self.total_len = 0
         self.avg_len = 0.0
@@ -185,7 +195,9 @@ class Index:
 
     def _finalize(self):
         self.n_docs = len(self._docs)
-        self.total_len = sum(e.length for e in self._docs.values())
+        self.lengths = {doc_id: len(entry.title) + len(entry.body)
+                        for doc_id, entry in self._docs.items()}
+        self.total_len = sum(self.lengths.values())
         self.avg_len = self.total_len / self.n_docs if self.n_docs else 0.0
         self._category_counts = Counter(
             e.category for e in self._docs.values() if e.category is not None
@@ -209,7 +221,8 @@ class Index:
             raise DocumentNotFoundError(f"unknown doc_id {doc_id!r}") from None
 
     def doc_len(self, doc_id: str) -> int:
-        return self._entry(doc_id).length
+        self._entry(doc_id)
+        return self.lengths[doc_id]
 
     def doc_category(self, doc_id: str) -> str | None:
         return self._entry(doc_id).category
@@ -238,8 +251,11 @@ class Index:
 
     def doc_tf(self, doc_id: str, term: str) -> int:
         """Occurrences of ``term`` in one document (title + body), read from
-        the posting table, which ``postings`` adds a longer term to."""
-        self._entry(doc_id)
+        the posting table, which ``postings`` adds a longer term to.
+
+        A posting holds known documents only, so the doc id is checked
+        (DocumentNotFoundError) only where the read misses, and before a
+        longer term is counted."""
         # the table is read inline, not through _table: this runs once
         # per posting of a ranking pass
         table = self._postings
@@ -247,8 +263,13 @@ class Index:
             table = self._count_postings()
         posting = table.get(term)
         if posting is None:
-            posting = self.postings(term)
-        return posting.get(doc_id, 0)
+            self._entry(doc_id)
+            return self.postings(term).get(doc_id, 0)
+        tf = posting.get(doc_id)
+        if tf is None:
+            self._entry(doc_id)
+            return 0
+        return tf
 
     def postings(self, term: str) -> Mapping[str, int]:
         """doc_id -> tf of every document the term occurs in; empty for an

@@ -14,9 +14,14 @@ Both systems rank term-at-a-time (Turtle & Flood, "Query evaluation:
 strategies and optimizations", IPM 1995): each query term's statistics are
 computed once, and its contribution is added to the documents in its
 postings.  ``bm11_rank``, with k_t = 1, is System B's one ranking: it walks
-each word's postings (``Index.postings``).  ``bm11_retrieval``, the first
-retrieval that search, the feedback sweep and cross-lingual document
-expansion share, and the feedback pass both rank through it.
+each word's postings (``Index.postings``) and, per posting, reads the tf
+(``Index.doc_tf``) and the document's length (the index's ``lengths``
+map), and adds tf / (tf + length / avg_len) · weight; no other call is made
+per posting.  Its top documents come from the accumulator when every
+score is positive, zero-filled in ``doc_id`` order, and from a pass over
+every document otherwise.  ``bm11_retrieval``, the first retrieval that
+search, the feedback sweep and cross-lingual document expansion share, and
+the feedback pass both rank through it.
 
 System A ranks in two steps, and each reads the one ``SystemATables`` of
 its run: the index, the params and the query-set statistics, with the
@@ -348,8 +353,7 @@ class SystemATables:
         self.params = params
         self.qstats = qstats
         avg_len = index.avg_len
-        self.lengths = lengths = {doc_id: index.doc_len(doc_id)
-                                  for doc_id in index.doc_ids()}
+        self.lengths = lengths = index.lengths
         self.norms = {doc_id: params.k_t * length / avg_len
                       for doc_id, length in lengths.items()}
         self.bonuses = {doc_id: length_bonus(length, avg_len)
@@ -476,22 +480,44 @@ def bm11_rank(index: Index, weights: Mapping[str, float], cutoff: int,
     query_id)``, computed term-at-a-time over each word's postings.
 
     Words are visited in the order of ``weights``, so each document gets
-    score_bm11's additions in score_bm11's order and the same float.  A
-    document no word reaches scores 0.0, which ranks above negative scores
-    (a negative α makes them).
-    Each posting's tf is read through ``Index.doc_tf``, which perfbench's
-    tracer counts; reading ``postings(term).items()`` waits on its retarget.
+    score_bm11's additions in score_bm11's order and the same float.  Each
+    posting costs one tf read and ``tf / (tf + lengths[d] / avg_len) *
+    weight``, with the length from the index's length map: at k_t = 1 that
+    is ``tf_factor``'s float, since ``1.0 * length`` is ``length``.  The tf
+    is read through ``Index.doc_tf``, one call per posting, because
+    perfbench's tracer counts those calls; walking
+    ``postings(term).items()`` waits on the tracer's retarget.
+
+    A document no word reaches scores 0.0, which ranks above negative
+    scores (a negative α makes them).  When no weight is negative and no
+    scored document sums to exactly 0.0, every scored document ranks above
+    every other one, so the top is taken from the accumulator alone, and
+    when fewer than ``cutoff`` documents scored, the rest of the list is
+    the unreached documents at 0.0 in ``doc_id`` order.  Otherwise every
+    document is ranked, as ``rank`` does.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     acc: dict[str, float] = {}
+    get, doc_tf = acc.get, index.doc_tf
+    lengths, avg_len = index.lengths, index.avg_len
     for term, weight in weights.items():
         for doc_id in index.postings(term):
-            acc[doc_id] = acc.get(doc_id, 0.0) + tf_factor(
-                index.doc_tf(doc_id, term), index.doc_len(doc_id),
-                index.avg_len) * weight
-    return _top([(-acc.get(doc_id, 0.0), doc_id) for doc_id in index.doc_ids()],
-                cutoff, query_id)
+            tf = doc_tf(doc_id, term)
+            acc[doc_id] = (get(doc_id, 0.0)
+                           + tf / (tf + lengths[doc_id] / avg_len) * weight)
+    if any(weight < 0 for weight in weights.values()) or 0.0 in acc.values():
+        return _top([(-get(doc_id, 0.0), doc_id) for doc_id in index.doc_ids()],
+                    cutoff, query_id)
+    # every scored document is above 0.0, and every other one is at 0.0
+    ranking = _top([(-score, doc_id) for doc_id, score in acc.items()],
+                   cutoff, query_id)
+    missing = cutoff - len(ranking)
+    if missing <= 0:
+        return ranking
+    zeros = heapq.nsmallest(missing, [doc_id for doc_id in index.doc_ids()
+                                      if doc_id not in acc])
+    return Ranking(query_id, ranking.items + tuple(zip(zeros, repeat(0.0))))
 
 
 def bm11_weights(index: Index, bag: Mapping[str, int]) -> dict[str, float]:

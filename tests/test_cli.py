@@ -764,6 +764,30 @@ class TestPathErrors:
         assert capsys.readouterr().err == (
             f"error: {culprit.format(ws=workspace)}: {os.strerror(error)}\n")
 
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    @pytest.mark.parametrize("out,message", [
+        ("adir", "error: {out}: " + os.strerror(errno.EISDIR)),
+        ("missing/run.txt", "error: no such file: {out}"),
+        ("docs.jsonl/run.txt", "error: {out}: " + os.strerror(errno.ENOTDIR)),
+    ], ids=["directory", "missing-directory", "file-as-directory"])
+    def test_unwritable_out_exits_2_before_the_index_loads(
+            self, workspace, capsys, monkeypatch, command, out, message):
+        from probir import cli
+
+        build(workspace)
+        (workspace / "adir").mkdir()
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "load_index", lambda *args: pytest.fail(
+            "the index was loaded"))
+        out = str(workspace / out)
+        argv = [command, "--index", str(workspace / "idx"),
+                "--topics", str(workspace / "topics.jsonl"), "--out", out]
+        if command == "sweep":
+            argv += ["--qrels", str(workspace / "qrels.txt")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message.format(out=out) + "\n"
+        assert not (workspace / "missing").exists()
+
 
 class TestSweepCommand:
     def test_grid_rows_and_sections(self, workspace):

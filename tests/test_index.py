@@ -5,6 +5,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import probir.index
 from probir.corpus import CHARACTER_MODE, TOKEN_MODE, TokenizerConfig
 from probir.errors import DocumentNotFoundError, EmptyCollectionError, IndexLoadError
 from probir.index import (
@@ -277,8 +278,11 @@ def test_count_tables_equal_a_plain_count_of_the_streams(mode, data):
             check(index)
 
 
-@pytest.mark.parametrize("index_name", ["toy_index", "char_index"])
-def test_unknown_doc_id_raises(request, index_name):
+@pytest.mark.parametrize("index_name,unseen,longer", [
+    ("toy_index", "zzzz", "enterprise amalgamation"),
+    ("char_index", "q", "ab"),
+], ids=["toy_index", "char_index"])
+def test_unknown_doc_id_raises(request, monkeypatch, index_name, unseen, longer):
     index = request.getfixturevalue(index_name)
     for lookup in (index.doc_len, index.doc_category, index.doc_terms):
         with pytest.raises(DocumentNotFoundError):
@@ -286,6 +290,21 @@ def test_unknown_doc_id_raises(request, index_name):
     for lookup in (index.doc_tf, index.first_position):
         with pytest.raises(DocumentNotFoundError):
             lookup("nope", "a")
+    # doc_tf checks the id where its read misses: a unit no document
+    # holds, and a longer term, which is refused before it is counted
+    scans = []
+
+    def scan(haystack, needle):  # a term counted through it is stored empty
+        scans.append(needle)
+        return iter(())
+
+    monkeypatch.setattr(probir.index, "_sequence_starts", scan)
+    for term in (unseen, longer):
+        with pytest.raises(DocumentNotFoundError):
+            index.doc_tf("nope", term)
+    assert scans == []
+    monkeypatch.undo()
+    assert index.postings(longer)
 
 
 class TestBuildIndex:

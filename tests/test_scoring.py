@@ -453,7 +453,7 @@ class TestBm11Rank:
     EVERY = "every"     # put in every document: df = N, idf 0
     UNKNOWN = "qqqqqqqqqq"
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_term_at_a_time_equals_plain_ranking(self, data):
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -461,9 +461,21 @@ class TestBm11Rank:
         rows = [(doc_id, title, f"{body} {self.EVERY}")
                 for doc_id, title, body in
                 random_token_rows(rng, rng.randint(1, 12), vocab, max_len=12)]
+        # copies under other ids tie with their originals on every score,
+        # and the shuffle puts the ids out of sorted order, so the tie order
+        # and the zero fill's order are both checked
+        rows += [(f"c{i:03d}", title, body)
+                 for i, (_, title, body) in enumerate(rows) if rng.random() < 0.3]
+        rng.shuffle(rows)
         index = make_index(rows)
         n = index.n_docs
-        weight = st.one_of(st.floats(-50, 50), st.just(0.0), st.just(-0.0))
+        # all positive weights rank from the accumulator; a negative one,
+        # or a document that sums to ±0.0, ranks every document
+        weight = data.draw(st.sampled_from([
+            st.floats(0, 50, exclude_min=True),
+            st.one_of(st.floats(-50, -0.01), st.floats(0.01, 50)),
+            st.one_of(st.floats(-50, 50), st.just(0.0), st.just(-0.0)),
+        ]), label="weights")
         words = data.draw(st.lists(st.sampled_from(vocab + [self.UNKNOWN]),
                                    unique=True), label="words")
         weights = {word: data.draw(weight, label=word) for word in words}

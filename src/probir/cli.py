@@ -357,6 +357,14 @@ def _open_index(index_dir, k_cmi: float | None) -> tuple[Index, Analyzer]:
                            stored_kcmi if k_cmi is None else k_cmi)
 
 
+def _check_k_cmi(cfg: dict, *analyzers: Analyzer) -> None:
+    """Refuse a ``k_cmi`` that no opened index segments with, rather than
+    echo it in the header and hash it into the tag."""
+    if cfg["k_cmi"] is not None and not any(a.character for a in analyzers):
+        raise ValueError("k_cmi is read only by a character-mode index, "
+                         "and no index opened is one")
+
+
 def _check_out(out: str | None) -> None:
     """Refuse an ``--out`` that cannot be written, before any work is done:
     a directory, or a path whose directory is missing or is a file.  It
@@ -435,6 +443,10 @@ def cmd_search(args) -> int:
             raise ValueError(f"{key} is read only with {needs}, which is not set")
     _check_out(args.out)
     index, analyzer = _open_index(args.index, cfg["k_cmi"])
+    source_index, source = None, analyzer
+    if cfg["expand_source"]:
+        source_index, source = _open_index(cfg["expand_source"], cfg["k_cmi"])
+    _check_k_cmi(cfg, analyzer, source)
     topics = load_topics(args.topics)
     qtype = QueryType(cfg["qtype"])
     cutoff = cfg["cutoff"]
@@ -442,10 +454,6 @@ def cmd_search(args) -> int:
     if cfg["translate"]:
         dictionary = load_dictionary(cfg["translate"])
         feedback = _feedback_b_params(cfg) if cfg["feedback"] else None
-        source_index, source = None, analyzer
-        if cfg["expand_source"]:
-            source_index, source = _open_index(cfg["expand_source"],
-                                               cfg["k_cmi"])
 
         # clir_topic is looked up in this module at each call: perfbench's
         # topic timer wraps cli.clir_topic to time the whole topic
@@ -494,6 +502,7 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args, SWEEP_OPTIONS)
     _check_out(args.out)
     index, analyzer = _open_index(args.index, cfg["k_cmi"])
+    _check_k_cmi(cfg, analyzer)
     topics = load_topics(args.topics)
     qrels = load_qrels(args.qrels)
     with _collector_paused():

@@ -80,9 +80,10 @@ def r_precision(ranked_docs: Sequence[str], relevant: set[str]) -> float | None:
 def parse_run_file(path) -> dict[str, list[str]]:
     """TREC run lines -> query -> doc ids in rank order; comments skipped.
 
-    A repeated (query, doc) pair or a score that is not finite is an error,
-    since either would be counted into the measures as if it were valid."""
-    runs: dict[str, list[tuple[int, str]]] = {}
+    A repeated (query, doc) pair, a rank below 1 or repeated within a query,
+    or a score that is not finite is an error, since each would be counted
+    into the measures as if it were valid."""
+    runs: dict[str, dict[int, str]] = {}
     seen: set[tuple[str, str]] = set()
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
@@ -107,11 +108,14 @@ def parse_run_file(path) -> dict[str, list[str]]:
                 raise ParseError(str(path), line_no,
                                  f"doc {doc_id!r} repeated for query {query_id!r}")
             seen.add((query_id, doc_id))
-            runs.setdefault(query_id, []).append((rank_pos, doc_id))
-    return {
-        query_id: [doc_id for _, doc_id in sorted(entries, key=lambda e: e[0])]
-        for query_id, entries in runs.items()
-    }
+            ranked = runs.setdefault(query_id, {})
+            if rank_pos < 1 or rank_pos in ranked:
+                problem = ("below 1" if rank_pos < 1
+                           else f"repeated for query {query_id!r}")
+                raise ParseError(str(path), line_no, f"rank {rank_pos} is {problem}")
+            ranked[rank_pos] = doc_id
+    return {query_id: [ranked[rank_pos] for rank_pos in sorted(ranked)]
+            for query_id, ranked in runs.items()}
 
 
 @dataclass(frozen=True)
@@ -145,7 +149,8 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _macro(values: list[float | None]) -> float | None:
+def macro_mean(values: list[float | None]) -> float | None:
+    """The mean of the defined values; None when none is."""
     defined = [v for v in values if v is not None]
     if not defined:
         return None
@@ -176,9 +181,9 @@ def evaluate_run(run: Mapping[str, Sequence[str]],
             r_precision(ranked, relax),
         ))
     macro = {
-        "ap_rigid": _macro([row.ap_rigid for row in rows]),
-        "ap_relax": _macro([row.ap_relax for row in rows]),
-        "rp_rigid": _macro([row.rp_rigid for row in rows]),
-        "rp_relax": _macro([row.rp_relax for row in rows]),
+        "ap_rigid": macro_mean([row.ap_rigid for row in rows]),
+        "ap_relax": macro_mean([row.ap_relax for row in rows]),
+        "rp_rigid": macro_mean([row.rp_rigid for row in rows]),
+        "rp_relax": macro_mean([row.rp_relax for row in rows]),
     }
     return EvalReport(tuple(rows), macro, tuple(warnings))

@@ -372,7 +372,7 @@ def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
 
     Each topic's first retrieval and its prefix bags (with their relevance
     values, which depend on neither θ, α nor R) are shared by every cell."""
-    from .evaluation import evaluate_run
+    from .evaluation import evaluate_run, macro_mean
 
     prepared = []
     for topic in topics:
@@ -404,11 +404,7 @@ def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
         groups: dict[str, list[float | None]] = {}
         for row in rows:
             groups.setdefault(str(key(row)), []).append(row.ap_relax)
-        means = {}
-        for value, aps in groups.items():
-            defined = [v for v in aps if v is not None]
-            means[value] = sum(defined) / len(defined) if defined else None
-        return means
+        return {value: macro_mean(aps) for value, aps in groups.items()}
 
     averages = {
         "p": group_mean(lambda r: r.p_level),

@@ -17,9 +17,9 @@ postings.  ``bm11_rank``, with k_t = 1, is System B's one ranking: it walks
 each word's postings (``Index.postings``) and, per posting, reads the tf
 (``Index.doc_tf``) and the document's length (the index's ``lengths``
 map), and adds tf / (tf + length / avg_len) · weight; no other call is made
-per posting.  Its top documents come from the accumulator when every
-score is positive, zero-filled in ``doc_id`` order, and from a pass over
-every document otherwise.  ``bm11_retrieval``, the first retrieval that
+per posting.  Its top documents come from the accumulator, joined by the
+first unreached documents at 0.0 when the top reaches down to 0.0 or falls
+short of the cutoff.  ``bm11_retrieval``, the first retrieval that
 search, the feedback sweep and cross-lingual document expansion share, and
 the feedback pass both rank through it.
 
@@ -32,10 +32,10 @@ once, and adds every posting's addend straight into one accumulator, its
 factors multiplied in the oracle's order.  The lattice asks it for one
 span at a time, into a fresh accumulator, and reads the span's addends
 from that map.  ``system_a_lookup`` turns the sums into the per-document
-score ``rank`` asks for: it adds the length bonus and multiplies by K_cat
-against the reference ranking it is given, counted once per category
-(``category_factors``).  The term sums do not depend on K_cat, so a
-topic's neutral pass and category pass share them.
+score ``rank`` asks for: it adds the length bonus (0.0 when that is off)
+and multiplies by K_cat against the reference ranking it is given, counted
+once per category (``category_factors``).  The term sums do not depend on
+K_cat, so a topic's neutral pass and category pass share them.
 
 Both systems select a ranking's top documents from (-score, doc_id) pairs
 with a heap, with no key function per document.
@@ -329,8 +329,9 @@ class SystemATables:
     """One run's System A state: its index, params and query-set statistics,
     and what its term-at-a-time passes read besides the postings: each
     document's length norm k_t·length/avg_len (``tf_factor``'s denominator,
-    the same float), length bonus and category, and the K_loc of each term
-    asked for, one value per posting.
+    the same float), length bonus (0.0 for every document when the params
+    switch the bonus off) and category, and the K_loc of each term asked
+    for, one value per posting.
 
     With location on, the tables also own every document's unit -> first
     position map (``Index.first_position_maps``), built once here, before
@@ -357,6 +358,7 @@ class SystemATables:
         self.norms = {doc_id: params.k_t * length / avg_len
                       for doc_id, length in lengths.items()}
         self.bonuses = {doc_id: length_bonus(length, avg_len)
+                        if params.use_length_bonus else 0.0
                         for doc_id, length in lengths.items()}
         self.categories = {doc_id: index.doc_category(doc_id) for doc_id in lengths}
         self._firsts = index.first_position_maps() if params.use_location else None
@@ -437,21 +439,17 @@ def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]]
 def system_a_lookup(tables: SystemATables, sums: Mapping[str, float],
                     reference: Ranking | None = None) -> Callable[[str], float]:
     """The doc_id -> score lookup of one ranking pass over ``system_a_sums``:
-    the sum, plus the length bonus when the tables' params switch it on,
-    times K_cat against ``reference`` when one is given.  With the sums of a
-    vector it equals ``lambda d: score_system_a(index, d, vector, params,
-    qstats, reference, idf_map)``, where the params' ``use_category`` says
-    whether a reference is given."""
-    get = sums.get
-    bonus = tables.bonuses if tables.params.use_length_bonus else None
+    the sum plus the tables' length bonus, times K_cat against ``reference``
+    when one is given.  With the sums of a vector it equals ``lambda d:
+    score_system_a(index, d, vector, params, qstats, reference, idf_map)``,
+    where the params' ``use_category`` says whether a reference is given; a
+    bonus that is off is 0.0, and ``x + 0.0`` is ``x`` for every sum, none
+    of which is -0.0."""
+    get, bonus = sums.get, tables.bonuses
     if reference is None:
-        if bonus is None:
-            return lambda doc_id: get(doc_id, 0.0)
         return lambda doc_id: get(doc_id, 0.0) + bonus[doc_id]
     table = category_factors(reference, tables.index, tables.params.k_cat)
     category = tables.categories
-    if bonus is None:
-        return lambda doc_id: get(doc_id, 0.0) * table[category[doc_id]]
     return lambda doc_id: (get(doc_id, 0.0) + bonus[doc_id]) * table[category[doc_id]]
 
 
@@ -488,13 +486,13 @@ def bm11_rank(index: Index, weights: Mapping[str, float], cutoff: int,
     perfbench's tracer counts those calls; walking
     ``postings(term).items()`` waits on the tracer's retarget.
 
-    A document no word reaches scores 0.0, which ranks above negative
-    scores (a negative α makes them).  When no weight is negative and no
-    scored document sums to exactly 0.0, every scored document ranks above
-    every other one, so the top is taken from the accumulator alone, and
-    when fewer than ``cutoff`` documents scored, the rest of the list is
-    the unreached documents at 0.0 in ``doc_id`` order.  Otherwise every
-    document is ranked, as ``rank`` does.
+    The top is taken from the accumulator.  A document no word reaches
+    scores 0.0, so it can enter only when fewer than ``cutoff`` documents
+    scored or the ``cutoff``-th score is <= 0.0 (a negative α or a zero
+    weight makes such scores); then the first ``cutoff`` unreached
+    documents by ``doc_id`` join the candidates at 0.0, since within a tie
+    no later one can enter, and the top is selected again.  No sum is -0.0
+    (``0.0 + ±0.0`` is +0.0), so every score and tie is ``rank``'s.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -506,24 +504,11 @@ def bm11_rank(index: Index, weights: Mapping[str, float], cutoff: int,
             tf = doc_tf(doc_id, term)
             acc[doc_id] = (get(doc_id, 0.0)
                            + tf / (tf + lengths[doc_id] / avg_len) * weight)
-    if any(weight < 0 for weight in weights.values()) or 0.0 in acc.values():
-        return _top([(-get(doc_id, 0.0), doc_id) for doc_id in index.doc_ids()],
-                    cutoff, query_id)
-    # every scored document is above 0.0, and every other one is at 0.0
-    ranking = _top([(-score, doc_id) for doc_id, score in acc.items()],
-                   cutoff, query_id)
-    missing = cutoff - len(ranking)
-    if missing <= 0:
-        return ranking
-    zeros = heapq.nsmallest(missing, [doc_id for doc_id in index.doc_ids()
-                                      if doc_id not in acc])
-    return Ranking(query_id, ranking.items + tuple(zip(zeros, repeat(0.0))))
-
-
-def bm11_weights(index: Index, bag: Mapping[str, int]) -> dict[str, float]:
-    """Query-side weights q(w|Q) for every bag word the collection knows."""
-    return {word: bm11_word_weight(index, word, tf_q)
-            for word, tf_q in prune_vector(index, bag).items()}
+    top = heapq.nsmallest(cutoff, [(-score, doc_id) for doc_id, score in acc.items()])
+    if len(top) < cutoff or top[-1][0] >= 0.0:
+        top += zip(repeat(-0.0), heapq.nsmallest(
+            cutoff, [doc_id for doc_id in index.doc_ids() if doc_id not in acc]))
+    return _top(top, cutoff, query_id)
 
 
 def bm11_retrieval(index: Index, bag: Mapping[str, int], cutoff: int,
@@ -531,8 +516,9 @@ def bm11_retrieval(index: Index, bag: Mapping[str, int], cutoff: int,
     """The BM11 first retrieval shared by search, the feedback sweep and
     document expansion: the bag pruned to the words the collection knows,
     and its ranking.  None when the collection knows no word of the bag."""
-    weights = bm11_weights(index, bag)
-    if not weights:
+    pruned = prune_vector(index, bag)
+    if not pruned:
         return None
-    pruned = {word: bag[word] for word in weights}
-    return pruned, bm11_rank(index, weights, cutoff, query_id)
+    return pruned, bm11_rank(index, {word: bm11_word_weight(index, word, tf_q)
+                                     for word, tf_q in pruned.items()},
+                             cutoff, query_id)

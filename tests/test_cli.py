@@ -1044,6 +1044,29 @@ class TestOptionTable:
         assert code == 2
         assert err == f"error: {message}, which is not set\n"
 
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    @pytest.mark.parametrize("as_flag", [True, False])
+    def test_k_cmi_without_a_character_index_exits_2(self, workspace, capsys,
+                                                     command, as_flag):
+        """A token index segments nothing, so a k_cmi, as a flag or a config
+        line, is refused rather than echoed in the header and hashed into
+        the tag."""
+        build(workspace)
+        (workspace / "k.conf").write_text("k_cmi = 0.5\n", encoding="utf-8")
+        given = (["--k-cmi", "0.5"] if as_flag
+                 else ["--config", str(workspace / "k.conf")])
+        out = workspace / "out.txt"
+        argv = [command, "--index", str(workspace / "idx"),
+                "--topics", str(workspace / "topics.jsonl"),
+                "--out", str(out), *given]
+        if command == "sweep":
+            argv += ["--qrels", str(workspace / "qrels.txt")]
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: k_cmi is read only by a character-mode index, and no "
+            "index opened is one\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,message", [
         (["--k-cmi", "nan"], "argument --k-cmi: must be a number, got 'nan'"),
         (["--expand-docs=-1"], "argument --expand-docs: must be >= 0, got '-1'"),

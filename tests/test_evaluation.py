@@ -153,6 +153,10 @@ class TestLoaders:
         ("q1 Q0 d1 1 inf t\n", 1),
         ("q1 Q0 d1 1 -inf t\n", 1),
         ("q1 Q0 d1 1 0.9 t\nq2 Q0 d1 1 0.9 t\nq1 Q0 d1 2 0.5 t\n", 3),
+        # a rank below 1, or repeated within a query, would reorder the run
+        ("q1 Q0 d1 1 0.9 t\nq1 Q0 d2 0 0.5 t\n", 2),
+        ("q1 Q0 d1 1 0.9 t\nq1 Q0 d2 -5 0.5 t\n", 2),
+        ("q1 Q0 d3 1 0.1 t\nq2 Q0 d3 1 0.9 t\nq1 Q0 d1 1 0.5 t\n", 3),
     ])
     def test_run_file_rejects_non_finite_and_repeated(self, tmp_path, lines,
                                                       line_no):

@@ -39,7 +39,7 @@ from probir.scoring import (
     RARITY_TITLE,
     Ranking,
     ScoringParamsA,
-    bm11_weights,
+    bm11_word_weight,
     build_query_set_stats,
     rank,
     score_bm11,
@@ -153,8 +153,10 @@ class TestSearchSystemB:
 
     def test_scores_equal_manual_bm11(self):
         bag = Counter(["alpha", "gamma", "zzz"])
-        weights = bm11_weights(self.index, bag)
-        assert set(weights) == {"alpha", "gamma"}
+        pruned, _ = bm11_retrieval(self.index, bag, 1000, "q1")
+        assert pruned == {"alpha": 1, "gamma": 1}
+        weights = {word: bm11_word_weight(self.index, word, tf_q)
+                   for word, tf_q in pruned.items()}
         expected = rank(self.index,
                         lambda d: score_bm11(self.index, d, weights),
                         1000, "q1")

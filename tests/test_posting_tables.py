@@ -154,11 +154,11 @@ class TestTables:
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, mode=MODES)
     def test_system_a_tables_equal_per_document_lookups(self, seed, mode):
-        """The tables' norms, bonuses and categories equal the index's
-        per-document lookups, and each K_loc equals ``k_location`` of a
-        plain scan for the term's first position, for units and longer
-        terms alike, whether location_factors or the postings count a
-        longer term first."""
+        """The tables' norms, bonuses (0.0 with the bonus off) and
+        categories equal the index's per-document lookups, and each K_loc
+        equals ``k_location`` of a plain scan for the term's first
+        position, for units and longer terms alike, whether
+        location_factors or the postings count a longer term first."""
         rng = random.Random(seed)
         rows, words = corpus_rows(rng, mode)
         streams = analysed_streams(rows, mode)
@@ -166,7 +166,8 @@ class TestTables:
         params = ScoringParamsA(
             # not only powers of two
             k_t=rng.choice([0.3, 0.7, 1.0, 1.7]), k_loc1=rng.choice([1.0, 1.2, 3.0]),
-            k_loc2=rng.choice([0.0, 0.1, 0.37, 0.9]))
+            k_loc2=rng.choice([0.0, 0.1, 0.37, 0.9]),
+            use_length_bonus=rng.choice([False, True]))
         for location_first in (False, True):
             for idx in built_and_loaded(make_index(rows, mode=mode)):
                 tables = SystemATables(idx, params)
@@ -174,6 +175,7 @@ class TestTables:
                 assert tables.norms == {d: params.k_t * idx.doc_len(d) / idx.avg_len
                                         for d in docs}
                 assert tables.bonuses == {d: length_bonus(idx.doc_len(d), idx.avg_len)
+                                          if params.use_length_bonus else 0.0
                                           for d in docs}
                 assert tables.categories == {d: idx.doc_category(d) for d in docs}
                 for term in terms:

@@ -463,14 +463,15 @@ class TestBm11Rank:
                 random_token_rows(rng, rng.randint(1, 12), vocab, max_len=12)]
         # copies under other ids tie with their originals on every score,
         # and the shuffle puts the ids out of sorted order, so the tie order
-        # and the zero fill's order are both checked
+        # and the order unreached documents enter in are both checked
         rows += [(f"c{i:03d}", title, body)
                  for i, (_, title, body) in enumerate(rows) if rng.random() < 0.3]
         rng.shuffle(rows)
         index = make_index(rows)
         n = index.n_docs
-        # all positive weights rank from the accumulator; a negative one,
-        # or a document that sums to ±0.0, ranks every document
+        # with all weights positive, unreached documents enter only below
+        # the scored ones; a negative weight, or a document that sums to
+        # ±0.0, puts scores at or below their 0.0
         weight = data.draw(st.sampled_from([
             st.floats(0, 50, exclude_min=True),
             st.one_of(st.floats(-50, -0.01), st.floats(0.01, 50)),
@@ -513,6 +514,28 @@ class TestBm11Rank:
         scans.clear()
         assert bm11_rank(char_index, weights, char_index.n_docs, "q") == first
         assert scans == []
+
+    @pytest.mark.parametrize("weights,cutoff,listed,expected", [
+        ({"a": 1.0}, 2, False, ("d2", "d1")),
+        # d3 sums to 0.0, below the top
+        ({"a": 1.0, "c": 0.0}, 2, False, ("d2", "d1")),
+        # the scored documents fall short of the cutoff
+        ({"a": 1.0}, 3, True, ("d2", "d1", "d3")),
+        # the top reaches down to d3's 0.0 sum
+        ({"a": 1.0, "c": 0.0}, 3, True, ("d2", "d1", "d3")),
+        # the top is below 0.0, where unreached d3 ranks first
+        ({"a": -1.0}, 1, True, ("d3",)),
+    ])
+    def test_documents_are_listed_only_when_the_top_is_not_all_positive(
+            self, monkeypatch, weights, cutoff, listed, expected):
+        """The unreached documents are looked for only when fewer than
+        ``cutoff`` documents score above 0.0."""
+        index = make_index([("d1", "", "a b"), ("d2", "", "a"), ("d3", "", "c")])
+        calls = []
+        doc_ids = index.doc_ids
+        monkeypatch.setattr(index, "doc_ids", lambda: calls.append(1) or doc_ids())
+        assert bm11_rank(index, weights, cutoff, "q").doc_ids() == expected
+        assert bool(calls) is listed
 
     def test_cutoff_below_one_raises(self, toy_index):
         with pytest.raises(ValueError):

@@ -32,11 +32,11 @@ units, and joins the table.  The table holds counts only.
 
 No document keeps first positions, since only System A's location factor
 reads them, and the posting table keeps none either.  ``first_position``
-scans a document's streams; ``first_position_maps`` builds every
-document's unit -> first position map in one pass, for the
-``SystemATables`` of a run with location on, which scans with
-``first_position`` for a longer term.  No unit is empty or holds
-whitespace (``load_index`` refuses one), so no unit equals a longer term.
+scans a document's streams; the ``SystemATables`` of a run with location
+on read every document's streams once (``streams``) for the units' first
+positions, and scan with ``first_position`` for a longer term.  No unit is
+empty or holds whitespace (``load_index`` refuses one), so no unit equals
+a longer term.
 
 An Index does not change once built, apart from what it counts on first
 use, and is safe to share across readers: a table or map is stored only
@@ -114,8 +114,8 @@ def _sequence_starts(haystack: Sequence[str], needle: Sequence[str]
 class _Doc:
     """One document's streams and category.  It keeps no counts, which the
     index's postings hold, no length, which the index's length map holds,
-    and no first positions, which ``first_position_maps`` builds for a run
-    that reads them."""
+    and no first positions, which a run that reads them derives from the
+    streams (``SystemATables``)."""
 
     __slots__ = ("title", "body", "category")
 
@@ -233,6 +233,12 @@ class Index:
         entry = self._entry(doc_id)
         return Counter(entry.title + entry.body)
 
+    def streams(self) -> Iterator[tuple[str, Sequence[str], Sequence[str]]]:
+        """(doc_id, title stream, body stream) of every document, in
+        collection order."""
+        for doc_id, entry in self._docs.items():
+            yield doc_id, entry.title, entry.body
+
     def doc_text(self, doc_id: str) -> tuple[str, str]:
         """Filtered (title, body) character streams; character mode only."""
         if self.mode != CHARACTER_MODE:
@@ -320,24 +326,13 @@ class Index:
         """IN_TITLE if the term appears in the title, else the first body
         position (1-based), else None.  It scans the document's streams up
         to the first start only, and is the one place a longer term's first
-        position comes from; a unit's is also in ``first_position_maps``."""
+        position comes from; ``SystemATables`` reads a unit's off the
+        ``streams``."""
         entry = self._entry(doc_id)
         units = self._units(term)
         if next(_sequence_starts(entry.title, units), None) is not None:
             return IN_TITLE
         return next(_sequence_starts(entry.body, units), None)
-
-    def first_position_maps(self) -> dict[str, dict]:
-        """doc_id -> {unit: its ``first_position`` in the document}, for
-        every document: built on each call, for the run that reads them
-        (``SystemATables`` with location on)."""
-        maps = {}
-        for doc_id, entry in self._docs.items():
-            # the earliest body write wins, and the title's writes come last
-            first = maps[doc_id] = dict(zip(reversed(entry.body),
-                                            range(len(entry.body), 0, -1)))
-            first.update(dict.fromkeys(entry.title, IN_TITLE))
-        return maps
 
     # -- persistence -------------------------------------------------------
 

@@ -18,27 +18,30 @@ each word's postings (``Index.postings``) and, per posting, reads the tf
 (``Index.doc_tf``) and the document's length (the index's ``lengths``
 map), and adds tf / (tf + length / avg_len) · weight; no other call is made
 per posting.  Its top documents come from the accumulator, joined by the
-first unreached documents at 0.0 when the top reaches down to 0.0 or falls
-short of the cutoff.  ``bm11_retrieval``, the first retrieval that
-search, the feedback sweep and cross-lingual document expansion share, and
-the feedback pass both rank through it.
+first unreached documents at 0.0 when fewer than the cutoff score above
+0.0.  ``bm11_retrieval``, the first retrieval that search, the feedback
+sweep and cross-lingual document expansion share, and the feedback pass
+both rank through it.
 
 System A ranks in two steps, and each reads the one ``SystemATables`` of
 its run: the index, the params and the query-set statistics, with the
-per-document tables built from them.  ``system_a_sums`` is the one fast
-place that multiplies a term's addend: it walks each term's postings
-(``Index.postings``), takes the term's IDF, TF_q, rarity and K_loc array
-once, and adds every posting's addend straight into one accumulator, its
-factors multiplied in the oracle's order.  The lattice asks it for one
-span at a time, into a fresh accumulator, and reads the span's addends
-from that map.  ``system_a_lookup`` turns the sums into the per-document
+per-document tables built from them and one record per term, built on
+first use: the term's postings (``Index.postings``) with each posting's
+TF factor and K_loc.  ``system_a_sums`` is the one fast place that
+multiplies a term's addend: it takes the term's record, IDF, TF_q and
+rarity once, and adds every posting's addend straight into one
+accumulator, its factors multiplied in the oracle's order.  The lattice
+asks it for one span at a time, into a fresh accumulator, and reads the
+span's addends from that map.  ``system_a_lookup`` turns the sums into the per-document
 score ``rank`` asks for: it adds the length bonus (0.0 when that is off)
 and multiplies by K_cat against the reference ranking it is given, counted
 once per category (``category_factors``).  The term sums do not depend on
 K_cat, so a topic's neutral pass and category pass share them.
 
-Both systems select a ranking's top documents from (-score, doc_id) pairs
-with a heap, with no key function per document.
+Both systems select a ranking's top documents in one ``_top``: a sort of
+the scores gives the cutoff-th largest, and only the documents scoring at
+least that much are sorted by (-score, doc_id), with no Python-level step
+per document.
 
 ``score_bm11``, ``score_system_a`` and ``k_category`` are only the plain
 per-document oracles of the fast paths; neither system ranks through them.
@@ -49,13 +52,13 @@ contribute nothing; ``prune_vector`` drops them up front.
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import compress, filterfalse, repeat
+from operator import gt, le, neg
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ZeroDocumentFrequencyError
 from .index import IN_TITLE, Index
@@ -88,10 +91,15 @@ class ScoringParamsA:
     def __post_init__(self):
         if not self.k_t > 0:
             raise ValueError("k_t must be positive")
+        if math.isinf(self.k_t):
+            raise ValueError("k_t must be finite")
+        # inf is TF_q's rank-preserving limit (query_tf_saturation)
         if not self.k_q_a > 0:
             raise ValueError("k_q_a must be positive")
         if not self.k_loc1 >= 1:
             raise ValueError("k_loc1 must be >= 1")
+        if math.isinf(self.k_loc1):
+            raise ValueError("k_loc1 must be finite")
         if not 0 <= self.k_loc2 < 1:
             raise ValueError("k_loc2 must be in [0, 1)")
         if not math.isfinite(self.k_cat):
@@ -325,27 +333,37 @@ def score_system_a(index: Index, doc_id: str,
     return total
 
 
+class TermRecord(NamedTuple):
+    """What System A's passes read of one term besides its IDF, TF_q and
+    rarity: its postings, and one TF factor and one K_loc per posting, in
+    the postings' order.  ``k_locs`` is None when location is off."""
+
+    postings: Mapping[str, int]
+    tf_factors: array
+    k_locs: array | None
+
+
 class SystemATables:
     """One run's System A state: its index, params and query-set statistics,
     and what its term-at-a-time passes read besides the postings: each
-    document's length norm k_t·length/avg_len (``tf_factor``'s denominator,
-    the same float), length bonus (0.0 for every document when the params
-    switch the bonus off) and category, and the K_loc of each term asked
-    for, one value per posting.
+    document's length bonus (0.0 for every document when the params switch
+    the bonus off) and category, and one ``TermRecord`` per term asked for.
 
-    With location on, the tables also own every document's unit -> first
-    position map (``Index.first_position_maps``), built once here, before
-    the run's first topic; the index keeps none, so a run without
-    location, System B and ``probir index`` never build them.  A longer
-    term is in no map, and its first positions are scanned with
-    ``Index.first_position``.
+    With location on, the tables own every document's unit -> K_loc map,
+    built once here, before the run's first topic: each unit's
+    ``k_location`` at its ``first_position`` in the document, k_loc1 for a
+    unit of the title.  The body values are read from one row per distinct
+    document length, the K_loc of each body position, computed with
+    ``k_location``'s expression.  A longer term is in no map, and its first
+    positions are scanned with ``Index.first_position``.  The index keeps
+    none of this, so a run without location, System B and ``probir index``
+    never build it.
 
-    A term's K_loc values are an array in the order of its postings, built
-    on first use and kept for as long as the tables are:
-    ``search_system_a`` keeps one set for all of its topics, since most of
-    the terms a topic asks for (feedback adopts the same common words) were
-    asked for by an earlier topic, and a longer term's documents are
-    scanned once per run.
+    A term's record is built on first use, in one walk of its postings, and
+    kept for as long as the tables are: ``search_system_a`` keeps one set
+    for all of its topics, since most of the terms a topic asks for
+    (feedback adopts the same common words) were asked for by an earlier
+    topic, and a longer term's documents are scanned once per run.
     """
 
     def __init__(self, index: Index, params: ScoringParamsA,
@@ -354,39 +372,64 @@ class SystemATables:
         self.params = params
         self.qstats = qstats
         avg_len = index.avg_len
-        self.lengths = lengths = index.lengths
-        self.norms = {doc_id: params.k_t * length / avg_len
-                      for doc_id, length in lengths.items()}
+        lengths = index.lengths
         self.bonuses = {doc_id: length_bonus(length, avg_len)
                         if params.use_length_bonus else 0.0
                         for doc_id, length in lengths.items()}
         self.categories = {doc_id: index.doc_category(doc_id) for doc_id in lengths}
-        self._firsts = index.first_position_maps() if params.use_location else None
-        self._location: dict[str, array] = {}
+        self._terms: dict[str, TermRecord] = {}
+        self._rows: dict[int, list[float]] = {}
+        self._k_locs: dict[str, dict[str, float]] | None = None
+        if params.use_location:
+            k_loc1 = params.k_loc1
+            self._k_locs = maps = {}
+            for doc_id, title, body in index.streams():
+                row = self._row(lengths[doc_id])
+                # the earliest body write wins, and the title's writes come last
+                k_locs = maps[doc_id] = dict(zip(reversed(body),
+                                                 reversed(row[:len(body)])))
+                k_locs.update(dict.fromkeys(title, k_loc1))
 
-    def location_factors(self, term: str) -> array:
-        """``k_location`` of the term's ``first_position`` in each document
-        of ``Index.postings(term)``, in the postings' order: its expression
-        evaluated inline, the same float.  A unit's first position is read
-        from the tables' maps; a longer term is in none of them (no unit
-        equals one), and ``Index.first_position`` scans for it.  A document
-        of the postings holds the term, so no position is None.  Asked only
-        when location is on."""
-        factors = self._location.get(term)
-        if factors is None:
-            index = self.index
-            k_loc1, k_loc2 = self.params.k_loc1, self.params.k_loc2
-            lengths, maps = self.lengths, self._firsts
+    def _row(self, length: int) -> list[float]:
+        """``k_location`` of body positions 1..length in a document of that
+        length: its expression, the same float."""
+        row = self._rows.get(length)
+        if row is None:
+            k_loc2 = self.params.k_loc2
+            row = self._rows[length] = [1.0 + k_loc2 * (length - 2 * first) / length
+                                        for first in range(1, length + 1)]
+        return row
+
+    def term(self, term: str) -> TermRecord:
+        """The term's record: its ``Index.postings``, each posting's
+        ``tf_factor`` (``tf / (tf + k_t * length / avg_len)``, the same
+        float), and with location on each posting's ``k_location`` of the
+        term's ``first_position``.  A unit's K_loc is read from the tables'
+        maps; a longer term is in none of them (no unit equals one), and
+        ``Index.first_position`` scans for it.  A document of the postings
+        holds the term, so no position is None.  Built on first use and
+        kept: a second ask returns the same record."""
+        record = self._terms.get(term)
+        if record is None:
+            index, maps = self.index, self._k_locs
+            lengths, avg_len, k_t = index.lengths, index.avg_len, self.params.k_t
             postings = index.postings(term)
-            # a position is IN_TITLE or 1-based, so a map's miss is the
-            # only falsy read
-            firsts = [maps[doc_id].get(term) or index.first_position(doc_id, term)
-                      for doc_id in postings]
-            factors = self._location[term] = array("d", [
-                k_loc1 if first == IN_TITLE
-                else 1.0 + k_loc2 * (lengths[doc_id] - 2 * first) / lengths[doc_id]
-                for doc_id, first in zip(postings, firsts)])
-        return factors
+            tf_factors = array("d")
+            k_locs = None if maps is None else array("d")
+            for doc_id, tf in postings.items():
+                length = lengths[doc_id]
+                tf_factors.append(tf / (tf + k_t * length / avg_len))
+                if maps is not None:
+                    # every K_loc is > 0, so a map's miss is the only
+                    # falsy read
+                    k_loc = maps[doc_id].get(term)
+                    if not k_loc:
+                        first = index.first_position(doc_id, term)
+                        k_loc = (self.params.k_loc1 if first == IN_TITLE
+                                 else self._row(length)[first - 1])
+                    k_locs.append(k_loc)
+            record = self._terms[term] = TermRecord(postings, tf_factors, k_locs)
+        return record
 
 
 def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]],
@@ -397,14 +440,15 @@ def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]]
     K_cat, which are left to ``system_a_lookup``.
 
     The one fast place that multiplies System A's addend.  Each term's
-    postings, IDF (``idf_map``'s when it has the term), TF_q, K_loc array
-    and rarity are taken once; a factor that is off is 1.0, which leaves
-    every float as it is.  Each posting's addend is multiplied in
-    ``system_a_term_contribution``'s order, with the document's norm from
-    the tables, and added straight into the accumulator; terms are visited
-    in vector order, so every document gets ``score_system_a``'s additions
-    in its order.  ``acc`` holds sums to start from (the lattice's path
-    scores) and is added to in place.
+    record (its postings, TF factors and K_locs, ``SystemATables.term``),
+    IDF (``idf_map``'s when it has the term), TF_q and rarity are taken
+    once; a factor that is off is 1.0, which leaves every float as it is.
+    Each posting's addend is the product ``factor * idf * tf_q * k_loc *
+    rarity * weight``, in ``system_a_term_contribution``'s order, with no
+    length lookup or division per posting, and is added straight into the
+    accumulator; terms are visited in vector order, so every document gets
+    ``score_system_a``'s additions in its order.  ``acc`` holds sums to
+    start from (the lattice's path scores) and is added to in place.
 
     With a one-term vector of weight 1.0 and a fresh accumulator, the
     result is that term's doc -> addend map, which the lattice reads for
@@ -416,9 +460,9 @@ def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]]
     """
     acc = {} if acc is None else acc
     get = acc.get
-    index, params, norms = tables.index, tables.params, tables.norms
+    index, params = tables.index, tables.params
     for term, (weight, tf_q) in vector.items():
-        postings = index.postings(term)
+        postings, tf_factors, k_locs = tables.term(term)
         if not postings:
             continue
         if idf_map is not None and term in idf_map:
@@ -426,13 +470,12 @@ def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]]
         else:
             term_idf = idf(len(postings), index.n_docs)
         tf_q_factor = query_tf_saturation(tf_q, params.k_q_a)
-        k_locs = (tables.location_factors(term) if params.use_location
-                  else repeat(1.0))
         rarity = (query_rarity_factor(term, tables.qstats, params.k_nq)
                   if params.use_query_rarity else 1.0)
-        for (doc_id, tf), k_loc in zip(postings.items(), k_locs):
-            acc[doc_id] = get(doc_id, 0.0) + (tf / (tf + norms[doc_id]) * term_idf
-                                              * tf_q_factor * k_loc * rarity * weight)
+        for doc_id, factor, k_loc in zip(postings, tf_factors,
+                                         repeat(1.0) if k_locs is None else k_locs):
+            acc[doc_id] = get(doc_id, 0.0) + (factor * term_idf * tf_q_factor
+                                              * k_loc * rarity * weight)
     return acc
 
 
@@ -453,14 +496,21 @@ def system_a_lookup(tables: SystemATables, sums: Mapping[str, float],
     return lambda doc_id: (get(doc_id, 0.0) + bonus[doc_id]) * table[category[doc_id]]
 
 
-def _top(scored: Iterable[tuple[float, str]], cutoff: int,
+def _top(doc_ids: Iterable[str], scores: Sequence[float], cutoff: int,
          query_id: str) -> Ranking:
-    """The first ``cutoff`` documents by (score desc, doc_id asc), from
-    (-score, doc_id) pairs, which order that way as they are: selected with
-    a heap rather than a full sort, and with no key call per document.  Each
-    score is negated back, which is exact, ±0.0 included."""
-    return Ranking(query_id, tuple([(doc_id, -negated) for negated, doc_id
-                                    in heapq.nsmallest(cutoff, scored)]))
+    """The first ``cutoff`` documents by (score desc, doc_id asc), from the
+    documents and their scores in the same order.  When there are more than
+    ``cutoff``, the ``cutoff``-th largest score is read from a sort of the
+    scores, and only the documents scoring at least that much are kept: the
+    top holds no other, and every document tied with it is kept.  The kept
+    (-score, doc_id) pairs, which order that way as they are, are sorted and
+    truncated; each score is negated back, which is exact, ±0.0 included.
+    Every step but the last runs in C, with no call per document."""
+    if len(scores) > cutoff:
+        kept = list(map(le, repeat(sorted(scores)[-cutoff]), scores))
+        doc_ids, scores = compress(doc_ids, kept), compress(scores, kept)
+    best = sorted(zip(map(neg, scores), doc_ids))[:cutoff]
+    return Ranking(query_id, tuple([(doc_id, -negated) for negated, doc_id in best]))
 
 
 def rank(index: Index, scorer: Callable[[str], float], cutoff: int,
@@ -468,8 +518,8 @@ def rank(index: Index, scorer: Callable[[str], float], cutoff: int,
     """Score every document, order by (score desc, doc_id asc), truncate."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    return _top([(-scorer(doc_id), doc_id) for doc_id in index.doc_ids()],
-                cutoff, query_id)
+    doc_ids = index.doc_ids()
+    return _top(doc_ids, list(map(scorer, doc_ids)), cutoff, query_id)
 
 
 def bm11_rank(index: Index, weights: Mapping[str, float], cutoff: int,
@@ -486,13 +536,13 @@ def bm11_rank(index: Index, weights: Mapping[str, float], cutoff: int,
     perfbench's tracer counts those calls; walking
     ``postings(term).items()`` waits on the tracer's retarget.
 
-    The top is taken from the accumulator.  A document no word reaches
-    scores 0.0, so it can enter only when fewer than ``cutoff`` documents
-    scored or the ``cutoff``-th score is <= 0.0 (a negative α or a zero
-    weight makes such scores); then the first ``cutoff`` unreached
+    The top is selected once, by ``_top``, from the accumulator.  A
+    document no word reaches scores 0.0, so it can enter only when fewer
+    than ``cutoff`` documents scored above 0.0 (a negative α or a zero
+    weight makes scores <= 0.0); then the first ``cutoff`` unreached
     documents by ``doc_id`` join the candidates at 0.0, since within a tie
-    no later one can enter, and the top is selected again.  No sum is -0.0
-    (``0.0 + ±0.0`` is +0.0), so every score and tie is ``rank``'s.
+    no later one can enter.  No sum is -0.0 (``0.0 + ±0.0`` is +0.0), so
+    every score and tie is ``rank``'s.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -504,11 +554,12 @@ def bm11_rank(index: Index, weights: Mapping[str, float], cutoff: int,
             tf = doc_tf(doc_id, term)
             acc[doc_id] = (get(doc_id, 0.0)
                            + tf / (tf + lengths[doc_id] / avg_len) * weight)
-    top = heapq.nsmallest(cutoff, [(-score, doc_id) for doc_id, score in acc.items()])
-    if len(top) < cutoff or top[-1][0] >= 0.0:
-        top += zip(repeat(-0.0), heapq.nsmallest(
-            cutoff, [doc_id for doc_id in index.doc_ids() if doc_id not in acc]))
-    return _top(top, cutoff, query_id)
+    doc_ids, scores = list(acc), list(acc.values())
+    if sum(map(gt, scores, repeat(0.0))) < cutoff:
+        unreached = sorted(filterfalse(acc.__contains__, index.doc_ids()))[:cutoff]
+        doc_ids += unreached
+        scores += repeat(0.0, len(unreached))
+    return _top(doc_ids, scores, cutoff, query_id)
 
 
 def bm11_retrieval(index: Index, bag: Mapping[str, int], cutoff: int,

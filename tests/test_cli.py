@@ -315,6 +315,10 @@ class TestSearchCommand:
         (["--system", "b", "--feedback", "--alpha", "nan"], "alpha must be finite"),
         (["--system", "b", "--feedback", "--theta", "nan"], "theta must be a number"),
         (["--system", "a", "--kt", "nan"], "k_t must be positive"),
+        # an infinite k_t makes every TF factor 0.0, and an infinite k_loc1
+        # makes scores inf or nan
+        (["--system", "a", "--kt", "inf"], "k_t must be finite"),
+        (["--system", "a", "--kloc1", "inf"], "k_loc1 must be finite"),
         (["--system", "a", "--kcat", "nan", "--category"], "k_cat must be finite"),
         (["--system", "a", "--kcat", "inf", "--category"], "k_cat must be finite"),
         (["--system", "a", "--kq=-1"], "k_q_a must be positive"),

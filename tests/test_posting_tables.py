@@ -154,13 +154,23 @@ class TestTables:
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, mode=MODES)
     def test_system_a_tables_equal_per_document_lookups(self, seed, mode):
-        """The tables' norms, bonuses (0.0 with the bonus off) and
-        categories equal the index's per-document lookups, and each K_loc
-        equals ``k_location`` of a plain scan for the term's first
-        position, for units and longer terms alike, whether
-        location_factors or the postings count a longer term first."""
+        """The tables' bonuses (0.0 with the bonus off) and categories equal
+        the index's per-document lookups, and each term's record holds its
+        postings, each posting's ``tf_factor`` and each posting's
+        ``k_location`` of a plain scan for the term's first position, for
+        units and longer terms alike, whether the record or the postings
+        count a longer term first.  Some documents share a length, and so
+        a K_loc row, with titles of other lengths.  Without location the
+        record holds no K_loc."""
         rng = random.Random(seed)
         rows, words = corpus_rows(rng, mode)
+        # a twin of each of a few documents: the same length, with some of
+        # the body moved to the end of the title
+        for doc_id, title, body, category in rng.sample(rows, rng.randint(1, len(rows))):
+            units = units_of(body, mode)
+            k = rng.randint(1, len(units) - 1) if len(units) > 1 else 0
+            rows.append((doc_id + "t", JOINER[mode].join([title, *units[:k]]),
+                         JOINER[mode].join(units[k:]), category))
         streams = analysed_streams(rows, mode)
         terms = terms_of(rng, mode, words)
         params = ScoringParamsA(
@@ -168,32 +178,37 @@ class TestTables:
             k_t=rng.choice([0.3, 0.7, 1.0, 1.7]), k_loc1=rng.choice([1.0, 1.2, 3.0]),
             k_loc2=rng.choice([0.0, 0.1, 0.37, 0.9]),
             use_length_bonus=rng.choice([False, True]))
-        for location_first in (False, True):
+        for record_first in (False, True):
             for idx in built_and_loaded(make_index(rows, mode=mode)):
+                lengths = [idx.doc_len(d) for d in idx.doc_ids()]
+                assert len(set(lengths)) < len(lengths)
                 tables = SystemATables(idx, params)
+                no_location = SystemATables(idx, replace(params, use_location=False))
                 docs = idx.doc_ids()
-                assert tables.norms == {d: params.k_t * idx.doc_len(d) / idx.avg_len
-                                        for d in docs}
                 assert tables.bonuses == {d: length_bonus(idx.doc_len(d), idx.avg_len)
                                           if params.use_length_bonus else 0.0
                                           for d in docs}
                 assert tables.categories == {d: idx.doc_category(d) for d in docs}
                 for term in terms:
-                    if location_first:
-                        factors = tables.location_factors(term)
+                    if record_first:
+                        record = tables.term(term)
                     postings = idx.postings(term)
-                    for d, tf in postings.items():
-                        assert tf / (tf + tables.norms[d]) == tf_factor(
-                            tf, idx.doc_len(d), idx.avg_len, params.k_t)
-                    if not location_first:
-                        factors = tables.location_factors(term)
+                    if not record_first:
+                        record = tables.term(term)
+                    assert list(record.postings.items()) == list(postings.items())
                     # one value per posting, in the postings' order
+                    assert list(record.tf_factors) == [
+                        tf_factor(tf, idx.doc_len(d), idx.avg_len, params.k_t)
+                        for d, tf in postings.items()], term
                     units = units_of(term, mode)
-                    assert list(factors) == [
+                    assert list(record.k_locs) == [
                         k_location(oracles.first_position(*streams[d], units),
                                    idx.doc_len(d), params.k_loc1, params.k_loc2)
                         for d in postings], term
-                    assert tables.location_factors(term) is factors
+                    assert tables.term(term) is record
+                    bare = no_location.term(term)
+                    assert bare.k_locs is None
+                    assert bare.tf_factors == record.tf_factors
 
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, mode=MODES)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import probir.index
 from probir.clir import document_expansion
@@ -348,40 +348,56 @@ def exact(ranking):
 
 
 class TestTopK:
-    """The heap selection of ``rank`` and ``bm11_rank`` against a full sort,
-    with tied scores, both zeros, negative scores and every cutoff."""
+    """The top-k selection of ``rank`` and ``bm11_rank`` against a full
+    sort, with tied scores, both zeros, both infinities, negative scores and
+    every cutoff.  Up to 40 documents draw their scores from a few values,
+    so that many tie at the cutoff-th score and every one of them must be
+    kept for the doc_id order to decide."""
 
-    SCORES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+    SCORES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5,
+                                        math.inf, -math.inf]),
                        st.floats(-1e6, 1e6))
 
-    @settings(max_examples=200, deadline=None)
+    def few_values(self, data):
+        """A strategy for one score: mostly one of a few values."""
+        pool = data.draw(st.lists(self.SCORES, min_size=1, max_size=4), label="pool")
+        return st.one_of(st.sampled_from(pool), self.SCORES)
+
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_rank_equals_a_full_sort(self, data):
-        n = data.draw(st.integers(1, 12), label="n")
+        n = data.draw(st.integers(1, 40), label="n")
         # documents not in doc_id order, so a tie is not broken by position
         doc_ids = data.draw(st.permutations([f"d{i:02d}" for i in range(n)]),
                             label="doc_ids")
         index = make_index([(doc_id, "", "x") for doc_id in doc_ids])
-        scores = {doc_id: data.draw(self.SCORES, label=doc_id) for doc_id in doc_ids}
+        score = self.few_values(data)
+        scores = {doc_id: data.draw(score, label=doc_id) for doc_id in doc_ids}
         cutoff = data.draw(st.integers(1, n + 2), label="cutoff")
         got = rank(index, scores.__getitem__, cutoff, "q")
         assert exact(got) == full_sort(scores, cutoff)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_bm11_rank_equals_a_full_sort(self, data):
+        """Also when fewer than ``cutoff`` documents score above 0.0 (no
+        word, negative or zero weights), and the documents no word reaches
+        fill the ranking at 0.0."""
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         vocab = random_vocab(rng, rng.randint(2, 4))
-        # short documents over a few words, so that some score the same
-        rows = random_token_rows(rng, rng.randint(1, 12), vocab, max_len=3)
+        # short documents over a few words, so that many score the same
+        rows = random_token_rows(rng, rng.randint(1, 40), vocab, max_len=3)
         rng.shuffle(rows)
         index = make_index(rows)
-        weights = {word: data.draw(self.SCORES, label=word)
+        weight = self.few_values(data)
+        weights = {word: data.draw(weight, label=word)
                    for word in data.draw(st.lists(st.sampled_from(vocab),
                                                   unique=True), label="words")}
         cutoff = data.draw(st.integers(1, index.n_docs + 2), label="cutoff")
         scores = {doc_id: score_bm11(index, doc_id, weights)
                   for doc_id in index.doc_ids()}
+        # inf + -inf has no order to check
+        assume(not any(map(math.isnan, scores.values())))
         got = bm11_rank(index, weights, cutoff, "q")
         assert exact(got) == full_sort(scores, cutoff)
 
@@ -571,8 +587,12 @@ class TestParamsValidation:
     @pytest.mark.parametrize("field,value", [
         ("k_t", math.nan), ("k_q_a", math.nan), ("k_q_a", 0.0), ("k_q_a", -1.0),
         ("k_cat", math.nan), ("k_cat", math.inf), ("k_cat", -math.inf),
-        ("k_loc1", math.nan),
+        ("k_loc1", math.nan), ("k_t", math.inf), ("k_loc1", math.inf),
     ])
     def test_rejects_nan_infinite_and_non_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
             ScoringParamsA(**{field: value})
+
+    def test_accepts_infinite_k_q_a(self):
+        # the rank-preserving limit of TF_q: plain tf_q
+        assert ScoringParamsA(k_q_a=math.inf).k_q_a == math.inf

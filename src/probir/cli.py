@@ -386,7 +386,8 @@ def _parse_ratio(text: str) -> RatioTarget:
         a, b = text.split(":")
         return RatioTarget(float(a), float(b))
     except (ValueError, TypeError):
-        raise argparse.ArgumentTypeError(f"bad ratio {text!r}, expected a:b")
+        raise argparse.ArgumentTypeError(
+            f"bad ratio {text!r}, expected a:b of finite nonnegative weights, not both zero")
 
 
 # -- subcommands -----------------------------------------------------------------

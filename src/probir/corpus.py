@@ -68,6 +68,8 @@ class Topic:
             raise ValueError("query_id must be non-empty")
         if not is_run_id(self.query_id):
             raise ValueError(f"query_id {self.query_id!r} contains whitespace")
+        if self.query_id.startswith("#"):  # a run line so begun is a comment
+            raise ValueError(f"query_id {self.query_id!r} begins with '#'")
         if not self.title:
             raise ValueError(f"topic {self.query_id!r}: title is empty")
 

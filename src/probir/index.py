@@ -12,13 +12,15 @@ no document keeps a bag (``doc_terms`` counts one for
 Occurrences are counted non-overlapping, in the title and the body
 separately (a match never spans the two), and body positions are 1-based.
 
-A document's length is its count of units, title and body together.  The
-index keeps every length in one doc_id -> length map, ``lengths``, built
-once with the index, in collection order: ``doc_len`` and ``total_len``
-read it, System B's ranking reads it once per posting, and System A's
-tables read it once per run.  What a scorer derives from a length with its
-own parameters (System A's k_t norm, the length bonus) stays with the
-scorer's run.
+``Index(mode, docs)``, the one constructor, builds each per-document
+table once, as a doc_id-keyed column in collection order: the streams,
+``lengths`` (units, title and body together) and ``categories`` (None for
+none), with the category counts, ``avg_len`` and ``doc_ids()``.  It
+refuses a collection in which no document holds a unit, so no index is
+half-built or has an ``avg_len`` of 0.  System B's ranking reads
+``lengths`` once per posting, System A reads both columns directly, and
+what a scorer derives from a length (the k_t norm, the length bonus)
+stays with its run.
 
 ``postings`` gives a term's doc -> tf, so that a scorer walks the documents
 a term occurs in rather than asking about every (term, document) pair;
@@ -111,64 +113,55 @@ def _sequence_starts(haystack: Sequence[str], needle: Sequence[str]
             yield i + 1
 
 
-class _Doc:
-    """One document's streams and category.  It keeps no counts, which the
-    index's postings hold, no length, which the index's length map holds,
-    and no first positions, which a run that reads them derives from the
-    streams (``SystemATables``)."""
-
-    __slots__ = ("title", "body", "category")
-
-    def __init__(self, title, body, category):
-        self.title = title
-        self.body = body
-        self.category = category
-
-
 class Index:
-    """Statistics store that does not change once built; see the module
-    docstring.
+    """Statistics store that does not change once built, from (doc_id,
+    title units, body units, category) records in collection order; see
+    the module docstring.  Raises EmptyCollectionError when no document
+    holds a unit."""
 
-    Use :func:`build_index`, :func:`load_index` to obtain one.
-    """
-
-    def __init__(self, mode: str):
+    def __init__(self, mode: str,
+                 docs: Iterable[tuple[str, Iterable[str], Iterable[str], str | None]]):
         self.mode = mode
-        self._docs: dict[str, _Doc] = {}  # in collection order
-        # term -> {doc_id: tf}: the units, then each longer term counted
+        stream = "".join if mode == CHARACTER_MODE else tuple
+        # doc_id -> (title stream, body stream), in collection order
+        self._streams: dict[str, tuple[Sequence[str], Sequence[str]]] = {}
+        # doc_id -> category (None for a document without one)
+        self.categories: dict[str, str | None] = {}
+        for doc_id, title, body, category in docs:
+            self._streams[doc_id] = stream(title), stream(body)
+            self.categories[doc_id] = category
+        # doc_id -> length (title + body units)
+        self.lengths: dict[str, int] = {
+            doc_id: len(title) + len(body)
+            for doc_id, (title, body) in self._streams.items()}
+        self.n_docs = len(self._streams)
+        self.total_len = sum(self.lengths.values())
+        if not self.total_len:
+            raise EmptyCollectionError("nothing to index: no document holds a unit")
+        self.avg_len = self.total_len / self.n_docs
+        self._category_counts = Counter(
+            category for category in self.categories.values() if category is not None)
+        self._doc_ids = tuple(self._streams)
+        # term -> {doc_id: tf}: the units, then each longer term counted;
+        # None until first use (``_table``)
         self._postings: dict[str, dict[str, int]] | None = None
-        # doc_id -> length (title + body units), in collection order
-        self.lengths: dict[str, int] = {}
-        self.n_docs = 0
-        self.total_len = 0
-        self.avg_len = 0.0
-        self._category_counts: Counter = Counter()
-        # built on first use and kept
         self._term_stats: dict[str, TermStats] = {}
 
-    # -- construction ----------------------------------------------------
-
-    def _stream(self, units: Iterable[str]) -> tuple[str, ...] | str:
-        """A field's stream: a string of characters, or a tuple of tokens."""
-        return "".join(units) if self.mode == CHARACTER_MODE else tuple(units)
-
-    def _add_doc(self, doc_id, title, body, category):
-        self._docs[doc_id] = _Doc(self._stream(title), self._stream(body),
-                                  category)
-
-    def _count_postings(self) -> dict[str, dict[str, int]]:
-        """Count the units' postings from the streams in one pass and keep
-        them.  Each unit's map lists its documents in collection order, and
-        the units come in order of first occurrence; a longer term joins the
-        table later (``postings``).  Raises TypeError naming the document
-        whose stream holds a unit that is not a string, and ValueError
-        naming the one whose stream holds a unit that is empty or holds
-        whitespace."""
+    def _table(self) -> dict[str, dict[str, int]]:
+        """The posting table, counted from the streams in one pass on first
+        use and kept.  Each unit's map lists its documents in collection
+        order, and the units come in order of first occurrence; a longer
+        term joins the table later (``postings``).  Raises TypeError naming
+        the document whose stream holds a unit that is not a string, and
+        ValueError naming the one whose stream holds a unit that is empty
+        or holds whitespace."""
+        if self._postings is not None:
+            return self._postings
         table: dict[str, dict[str, int]] = {}
         get = table.get
-        for doc_id, entry in self._docs.items():
+        for doc_id, streams in self._streams.items():
             try:
-                for stream in (entry.title, entry.body):
+                for stream in streams:
                     for unit in stream:
                         posting = get(unit)
                         if posting is None:
@@ -189,34 +182,21 @@ class Index:
         self._postings = table  # stored only once complete
         return table
 
-    def _table(self) -> dict[str, dict[str, int]]:
-        table = self._postings
-        return self._count_postings() if table is None else table
-
-    def _finalize(self):
-        self.n_docs = len(self._docs)
-        self.lengths = {doc_id: len(entry.title) + len(entry.body)
-                        for doc_id, entry in self._docs.items()}
-        self.total_len = sum(self.lengths.values())
-        self.avg_len = self.total_len / self.n_docs if self.n_docs else 0.0
-        self._category_counts = Counter(
-            e.category for e in self._docs.values() if e.category is not None
-        )
-
     # -- lookups ----------------------------------------------------------
 
     def doc_ids(self) -> tuple[str, ...]:
-        return tuple(self._docs)
+        return self._doc_ids
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._docs
+        return doc_id in self._streams
 
     def __len__(self) -> int:
         return self.n_docs
 
     def _entry(self, doc_id):
+        """A document's (title, body) streams."""
         try:
-            return self._docs[doc_id]
+            return self._streams[doc_id]
         except KeyError:
             raise DocumentNotFoundError(f"unknown doc_id {doc_id!r}") from None
 
@@ -225,26 +205,26 @@ class Index:
         return self.lengths[doc_id]
 
     def doc_category(self, doc_id: str) -> str | None:
-        return self._entry(doc_id).category
+        self._entry(doc_id)
+        return self.categories[doc_id]
 
     def doc_terms(self, doc_id: str) -> Counter:
         """Unit bag of one document (token or character counts), in
         first-occurrence order, title then body; counted on each call."""
-        entry = self._entry(doc_id)
-        return Counter(entry.title + entry.body)
+        title, body = self._entry(doc_id)
+        return Counter(title + body)
 
     def streams(self) -> Iterator[tuple[str, Sequence[str], Sequence[str]]]:
         """(doc_id, title stream, body stream) of every document, in
         collection order."""
-        for doc_id, entry in self._docs.items():
-            yield doc_id, entry.title, entry.body
+        for doc_id, (title, body) in self._streams.items():
+            yield doc_id, title, body
 
     def doc_text(self, doc_id: str) -> tuple[str, str]:
         """Filtered (title, body) character streams; character mode only."""
         if self.mode != CHARACTER_MODE:
             raise ValueError("doc_text is only available on character-mode indexes")
-        entry = self._entry(doc_id)
-        return entry.title, entry.body
+        return self._entry(doc_id)
 
     def category_counts(self) -> Mapping[str, int]:
         return self._category_counts
@@ -266,7 +246,7 @@ class Index:
         # per posting of a ranking pass
         table = self._postings
         if table is None:
-            table = self._count_postings()
+            table = self._table()
         posting = table.get(term)
         if posting is None:
             self._entry(doc_id)
@@ -299,9 +279,9 @@ class Index:
             for m in maps[1:]:
                 docs &= m.keys()
             for doc_id in docs:
-                entry = self._docs[doc_id]
-                title_starts = _sequence_starts(entry.title, units)
-                body_starts = _sequence_starts(entry.body, units)
+                title, body = self._streams[doc_id]
+                title_starts = _sequence_starts(title, units)
+                body_starts = _sequence_starts(body, units)
                 tf = (count_nonoverlapping(title_starts, width)
                       + count_nonoverlapping(body_starts, width))
                 if tf:
@@ -328,11 +308,11 @@ class Index:
         to the first start only, and is the one place a longer term's first
         position comes from; ``SystemATables`` reads a unit's off the
         ``streams``."""
-        entry = self._entry(doc_id)
+        title, body = self._entry(doc_id)
         units = self._units(term)
-        if next(_sequence_starts(entry.title, units), None) is not None:
+        if next(_sequence_starts(title, units), None) is not None:
             return IN_TITLE
-        return next(_sequence_starts(entry.body, units), None)
+        return next(_sequence_starts(body, units), None)
 
     # -- persistence -------------------------------------------------------
 
@@ -345,9 +325,9 @@ class Index:
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         docs = [
-            {"doc_id": doc_id, "category": entry.category,
-             "title": entry.title, "body": entry.body}
-            for doc_id, entry in self._docs.items()
+            {"doc_id": doc_id, "category": self.categories[doc_id],
+             "title": title, "body": body}
+            for doc_id, (title, body) in self._streams.items()
         ]
         data = json.dumps({"docs": docs}, sort_keys=True,
                           ensure_ascii=False).encode("utf-8")
@@ -366,16 +346,13 @@ class Index:
 
 
 def build_index(collection: DocumentCollection, config: TokenizerConfig) -> Index:
-    """Index every document in the collection under the config's mode.  The
-    postings are counted on the index's first lookup."""
-    if len(collection) == 0:
-        raise EmptyCollectionError("cannot index an empty collection")
-    index = Index(config.mode)
-    for doc in collection:
-        index._add_doc(doc.doc_id, tokenize(doc.title, config),
-                       tokenize(doc.body, config), doc.category)
-    index._finalize()
-    return index
+    """Index every document in the collection under the config's mode; a
+    collection in which no document holds a unit is refused
+    (EmptyCollectionError).  The postings are counted on the index's first
+    lookup."""
+    return Index(config.mode, ((doc.doc_id, tokenize(doc.title, config),
+                                tokenize(doc.body, config), doc.category)
+                               for doc in collection))
 
 
 def _load_json(path: Path, name: str, expected_checksum: str | None):
@@ -417,35 +394,36 @@ def _load_meta(path: Path, expected_mode: str | None) -> dict:
 
 def load_index(path, expected_mode: str | None = None) -> Index:
     """Load a saved index; verifies version, checksum, mode and the type of
-    every stored field, that no unit is empty or holds whitespace, and
-    counts the postings before it returns."""
+    every stored field, that some unit is stored and none is empty or holds
+    whitespace, and counts the postings before it returns."""
     path = Path(path)
     meta = _load_meta(path, expected_mode)
     documents = _load_json(path, DOCUMENTS_FILE, meta["checksums"][DOCUMENTS_FILE])
-    index = Index(meta["mode"])
-    stream_type, kind = (str, "strings") if index.mode == CHARACTER_MODE else (list, "lists")
+    mode = meta["mode"]
+    stream_type, kind = (str, "strings") if mode == CHARACTER_MODE else (list, "lists")
+    records: dict[str, tuple] = {}
     try:
         for record in documents["docs"]:
             doc_id, category = record["doc_id"], record["category"]
             title, body = record["title"], record["body"]
-            if not isinstance(doc_id, str) or not is_run_id(doc_id) or doc_id in index:
+            if not isinstance(doc_id, str) or not is_run_id(doc_id) or doc_id in records:
                 raise IndexLoadError(f"{path}: bad or repeated doc_id {doc_id!r}")
             if category is not None and not isinstance(category, str):
                 raise IndexLoadError(f"{path}: document {doc_id!r}: category is not a string")
             if not (isinstance(title, stream_type) and isinstance(body, stream_type)):
                 raise IndexLoadError(
                     f"{path}: document {doc_id!r}: title and body must be "
-                    f"{kind} in {index.mode} mode"
+                    f"{kind} in {mode} mode"
                 )
-            index._add_doc(doc_id, title, body, category)
+            records[doc_id] = doc_id, title, body, category
     except (KeyError, TypeError) as exc:
         raise IndexLoadError(f"{path}: malformed index payload ({exc!r})") from exc
     try:
-        index._count_postings()
-    except (TypeError, ValueError) as exc:
+        index = Index(mode, records.values())
+        index._table()
+    except (EmptyCollectionError, TypeError, ValueError) as exc:
         raise IndexLoadError(f"{path}: malformed index payload: {exc}") from None
-    index._finalize()
-    if index.n_docs == 0 or index.n_docs != meta.get("n_docs"):
+    if index.n_docs != meta.get("n_docs"):
         raise IndexLoadError(
             f"{path}: document count {index.n_docs} does not match metadata"
         )

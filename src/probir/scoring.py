@@ -230,12 +230,13 @@ def category_factors(first_ranking: Ranking, index: Index,
                      k_cat: float) -> dict[str | None, float]:
     """``k_category`` of every category of the collection (None included)
     against one first retrieval, so that a ranking pass looks it up per
-    document.  The top documents' categories are counted once, and each
+    document through the index's ``categories`` column.  The top
+    documents' categories are counted once, from that column, and each
     factor is ``k_category``'s arithmetic on those counts."""
     top = first_ranking.top(TOP_CATEGORY_DOCS)
     if not top:
         return dict.fromkeys((None, *index.category_counts()), 1.0)
-    in_top = Counter(index.doc_category(doc_id) for doc_id, _ in top)
+    in_top = Counter(index.categories[doc_id] for doc_id, _ in top)
     factors: dict[str | None, float] = {None: 1.0}
     for category, in_collection in index.category_counts().items():
         ratio_a = in_top[category] / len(top)
@@ -345,9 +346,10 @@ class TermRecord(NamedTuple):
 
 class SystemATables:
     """One run's System A state: its index, params and query-set statistics,
-    and what its term-at-a-time passes read besides the postings: each
-    document's length bonus (0.0 for every document when the params switch
-    the bonus off) and category, and one ``TermRecord`` per term asked for.
+    and what its term-at-a-time passes read besides the postings and the
+    index's ``categories`` column: each document's length bonus (0.0 for
+    every document when the params switch the bonus off), and one
+    ``TermRecord`` per term asked for.
 
     With location on, the tables own every document's unit -> K_loc map,
     built once here, before the run's first topic: each unit's
@@ -376,7 +378,6 @@ class SystemATables:
         self.bonuses = {doc_id: length_bonus(length, avg_len)
                         if params.use_length_bonus else 0.0
                         for doc_id, length in lengths.items()}
-        self.categories = {doc_id: index.doc_category(doc_id) for doc_id in lengths}
         self._terms: dict[str, TermRecord] = {}
         self._rows: dict[int, list[float]] = {}
         self._k_locs: dict[str, dict[str, float]] | None = None
@@ -492,7 +493,7 @@ def system_a_lookup(tables: SystemATables, sums: Mapping[str, float],
     if reference is None:
         return lambda doc_id: get(doc_id, 0.0) + bonus[doc_id]
     table = category_factors(reference, tables.index, tables.params.k_cat)
-    category = tables.categories
+    category = tables.index.categories
     return lambda doc_id: (get(doc_id, 0.0) + bonus[doc_id]) * table[category[doc_id]]
 
 

@@ -52,8 +52,8 @@ class RatioTarget:
     b: float = DEFAULT_RATIO[1]
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.a + self.b <= 0:
-            raise ValueError("ratio weights must be nonnegative and not both zero")
+        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf) or self.a + self.b <= 0:
+            raise ValueError("ratio weights must be finite, nonnegative and not both zero")
 
     @property
     def one_char_share(self) -> float:

@@ -60,6 +60,15 @@ def build(tmp_path, *extra):
     return tmp_path / "idx"
 
 
+def rewrite_documents(index, payload):
+    """Store ``payload`` as the index's documents.json, with its checksum."""
+    data = json.dumps(payload).encode("utf-8")
+    (index / "documents.json").write_bytes(data)
+    meta = json.loads((index / "meta.json").read_text(encoding="utf-8"))
+    meta["checksums"]["documents.json"] = hashlib.sha256(data).hexdigest()
+    (index / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
 def search(tmp_path, out_name, *flags):
     out = tmp_path / out_name
     code = main(["search", "--index", str(tmp_path / "idx"),
@@ -195,6 +204,38 @@ class TestIndexCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (workspace / "idx").exists()
+
+    @pytest.mark.parametrize("mode,title,body", [
+        ("token", "2001", "42 17, 3.14"), ("character", "...", "!? --")])
+    def test_collection_with_no_unit_exits_2_and_writes_nothing(
+            self, workspace, capsys, mode, title, body):
+        # an average length of 0 would divide System A's length bonus by 0
+        write_jsonl(workspace / "void.jsonl",
+                    [{"doc_id": "d1", "title": title, "body": body},
+                     {"doc_id": "d2", "title": body, "body": title}])
+        code = main(["index", "--docs", str(workspace / "void.jsonl"),
+                     "--out", str(workspace / "idx"), "--mode", mode])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: nothing to index: no document holds a unit\n")
+        assert not (workspace / "idx").exists()
+
+    @pytest.mark.parametrize("ratio", ["nan:1", "1:nan", "inf:1", "1:inf"])
+    def test_non_finite_ratio_exits_2(self, workspace, capsys, monkeypatch,
+                                      ratio):
+        # a NaN target share keeps calibration's first candidate, a
+        # threshold below every PMI that splits nothing
+        code = exit_code(["index", "--docs", str(workspace / "docs.jsonl"),
+                          "--out", str(workspace / "idx"), "--mode", "character",
+                          "--ratio", ratio])
+        assert code == 2
+        assert (f"error: argument --ratio: bad ratio {ratio!r}"
+                in capsys.readouterr().err)
+        assert not (workspace / "idx").exists()
+        monkeypatch.setattr("sys.stdin", io.StringIO("abab\ncdcd\n"))
+        assert exit_code(["segment", "--ratio", ratio]) == 2
+        assert (f"error: argument --ratio: bad ratio {ratio!r}"
+                in capsys.readouterr().err)
 
     def test_opened_index_takes_the_stored_k_cmi_unless_one_is_given(
             self, workspace):
@@ -459,14 +500,9 @@ class TestSearchCommand:
 
     def test_stream_of_the_wrong_type_exits_2(self, workspace, capsys):
         index = build(workspace)
-        path = index / "documents.json"
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads((index / "documents.json").read_text(encoding="utf-8"))
         payload["docs"][0]["body"] = "solar panels"
-        data = json.dumps(payload).encode("utf-8")
-        path.write_bytes(data)
-        meta = json.loads((index / "meta.json").read_text(encoding="utf-8"))
-        meta["checksums"]["documents.json"] = hashlib.sha256(data).hexdigest()
-        (index / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        rewrite_documents(index, payload)
         code = main(["search", "--index", str(index),
                      "--topics", str(workspace / "topics.jsonl")])
         assert code == 2
@@ -478,14 +514,9 @@ class TestSearchCommand:
     def test_token_that_is_not_a_string_exits_2_naming_the_document(
             self, workspace, capsys, token):
         index = build(workspace)
-        path = index / "documents.json"
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads((index / "documents.json").read_text(encoding="utf-8"))
         payload["docs"][2]["body"] = ["burning", token, "smoke"]
-        data = json.dumps(payload).encode("utf-8")
-        path.write_bytes(data)
-        meta = json.loads((index / "meta.json").read_text(encoding="utf-8"))
-        meta["checksums"]["documents.json"] = hashlib.sha256(data).hexdigest()
-        (index / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        rewrite_documents(index, payload)
         code = main(["search", "--index", str(index),
                      "--topics", str(workspace / "topics.jsonl")])
         assert code == 2
@@ -498,20 +529,44 @@ class TestSearchCommand:
     def test_token_that_is_empty_or_holds_whitespace_exits_2(
             self, workspace, capsys, token):
         index = build(workspace)
-        path = index / "documents.json"
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads((index / "documents.json").read_text(encoding="utf-8"))
         payload["docs"][0]["body"] = ["beta", token]
-        data = json.dumps(payload).encode("utf-8")
-        path.write_bytes(data)
-        meta = json.loads((index / "meta.json").read_text(encoding="utf-8"))
-        meta["checksums"]["documents.json"] = hashlib.sha256(data).hexdigest()
-        (index / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        rewrite_documents(index, payload)
         code = main(["search", "--index", str(index),
                      "--topics", str(workspace / "topics.jsonl")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert f"document 'd1': unit {token!r} is empty or holds whitespace" in err
+
+    def test_stored_collection_with_no_unit_exits_2(self, workspace, capsys):
+        index = build(workspace)
+        payload = json.loads((index / "documents.json").read_text(encoding="utf-8"))
+        for record in payload["docs"]:
+            record["title"] = record["body"] = []
+        rewrite_documents(index, payload)
+        code = main(["search", "--index", str(index), "--system", "a",
+                     "--topics", str(workspace / "topics.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "no document holds a unit" in err
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    def test_query_id_beginning_with_hash_exits_2_naming_the_line(
+            self, workspace, capsys, command):
+        # eval would skip the topic's run lines as comments
+        build(workspace)
+        write_jsonl(workspace / "hash.jsonl", [TOPICS[0], {**TOPICS[1], "query_id": "#7"}])
+        argv = [command, "--index", str(workspace / "idx"),
+                "--topics", str(workspace / "hash.jsonl"),
+                "--out", str(workspace / "run.txt")]
+        if command == "sweep":
+            argv += ["--qrels", str(workspace / "qrels.txt")]
+        assert main(argv) == 2
+        assert (f"error: {workspace / 'hash.jsonl'}:2: query_id '#7' begins with '#'"
+                in capsys.readouterr().err)
+        assert not (workspace / "run.txt").exists()
 
     def test_tokenizer_mode_must_match_index(self, workspace, capsys):
         index = build(workspace)

@@ -134,6 +134,19 @@ class TestLoaders:
         with pytest.raises(ParseError, match=":1: query_id .* contains whitespace"):
             load_topics(path)
 
+    # a run line that begins with '#' is a comment to parse_run_file, so the
+    # topic's lines would be dropped from evaluation without a word
+    @pytest.mark.parametrize("bad_id", ["#7", "#"])
+    def test_query_id_beginning_with_hash_names_line(self, tmp_path, bad_id):
+        path = tmp_path / "topics.jsonl"
+        path.write_text(json.dumps({"query_id": "q1", "title": "T"}) + "\n"
+                        + json.dumps({"query_id": bad_id, "title": "T"}) + "\n")
+        with pytest.raises(ParseError, match=f":2: query_id '{bad_id}' begins with '#'"):
+            load_topics(path)
+        with pytest.raises(ValueError, match="begins with '#'"):
+            Topic(bad_id, "T")
+        assert Topic("q#7", "T").query_id == "q#7"
+
     # a text field that is not a string would be read as its repr
     @pytest.mark.parametrize("value", [["x"], {"x": 1}, 3, 0, True, False, 1.5])
     @pytest.mark.parametrize("key", ["title", "body", "category"])

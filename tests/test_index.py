@@ -312,6 +312,12 @@ class TestBuildIndex:
         with pytest.raises(EmptyCollectionError):
             build_index(make_collection([]), TokenizerConfig())
 
+    @pytest.mark.parametrize("mode,text", [(TOKEN_MODE, "2001 42, 3.14"),
+                                           (CHARACTER_MODE, "... !?")])
+    def test_collection_with_no_unit_raises(self, mode, text):
+        with pytest.raises(EmptyCollectionError, match="no document holds a unit"):
+            make_index([("d1", text, ""), ("d2", "", text)], mode=mode)
+
     def test_length_zero_doc_allowed(self):
         # a title of pure punctuation tokenizes to nothing
         index = make_index([("d1", "...", "alpha")])
@@ -332,6 +338,28 @@ class TestSaveLoad:
                 assert loaded.doc_tf(doc_id, term) == toy_index.doc_tf(doc_id, term)
                 assert (loaded.first_position(doc_id, term)
                         == toy_index.first_position(doc_id, term))
+
+    @pytest.mark.parametrize("fixture", ["toy_index", "char_index"])
+    def test_round_trip_keeps_the_columns(self, tmp_path, request, fixture):
+        built = request.getfixturevalue(fixture)
+        built.save(tmp_path)
+        loaded = load_index(tmp_path, expected_mode=built.mode)
+        for index in (built, loaded):
+            # column order is collection order
+            assert list(index.categories) == list(index.lengths) == list(
+                index.doc_ids())
+        assert loaded.doc_ids() == built.doc_ids()
+        assert loaded.categories == built.categories
+        assert loaded.lengths == built.lengths
+
+    def test_stored_collection_with_no_unit_is_refused(self, tmp_path, toy_index):
+        toy_index.save(tmp_path)
+        payload = json.loads((tmp_path / "documents.json").read_text(encoding="utf-8"))
+        for record in payload["docs"]:
+            record["title"] = record["body"] = []
+        rewrite_documents(tmp_path, json.dumps(payload))
+        with pytest.raises(IndexLoadError, match="no document holds a unit"):
+            load_index(tmp_path)
 
     def test_round_trip_character_mode(self, tmp_path, char_index):
         char_index.save(tmp_path)

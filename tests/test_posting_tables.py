@@ -154,8 +154,9 @@ class TestTables:
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, mode=MODES)
     def test_system_a_tables_equal_per_document_lookups(self, seed, mode):
-        """The tables' bonuses (0.0 with the bonus off) and categories equal
-        the index's per-document lookups, and each term's record holds its
+        """The tables' bonuses (0.0 with the bonus off) equal the index's
+        per-document lookups, the index's categories column lists each
+        row's category in collection order, and each term's record holds its
         postings, each posting's ``tf_factor`` and each posting's
         ``k_location`` of a plain scan for the term's first position, for
         units and longer terms alike, whether the record or the postings
@@ -188,7 +189,7 @@ class TestTables:
                 assert tables.bonuses == {d: length_bonus(idx.doc_len(d), idx.avg_len)
                                           if params.use_length_bonus else 0.0
                                           for d in docs}
-                assert tables.categories == {d: idx.doc_category(d) for d in docs}
+                assert list(idx.categories.items()) == [(d, c) for d, _, _, c in rows]
                 for term in terms:
                     if record_first:
                         record = tables.term(term)

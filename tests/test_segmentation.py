@@ -209,6 +209,15 @@ class TestCalibrateKcmi:
         with pytest.raises(ValueError):
             RatioTarget(-1, 2)
 
+    @pytest.mark.parametrize("a,b", [
+        (math.nan, 1), (1, math.nan), (math.inf, 1), (1, math.inf),
+        (math.inf, math.inf), (-math.inf, 1)])
+    def test_ratio_refuses_non_finite_weights(self, a, b):
+        # a NaN or infinite weight makes the target share NaN, and
+        # calibration would keep its first candidate, which splits nothing
+        with pytest.raises(ValueError, match="finite, nonnegative"):
+            RatioTarget(a, b)
+
 
 class TestPartitionProperties:
     def test_segmentation_is_a_partition(self):

@@ -38,26 +38,18 @@ class KeywordPairRecord:
 class BilingualDictionary:
     """source phrase (token tuple) -> targets ordered by co-occurrence.
 
-    ``counts``, when given, is source phrase -> {target: count}, every phrase
-    non-empty with at least one non-empty target, and is kept as it is."""
+    ``counts`` is source phrase -> {target: count}, every phrase non-empty
+    with at least one non-empty target, and is kept as it is: nothing adds
+    to a dictionary once it is built, so each phrase's head, the first of
+    its ``targets``, is sorted out once, on its first lookup, and kept."""
 
-    def __init__(self, counts: dict[tuple[str, ...], dict[str, int]] | None = None):
-        self._counts = {} if counts is None else counts
+    def __init__(self, counts: dict[tuple[str, ...], dict[str, int]]):
+        self._counts = counts
+        self._heads: dict[tuple[str, ...], str] = {}
         self.max_source_len = max(map(len, self._counts), default=0)
-
-    def add_pair(self, source: str, target: str, count: int = 1):
-        key = tuple(source.split())
-        if not key or not target or count < 1:
-            return
-        targets = self._counts.setdefault(key, {})
-        targets[target] = targets.get(target, 0) + count
-        self.max_source_len = max(self.max_source_len, len(key))
 
     def __len__(self) -> int:
         return len(self._counts)
-
-    def __contains__(self, source_tokens: Sequence[str]) -> bool:
-        return tuple(source_tokens) in self._counts
 
     def targets(self, source_tokens: Sequence[str]) -> list[tuple[str, int]]:
         """All targets with counts, most frequent first, ties lexicographic."""
@@ -65,8 +57,12 @@ class BilingualDictionary:
         return sorted(targets.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def head(self, source_tokens: Sequence[str]) -> str | None:
-        ranked = self.targets(source_tokens)
-        return ranked[0][0] if ranked else None
+        """The phrase's most frequent target; None when it has no entry."""
+        key = tuple(source_tokens)
+        head = self._heads.get(key)
+        if head is None and key in self._counts:
+            head = self._heads[key] = self.targets(key)[0][0]
+        return head
 
     def entries(self):
         for source in sorted(self._counts):
@@ -79,8 +75,8 @@ class BilingualDictionary:
 
 
 def build_dictionary(records: Iterable[KeywordPairRecord]) -> BilingualDictionary:
-    """Count every (source, target) pair of each record's cross product, as
-    ``add_pair`` would one pair at a time."""
+    """Count every (source, target) pair of each record's cross product; a
+    blank source or an empty target adds nothing."""
     counts: dict[tuple[str, ...], dict[str, int]] = {}
     for record in records:
         targets = [target for target in record.target_keywords if target]
@@ -100,7 +96,8 @@ def build_dictionary(records: Iterable[KeywordPairRecord]) -> BilingualDictionar
 
 def load_dictionary(path) -> BilingualDictionary:
     """Read tab-separated source/target/count lines; the counts of a
-    repeated pair add up, as ``add_pair`` adds them."""
+    repeated pair add up, and a blank source or an empty target adds
+    nothing."""
     counts: dict[tuple[str, ...], dict[str, int]] = {}
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
@@ -131,19 +128,18 @@ def load_dictionary(path) -> BilingualDictionary:
 
 def translate(tokens: Sequence[str], dictionary: BilingualDictionary,
               passthrough: bool = False) -> list[str]:
-    """Leftmost-longest dictionary replacement over the token sequence."""
+    """Leftmost-longest dictionary replacement over the token sequence; each
+    probe is one ``head`` lookup."""
     out: list[str] = []
     i = 0
     n = len(tokens)
     while i < n:
-        match_len = 0
         for length in range(min(dictionary.max_source_len, n - i), 0, -1):
-            if tokens[i : i + length] in dictionary:
-                match_len = length
+            head = dictionary.head(tokens[i : i + length])
+            if head is not None:
+                out.extend(head.split())
+                i += length
                 break
-        if match_len:
-            out.extend(dictionary.head(tokens[i : i + match_len]).split())
-            i += match_len
         else:
             if passthrough:
                 out.append(tokens[i])

@@ -15,6 +15,13 @@ it occurs at, and any other term's ranks are read from its postings.
 IDFs; ``pipeline.search_topic_a`` ranks them with the same extended scorer
 as the first, for every term strategy.  Adopted terms enter with weight 1,
 tf_q 1, and no query-membership bonus.
+
+A candidate's binomial tail depends only on the number of top documents,
+its df and its rounded count, so the run's ``SystemATables.tails`` memo
+keeps every tail its topics have summed, and each is summed once per run.
+The memo belongs to the run, not to the process: a process that searches
+several times (a test session, a benchmark's rounds) sums each run's tails
+again, so every run costs what a single ``probir search`` costs.
 """
 
 from __future__ import annotations
@@ -133,7 +140,9 @@ def binomial_tail(k_r: int, p0: float, n_obs: int) -> float:
     )
 
 
-def expansion_terms(counts: TopDocCounts, k_p: float, kp_literal: bool = False,
+def expansion_terms(counts: TopDocCounts,
+                    tails: dict[tuple[int, int, int], float], k_p: float,
+                    kp_literal: bool = False,
                     candidates: Iterable[str] | None = None) -> set[str]:
     """Terms whose presence across the top docs is binomially surprising.
 
@@ -141,8 +150,11 @@ def expansion_terms(counts: TopDocCounts, k_p: float, kp_literal: bool = False,
     callers pass segmented words instead.  A term is adopted when the chance
     of its rank-weighted document count under the collection rate is at most
     1 - k_p (or, under kp_literal, when the tail itself reaches k_p).
-    Candidates share a tail when they share (df, n_obs), so each tail is
-    summed once per call.
+    Candidates share a tail when they share (k, df, n_obs), with k the
+    number of top documents, and ``tails`` is the run's memo of them (read
+    and filled here), so each tail is summed once per run.  The memo is the
+    run's, not a module-level cache, so that a process that searches
+    several times sums each run's tails as a lone ``probir search`` would.
     """
     docs = counts.docs
     if not docs:
@@ -150,8 +162,8 @@ def expansion_terms(counts: TopDocCounts, k_p: float, kp_literal: bool = False,
     if candidates is None:
         candidates = counts.units
     selected = set()
+    k = len(docs)
     n = counts.index.n_docs
-    tails: dict[tuple[int, int], float] = {}
     for term in candidates:
         count = counts.count(term)
         n_obs = math.floor(count + ROUND_EPS)
@@ -161,9 +173,9 @@ def expansion_terms(counts: TopDocCounts, k_p: float, kp_literal: bool = False,
         p0 = df / n
         if p0 >= 1.0:
             continue
-        tail = tails.get((df, n_obs))
+        tail = tails.get((k, df, n_obs))
         if tail is None:
-            tail = tails[df, n_obs] = binomial_tail(len(docs), p0, n_obs)
+            tail = tails[k, df, n_obs] = binomial_tail(k, p0, n_obs)
         if (tail >= k_p) if kp_literal else (1.0 - tail >= k_p):
             selected.add(term)
     return selected
@@ -171,15 +183,17 @@ def expansion_terms(counts: TopDocCounts, k_p: float, kp_literal: bool = False,
 
 def feedback_vector(query_vector: Mapping[str, tuple[float, int]],
                     view: PrefixBags, params: FeedbackAParams,
+                    tails: dict[tuple[int, int, int], float],
                     candidates: Iterable[str] | None = None):
     """The second-retrieval vector and its per-term IDF map, from one
-    ``TopDocCounts`` of ``view``'s top k_r documents."""
+    ``TopDocCounts`` of ``view``'s top k_r documents; ``tails`` is the
+    run's memo that ``expansion_terms`` reads and fills."""
     vector = dict(query_vector)
     idf_map: dict[str, float] = {}
     index = view.index
     n = index.n_docs
     counts = TopDocCounts(view, params.k_r, params.k_afw)
-    expanded = expansion_terms(counts, params.k_p, params.kp_literal,
+    expanded = expansion_terms(counts, tails, params.k_p, params.kp_literal,
                                candidates)
     for term in sorted(expanded - set(vector)):
         vector[term] = (1.0, 1)

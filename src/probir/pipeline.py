@@ -239,7 +239,7 @@ def search_topic_a(analyzer: Analyzer, compiled: CompiledTopicA,
         return first
 
     fb_vector, idf_map = feedback_vector(
-        vector, PrefixBags(index, first), feedback,
+        vector, PrefixBags(index, first), feedback, tables.tails,
         analyzer.feedback_candidates(index, first.doc_ids()[:feedback.k_r]))
     # The query terms come first in fb_vector, then the sorted adopted ones,
     # so ``vector | adopted`` is fb_vector, in its order.

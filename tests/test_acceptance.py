@@ -18,7 +18,7 @@ import pytest
 import scipy.stats
 
 from probir.cli import main as cli_main
-from probir.clir import BilingualDictionary, translate
+from probir.clir import translate
 from probir.corpus import QueryType, Topic, TokenizerConfig
 from probir.evaluation import average_precision, evaluate_run, r_precision
 from probir.feedback_a import FeedbackAParams, binomial_tail, afw
@@ -365,9 +365,7 @@ def test_03_degenerate_identities():
         assert fed.items == plain.items
         checked_b += 1
 
-        dictionary = BilingualDictionary()
-        for w in vocab:
-            dictionary.add_pair(w, w)
+        dictionary = oracles.pair_dictionary((w, w) for w in vocab)
         translated = translate(words, dictionary)
         assert translated == words
         via = search_topic_b(index, "q", Counter(translated))
@@ -651,11 +649,10 @@ def test_09_qualitative_reproduction():
     for i in range(8):
         source_rows.append((f"sf{i}", "sfill1", "sfill1 sfill2 sfill3"))
     source_index = make_index(source_rows)
-    dictionary = BilingualDictionary()
-    for i in range(5):
-        dictionary.add_pair(f"stopic{i}", f"topic{i}")
-        dictionary.add_pair(f"ssat{i}a", f"sat{i}a")
-        dictionary.add_pair(f"ssat{i}b", f"sat{i}b")
+    dictionary = oracles.pair_dictionary(
+        pair for i in range(5)
+        for pair in [(f"stopic{i}", f"topic{i}"), (f"ssat{i}a", f"sat{i}a"),
+                     (f"ssat{i}b", f"sat{i}b")])
     analyzer = Analyzer(TokenizerConfig())
     plain_run = {}
     expanded_run = {}

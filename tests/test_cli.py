@@ -762,6 +762,20 @@ class TestSegmentCommand:
         assert code == 0
         assert capsys.readouterr().out == "s o l a r p o w e r\n"
 
+    @pytest.mark.parametrize("k_cmi", [[], ["--k-cmi", "0"]])
+    def test_stats_file_without_characters_is_refused(self, tmp_path, capsys,
+                                                      monkeypatch, k_cmi):
+        """``index --mode character`` refuses this collection too: no
+        statistics, so no threshold and no segmentation."""
+        stats = tmp_path / "punct.jsonl"
+        write_jsonl(stats, [{"doc_id": "d1", "title": "...", "body": "!?"}])
+        monkeypatch.setattr("sys.stdin", io.StringIO("abcd\n"))
+        assert main(["segment", "--stats", str(stats), *k_cmi]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "no document holds a character" in captured.err
+
 
 class TestEvalCommand:
     def test_scores_run_against_qrels(self, workspace, capsys):

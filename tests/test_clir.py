@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probir.clir import (
-    BilingualDictionary,
     KeywordPairRecord,
     build_dictionary,
     document_expansion,
@@ -16,6 +15,7 @@ from probir.errors import ParseError
 from probir.scoring import bm11_query_weight, idf, rank, score_bm11
 
 from corpus_builders import make_index
+from oracles import pair_dictionary
 
 
 def record(rid, sources, targets):
@@ -82,11 +82,9 @@ class TestBuildDictionary:
         records = [record(str(i), rng.choices(keywords, k=rng.randint(0, 3)),
                           rng.choices(keywords, k=rng.randint(0, 3)))
                    for i in range(rng.randint(0, 12))]
-        want = BilingualDictionary()
-        for rec in records:
-            for source in rec.source_keywords:
-                for target in rec.target_keywords:
-                    want.add_pair(source, target)
+        want = pair_dictionary((source, target) for rec in records
+                               for source in rec.source_keywords
+                               for target in rec.target_keywords)
         got = build_dictionary(records)
         assert list(got.entries()) == list(want.entries())
         assert (len(got), got.max_source_len) == (len(want), want.max_source_len)
@@ -97,10 +95,8 @@ class TestBuildDictionary:
         lines += lines[:2] + [" \tX\t4\n", "a\t\t3\n"]
         rng.shuffle(lines)
         path.write_text("".join(lines), encoding="utf-8")
-        want = BilingualDictionary()
-        for line in lines:
-            src, tgt, count = line.rstrip("\n").split("\t")
-            want.add_pair(src, tgt, int(count))
+        want = pair_dictionary((src, tgt, int(count)) for src, tgt, count in
+                               (line.rstrip("\n").split("\t") for line in lines))
         loaded = load_dictionary(path)
         assert list(loaded.entries()) == list(want.entries())
         assert (len(loaded), loaded.max_source_len) == (len(want), want.max_source_len)
@@ -108,13 +104,8 @@ class TestBuildDictionary:
 
 class TestTranslate:
     def build(self):
-        dictionary = BilingualDictionary()
-        dictionary.add_pair("a", "A")
-        dictionary.add_pair("a b c", "D E")
-        dictionary.add_pair("a b", "F")
-        dictionary.add_pair("b c", "G")
-        dictionary.add_pair("c", "C")
-        return dictionary
+        return pair_dictionary([("a", "A"), ("a b c", "D E"), ("a b", "F"),
+                                ("b c", "G"), ("c", "C")])
 
     def test_longest_match_beats_word_by_word(self):
         assert translate(["a", "b", "c"], self.build()) == ["D", "E"]
@@ -127,10 +118,7 @@ class TestTranslate:
         assert translate(["a", "x"], self.build(), passthrough=True) == ["A", "x"]
 
     def test_leftmost_longest_on_overlap(self):
-        dictionary = BilingualDictionary()
-        dictionary.add_pair("a b", "AB")
-        dictionary.add_pair("b c", "BC")
-        dictionary.add_pair("c", "C")
+        dictionary = pair_dictionary([("a b", "AB"), ("b c", "BC"), ("c", "C")])
         assert translate(["a", "b", "c"], dictionary) == ["AB", "C"]
 
     def test_each_token_consumed_once(self):
@@ -146,6 +134,14 @@ class TestTranslate:
     def test_empty_input(self):
         assert translate([], self.build()) == []
 
+    def test_a_kept_head_is_the_first_target(self):
+        dictionary = pair_dictionary([("a", "A"), ("a", "B", 2), ("b c", "C")])
+        for _ in range(2):  # the second ask reads the kept head
+            assert dictionary.head(["a"]) == "B"
+            assert dictionary.head(("b", "c")) == "C"
+            assert dictionary.head(["b"]) is None
+        assert translate(["a", "b", "c", "b"], dictionary) == ["B", "C"]
+
 
 class TestDictionaryIO:
     def test_round_trip(self, tmp_path):
@@ -156,11 +152,8 @@ class TestDictionaryIO:
         assert list(loaded.entries()) == list(dictionary.entries())
 
     def sample(self):
-        dictionary = BilingualDictionary()
-        dictionary.add_pair("hund", "dog", 3)
-        dictionary.add_pair("hund", "hound", 1)
-        dictionary.add_pair("rote katze", "red cat", 2)
-        return dictionary
+        return pair_dictionary([("hund", "dog", 3), ("hund", "hound", 1),
+                                ("rote katze", "red cat", 2)])
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "dict.tsv"
@@ -219,8 +212,7 @@ class TestDocumentExpansion:
 
     def test_synonym_enables_dictionary_hit(self):
         source = self.source_corpus()
-        dictionary = BilingualDictionary()
-        dictionary.add_pair("fahndung", "manhunt")
+        dictionary = pair_dictionary([("fahndung", "manhunt")])
         raw = translate(["suche"], dictionary)
         assert raw == []
         expanded = document_expansion({"suche": 1}, source, n_docs=2, theta=1.0)
@@ -236,9 +228,8 @@ class TestIdentityDictionary:
             ("c", "dull", "dull filler text"),
         ])
         tokens = ["gold", "maps"]
-        dictionary = BilingualDictionary()
-        for token in set(tokens) | {"vault", "dull"}:
-            dictionary.add_pair(token, token)
+        dictionary = pair_dictionary((token, token)
+                                     for token in set(tokens) | {"vault", "dull"})
         translated = translate(tokens, dictionary)
         assert translated == tokens
         weights = {

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import pytest
 from scipy import stats
 
-from probir.corpus import TokenizerConfig
+from probir import feedback_a
+from probir.corpus import QueryType, Topic, TokenizerConfig
 from probir.feedback_a import (
     FeedbackAParams,
     TopDocCounts,
@@ -15,8 +16,9 @@ from probir.feedback_a import (
     feedback_idf,
     feedback_vector,
 )
-from probir.pipeline import Analyzer, search_topic_a
+from probir.pipeline import Analyzer, search_system_a, search_topic_a
 from probir.scoring import ScoringParamsA, SystemATables, rank, score_system_a
+from probir.term_extraction import SHORTEST, ExtractionConfig
 
 from corpus_builders import make_index, random_token_rows, random_vocab, top_view
 
@@ -64,7 +66,7 @@ def weighted_doc_ratios(term, top_docs, index, k_afw):
 def adopted(top_docs, index, k_r, k_p, k_afw, kp_literal=False, candidates=None):
     """``expansion_terms`` over the top k_r of ``top_docs``."""
     counts = TopDocCounts(top_view(index, top_docs), k_r, k_afw)
-    return expansion_terms(counts, k_p, kp_literal, candidates)
+    return expansion_terms(counts, {}, k_p, kp_literal, candidates)
 
 
 class TestWeightedDocRatios:
@@ -219,7 +221,7 @@ class TestFeedbackVector:
         ])
         vector, idf_map = feedback_vector(
             {"query": (1.0, 1)}, top_view(index, ["a", "b"]),
-            FeedbackAParams(k_r=2, k_p=0.5, k_afw=0.5))
+            FeedbackAParams(k_r=2, k_p=0.5, k_afw=0.5), {})
         assert vector["query"] == (1.0, 1)
         assert vector["bonus"] == (1.0, 1)
         assert "bonus" in idf_map
@@ -229,7 +231,7 @@ class TestFeedbackVector:
     def test_unseen_query_terms_have_no_idf(self, toy_index):
         vector, idf_map = feedback_vector(
             {"enterprise": (1.0, 1), "qqqq": (1.0, 1)}, top_view(toy_index, ["d1"]),
-            FeedbackAParams(k_r=1, k_p=1.0))
+            FeedbackAParams(k_r=1, k_p=1.0), {})
         assert "qqqq" in vector
         assert "qqqq" not in idf_map
 
@@ -291,6 +293,35 @@ class TestRunFeedbackA:
                                 SystemATables(index, NO_CATEGORY),
                                 FeedbackAParams(k_r=50), cutoff=2)
         assert len(second) == 2
+
+    def test_each_tail_is_summed_once_per_run(self, monkeypatch):
+        """The topics of one ``search_system_a`` call share its tables' tail
+        memo; a second call, in the same process, sums its own again."""
+        rng = random.Random(1729)
+        vocab = random_vocab(rng, 12)
+        index = make_index(random_token_rows(rng, 40, vocab, max_len=12))
+        topics = [Topic(query_id=f"q{i}", title=" ".join(rng.sample(vocab, 2)))
+                  for i in range(8)]
+        sums = []
+        original = feedback_a.binomial_tail
+
+        def counting(k, p0, n_obs):
+            sums.append((k, p0, n_obs))
+            return original(k, p0, n_obs)
+
+        monkeypatch.setattr(feedback_a, "binomial_tail", counting)
+
+        def run():
+            sums.clear()
+            rankings, _ = search_system_a(index, topics, QueryType.VERY_SHORT, TOK,
+                                          ExtractionConfig(SHORTEST), ScoringParamsA(),
+                                          FeedbackAParams(k_r=5), cutoff=30)
+            assert len(rankings) == len(topics)
+            return list(sums)
+
+        first = run()
+        assert first and len(set(first)) == len(first)
+        assert run() == first
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -40,27 +40,32 @@ ALPHABET = "abcde"
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-def token_corpus(rng):
-    """A token index, its vocabulary, and terms of one to three units."""
+def token_corpus(rng, every=""):
+    """A token index, its vocabulary, and terms of one to three units;
+    ``every``, when given, ends each document's body."""
     vocab = random_vocab(rng, rng.randint(3, 9))
-    index = make_index(random_token_rows(rng, rng.randint(1, 9), vocab, max_len=15))
+    rows = random_token_rows(rng, rng.randint(1, 9), vocab, max_len=15)
+    index = make_index([(doc_id, title, f"{body} {every}")
+                        for doc_id, title, body in rows])
     terms = vocab + [" ".join(rng.choices(vocab, k=rng.randint(2, 3)))
                      for _ in range(4)] + ["zzzz", "zzzz " + vocab[0]]
     return index, terms
 
 
-def char_corpus(rng):
-    """A character index and strings of one to three characters."""
+def char_corpus(rng, every=""):
+    """A character index and strings of one to three characters; ``every``,
+    when given, ends each document's body."""
     def text(low, high):
         return "".join(rng.choices(ALPHABET, k=rng.randint(low, high)))
-    rows = [(f"c{i:02d}", text(0, 5), text(1, 25)) for i in range(rng.randint(1, 9))]
+    rows = [(f"c{i:02d}", text(0, 5), text(1, 25) + every)
+            for i in range(rng.randint(1, 9))]
     index = make_index(rows, mode=CHARACTER_MODE)
     terms = list(ALPHABET) + [text(2, 3) for _ in range(6)] + ["q", "qa"]
     return index, terms
 
 
-def corpus(rng, mode):
-    return char_corpus(rng) if mode == CHARACTER_MODE else token_corpus(rng)
+def corpus(rng, mode, every=""):
+    return (char_corpus if mode == CHARACTER_MODE else token_corpus)(rng, every)
 
 
 def top_documents(rng, index):
@@ -101,7 +106,7 @@ class TestOneWalkFeedbackA:
         feedback_a.weighted_doc_count = counting
         try:
             got = feedback_vector(query_vector, top_view(index, top_docs), params,
-                                  candidates)
+                                  {}, candidates)
         finally:
             feedback_a.weighted_doc_count = original
         want = oracles.feedback_vector(query_vector, top_docs, index, params,
@@ -136,9 +141,9 @@ class TestOneWalkFeedbackA:
         feedback_a.weighted_doc_count = counting
         try:
             got = expansion_terms(TopDocCounts(top_view(index, top_docs), k_r, 0.5),
-                                  0.5, candidates=candidates)
+                                  {}, 0.5, candidates=candidates)
             default = expansion_terms(
-                TopDocCounts(top_view(index, top_docs), k_r, 0.5), 0.5)
+                TopDocCounts(top_view(index, top_docs), k_r, 0.5), {}, 0.5)
         finally:
             feedback_a.weighted_doc_count = original
         units = {u for doc_id in top_docs[:k_r] for u in index.doc_terms(doc_id)}
@@ -146,6 +151,34 @@ class TestOneWalkFeedbackA:
         assert got == oracles.expansion_terms(top_docs, index, k_r, 0.5, 0.5,
                                               candidates=candidates)
         assert default == oracles.expansion_terms(top_docs, index, k_r, 0.5, 0.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, mode=st.sampled_from(["token", CHARACTER_MODE]),
+           kp_literal=st.booleans())
+    def test_one_tail_memo_serves_every_top_document_set(self, seed, mode,
+                                                         kp_literal):
+        """The top documents of several topics share one run's memo: k_r = 1,
+        k_r beyond the ranking (k < k_r), and a unit every document holds
+        (df = n), in each mode.  Each memo entry is the tail its key
+        names."""
+        rng = random.Random(seed)
+        # every document holds "q", a unit no other draw of either mode makes
+        index, terms = corpus(rng, mode, every="q")
+        assert index.df("q") == index.n_docs
+        tails = {}
+        for _ in range(rng.randint(2, 6)):
+            top_docs = top_documents(rng, index)
+            k_r = rng.choice([1, len(top_docs) + rng.randint(1, 3),
+                              rng.randint(1, index.n_docs + 3)])
+            k_p = rng.choice([0.0, 0.5, 0.9, 1.0])
+            candidates = (set(rng.sample(terms, rng.randint(0, len(terms)))) | {"q"}
+                          if rng.random() < 0.5 else None)
+            got = expansion_terms(TopDocCounts(top_view(index, top_docs), k_r, 0.5),
+                                  tails, k_p, kp_literal, candidates)
+            assert got == oracles.expansion_terms(top_docs, index, k_r, k_p, 0.5,
+                                                  kp_literal, candidates)
+        for (k, df, n_obs), tail in tails.items():
+            assert tail == feedback_a.binomial_tail(k, df / index.n_docs, n_obs)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, mode=st.sampled_from(["token", CHARACTER_MODE]))

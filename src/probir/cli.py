@@ -19,15 +19,11 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import partial
+from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .clir import (
-    KeywordPairRecord,
-    build_dictionary,
-    load_dictionary,
-    translate as translate_tokens,
-)
+from .clir import build_dictionary, load_dictionary, translate as translate_tokens
 from .corpus import (
     CHARACTER_MODE,
     TOKEN_MODE,
@@ -43,12 +39,13 @@ from .corpus import (
 from .errors import IndexLoadError, ParseError, ProbirError
 from .evaluation import evaluate_run, load_qrels, parse_run_file
 from .feedback_a import FeedbackAParams
-from .feedback_b import AUTO, FeedbackBParams
+from .feedback_b import AUTO
 from .index import Index, build_index, load_index
 from .pipeline import (
     Analyzer,
     _usable,
     clir_topic,
+    feedback_b_params,
     format_run,
     run_tag,
     search_system_a,
@@ -398,13 +395,13 @@ def cmd_index(args) -> int:
                  else frozenset())
     config = TokenizerConfig(mode=args.mode, stopwords=stopwords,
                              stemming=args.stem)
-    collection = load_documents(args.docs)
-    index = build_index(collection, config)
+    docs = load_documents(args.docs)
+    index = build_index(docs, config)
     # the MI table and threshold come before the first write, so a corpus
     # whose threshold cannot be calibrated leaves no directory behind
     mi = None
     if args.mode == CHARACTER_MODE:
-        sentences = collection_sentences(collection, config)
+        sentences = collection_sentences(docs, config)
         table = build_mi_table(sentences)
         mi = table, calibrate_kcmi(sentences, table, args.ratio)
     index.save(args.out)
@@ -424,15 +421,6 @@ def _scoring_params(cfg: dict) -> ScoringParamsA:
     )
 
 
-def _feedback_b_params(cfg: dict) -> FeedbackBParams:
-    return FeedbackBParams(
-        p_level=cfg["p"], theta=cfg["theta"],
-        r=None if cfg["r"] == AUTO else cfg["r"],
-        alpha=None if cfg["alpha"] == AUTO else cfg["alpha"],
-        r_cap=cfg["r_cap"],
-    )
-
-
 def cmd_search(args) -> int:
     cfg = resolve_config(args, SEARCH_OPTIONS)
     if cfg["translate"] and cfg["system"] == "a":
@@ -443,6 +431,18 @@ def cmd_search(args) -> int:
         if cfg[key] and not cfg[needs]:
             raise ValueError(f"{key} is read only with {needs}, which is not set")
     _check_out(args.out)
+    # every setting is checked here, before any index loads
+    if cfg["system"] == "a":
+        extraction = ExtractionConfig(TERM_STRATEGIES[cfg["terms"]],
+                                      cfg["k_down"], cfg["max_span"])
+        scoring = _scoring_params(cfg)
+        feedback = (FeedbackAParams(cfg["kr"], cfg["kaf"], cfg["kp"],
+                                    cfg["kafw"], cfg["kp_literal"])
+                    if cfg["feedback"] else None)
+    else:
+        feedback = (feedback_b_params(cfg["p"], cfg["r"], cfg["alpha"],
+                                      theta=cfg["theta"], r_cap=cfg["r_cap"])
+                    if cfg["feedback"] else None)
     index, analyzer = _open_index(args.index, cfg["k_cmi"])
     source_index, source = None, analyzer
     if cfg["expand_source"]:
@@ -454,8 +454,6 @@ def cmd_search(args) -> int:
 
     if cfg["translate"]:
         dictionary = load_dictionary(cfg["translate"])
-        feedback = _feedback_b_params(cfg) if cfg["feedback"] else None
-
         # clir_topic is looked up in this module at each call: perfbench's
         # topic timer wraps cli.clir_topic to time the whole topic
         run = partial(_usable, topics, lambda topic: clir_topic(
@@ -464,15 +462,9 @@ def cmd_search(args) -> int:
             expand_all=cfg["expand_all"], passthrough=cfg["passthrough"],
             feedback=feedback, cutoff=cutoff))
     elif cfg["system"] == "a":
-        extraction = ExtractionConfig(TERM_STRATEGIES[cfg["terms"]],
-                                      cfg["k_down"], cfg["max_span"])
-        feedback = (FeedbackAParams(cfg["kr"], cfg["kaf"], cfg["kp"],
-                                    cfg["kafw"], cfg["kp_literal"])
-                    if cfg["feedback"] else None)
         run = partial(search_system_a, index, topics, qtype, analyzer,
-                      extraction, _scoring_params(cfg), feedback, cutoff)
+                      extraction, scoring, feedback, cutoff)
     else:
-        feedback = _feedback_b_params(cfg) if cfg["feedback"] else None
         run = partial(search_system_b, index, topics, qtype, analyzer,
                       feedback, cutoff)
     with _collector_paused():
@@ -502,6 +494,9 @@ def cmd_search(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args, SWEEP_OPTIONS)
     _check_out(args.out)
+    # every cell is checked here, before the index loads
+    for cell in product(cfg["p"], cfg["r"], cfg["alpha"]):
+        feedback_b_params(*cell)
     index, analyzer = _open_index(args.index, cfg["k_cmi"])
     _check_k_cmi(cfg, analyzer)
     topics = load_topics(args.topics)
@@ -514,6 +509,8 @@ def cmd_sweep(args) -> int:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+    for message in report.warnings:
+        print(f"warning: {message}", file=sys.stderr)
     return 0
 
 
@@ -541,19 +538,16 @@ def cmd_segment(args) -> int:
 
 
 def cmd_build_dict(args) -> int:
-    records = []
-    for line_no, payload in _read_jsonl(args.pairs):
-        keywords = []
-        for key in ("source", "target"):
-            words = payload.get(key, [])
-            if not (isinstance(words, list)
-                    and all(isinstance(word, str) for word in words)):
-                raise ParseError(args.pairs, line_no,
-                                 f"{key} must be a list of strings")
-            keywords.append(tuple(words))
-        records.append(KeywordPairRecord(str(payload.get("id", line_no)),
-                                         *keywords))
-    dictionary = build_dictionary(records)
+    def keywords(line_no: int, payload: dict, key: str) -> list[str]:
+        words = payload.get(key, [])
+        if not (isinstance(words, list)
+                and all(isinstance(word, str) for word in words)):
+            raise ParseError(args.pairs, line_no, f"{key} must be a list of strings")
+        return words
+
+    dictionary = build_dictionary(
+        (keywords(line_no, payload, "source"), keywords(line_no, payload, "target"))
+        for line_no, payload in _read_jsonl(args.pairs))
     dictionary.save(args.out)
     print(f"{len(dictionary)} source phrases -> {args.out}")
     return 0

@@ -1,19 +1,20 @@
 """Cross-lingual retrieval support.
 
-A bilingual dictionary is distilled from records that pair source-language
-and target-language keyword lists: every cross-product pair increments a
+A bilingual dictionary is distilled from (source keywords, target
+keywords) pairs of lists: every pair of their cross product increments a
 co-occurrence count, and each source phrase's head translation is its most
-frequent target (ties to the lexicographically smaller one).  Queries are
-translated by a leftmost-longest scan; words without a dictionary entry are
-dropped unless pass-through is requested.  Before translation the query can
-be document-expanded: words that are over-represented in the top documents
+frequent target (ties to the lexicographically smaller one).  A saved
+dictionary is read back through the same count, so a blank source or an
+empty target adds nothing either way.  Queries are translated by a
+leftmost-longest scan; words without a dictionary entry are dropped unless
+pass-through is requested.  Before translation the query can be
+document-expanded: words that are over-represented in the top documents
 of a same-language retrieval (their bag read from its ``PrefixBags``) are
 appended, which buys extra dictionary hits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -26,13 +27,6 @@ from .scoring import bm11_retrieval, rank, score_bm11  # noqa: F401
 
 DEFAULT_EXPANSION_DOCS = 5
 DEFAULT_EXPANSION_THETA = THETA_BY_P[0.10]
-
-
-@dataclass(frozen=True)
-class KeywordPairRecord:
-    record_id: str
-    source_keywords: tuple[str, ...]
-    target_keywords: tuple[str, ...]
 
 
 class BilingualDictionary:
@@ -74,30 +68,35 @@ class BilingualDictionary:
         Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def build_dictionary(records: Iterable[KeywordPairRecord]) -> BilingualDictionary:
-    """Count every (source, target) pair of each record's cross product; a
-    blank source or an empty target adds nothing."""
+def _add_count(counts: dict[tuple[str, ...], dict[str, int]],
+               phrase: tuple[str, ...], target: str, count: int) -> None:
+    """Add ``count`` to the (source phrase, target) pair of ``counts``; a
+    blank source (no words) or an empty target adds nothing."""
+    if phrase and target:
+        row = counts.get(phrase)
+        if row is None:
+            counts[phrase] = {target: count}
+        else:
+            row[target] = row.get(target, 0) + count
+
+
+def build_dictionary(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]
+                     ) -> BilingualDictionary:
+    """Count every (source, target) pair of the cross product of each
+    (source keywords, target keywords) pair, each source split into its
+    words once."""
     counts: dict[tuple[str, ...], dict[str, int]] = {}
-    for record in records:
-        targets = [target for target in record.target_keywords if target]
-        if not targets:
-            continue
-        for source in record.source_keywords:
-            key = tuple(source.split())
-            if not key:
-                continue
-            row = counts.get(key)
-            if row is None:
-                row = counts[key] = {}
+    for sources, targets in pairs:
+        for source in sources:
+            phrase = tuple(source.split())
             for target in targets:
-                row[target] = row.get(target, 0) + 1
+                _add_count(counts, phrase, target, 1)
     return BilingualDictionary(counts)
 
 
 def load_dictionary(path) -> BilingualDictionary:
     """Read tab-separated source/target/count lines; the counts of a
-    repeated pair add up, and a blank source or an empty target adds
-    nothing."""
+    repeated pair add up (``_add_count``)."""
     counts: dict[tuple[str, ...], dict[str, int]] = {}
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
@@ -115,14 +114,7 @@ def load_dictionary(path) -> BilingualDictionary:
                 raise ParseError(str(path), line_no, f"bad count {raw_count!r}") from None
             if count < 1:
                 raise ParseError(str(path), line_no, "count must be >= 1")
-            key = tuple(source.split())
-            if not key or not target:
-                continue
-            row = counts.get(key)
-            if row is None:
-                counts[key] = {target: count}
-            else:
-                row[target] = row.get(target, 0) + count
+            _add_count(counts, tuple(source.split()), target, count)
     return BilingualDictionary(counts)
 
 

@@ -1,7 +1,10 @@
 """Document/topic ingestion, tokenization, and query construction.
 
-Documents and topics arrive as JSONL (one record per line, UTF-8).
-Tokenization runs in one of two modes:
+Documents and topics arrive as JSONL (one record per line, UTF-8) and
+load through one loop into plain lists of frozen ``Document`` and ``Topic``
+records in file order.  Each record is checked once, where it is built:
+a bad field, or an id already seen in the file, is an error naming its
+line.  Tokenization runs in one of two modes:
 
 * ``token``     -- lowercased word tokens, content-filtered, stopword-filtered,
                    optionally stemmed.  For segmented-script collections.
@@ -229,34 +232,6 @@ def split_sentences(text: str, config: TokenizerConfig) -> list[str]:
     return text.translate(config._characters).split()
 
 
-class DocumentCollection:
-    """Documents in file order with unique ids."""
-
-    def __init__(self, documents: Iterable[Document] = ()):
-        self._docs: list[Document] = []
-        self._by_id: dict[str, Document] = {}
-        for doc in documents:
-            self.add(doc)
-
-    def add(self, doc: Document):
-        if doc.doc_id in self._by_id:
-            raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
-        self._docs.append(doc)
-        self._by_id[doc.doc_id] = doc
-
-    def __len__(self):
-        return len(self._docs)
-
-    def __iter__(self):
-        return iter(self._docs)
-
-    def __getitem__(self, doc_id: str) -> Document:
-        return self._by_id[doc_id]
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._by_id
-
-
 def _read_jsonl(path) -> Iterable[tuple[int, dict]]:
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -272,13 +247,14 @@ def _read_jsonl(path) -> Iterable[tuple[int, dict]]:
             yield line_no, record
 
 
-def _text(path, line_no: int, record: dict, key: str) -> str | None:
-    """A record's optional text field: its string, or None when it is
+def _text(path, line_no: int, record: dict, key: str, absent: str | None
+          ) -> str | None:
+    """A record's optional text field: its string, or ``absent`` when it is
     absent or null; any other value is refused, naming the line."""
     value = record.get(key)
     if value is not None and not isinstance(value, str):
         raise ParseError(path, line_no, f"{key} must be a string or null")
-    return value
+    return absent if value is None else value
 
 
 def _id(path, line_no: int, record: dict, key: str) -> str:
@@ -292,44 +268,37 @@ def _id(path, line_no: int, record: dict, key: str) -> str:
     return str(value)
 
 
-def load_documents(path) -> DocumentCollection:
-    """Load a JSONL document file; duplicate doc_ids are rejected by line."""
-    collection = DocumentCollection()
+def _load_records(path, kind: Callable, id_key: str,
+                  texts: dict[str, str | None]) -> list:
+    """``kind(id, *texts)`` of every record of a JSONL file, in file order;
+    ``texts`` maps each text field to its value when absent or null.  The
+    record's ValueError becomes a ParseError naming the line, and a
+    repeated id a DuplicateDocIdError naming the line."""
+    items = {}
     for line_no, record in _read_jsonl(path):
+        item_id = _id(path, line_no, record, id_key)
         try:
-            doc = Document(
-                doc_id=_id(path, line_no, record, "doc_id"),
-                title=_text(path, line_no, record, "title") or "",
-                body=_text(path, line_no, record, "body") or "",
-                category=_text(path, line_no, record, "category"),
-            )
+            item = kind(item_id, *(_text(path, line_no, record, key, absent)
+                                   for key, absent in texts.items()))
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from exc
-        if doc.doc_id in collection:
-            raise DuplicateDocIdError(path, line_no, f"duplicate doc_id {doc.doc_id!r}")
-        collection.add(doc)
-    return collection
+        if item_id in items:
+            raise DuplicateDocIdError(path, line_no,
+                                      f"duplicate {id_key} {item_id!r}")
+        items[item_id] = item
+    return list(items.values())
+
+
+def load_documents(path) -> list[Document]:
+    """Load a JSONL document file in file order."""
+    return _load_records(path, Document, "doc_id",
+                         {"title": "", "body": "", "category": None})
 
 
 def load_topics(path) -> list[Topic]:
     """Load a JSONL topic file in file order."""
-    topics = []
-    seen = set()
-    for line_no, record in _read_jsonl(path):
-        try:
-            topic = Topic(_id(path, line_no, record, "query_id"),
-                          *(_text(path, line_no, record, key) or ""
-                            for key in ("title", "description", "narrative",
-                                        "concepts", "field")))
-        except ValueError as exc:
-            raise ParseError(path, line_no, str(exc)) from exc
-        if topic.query_id in seen:
-            raise DuplicateDocIdError(
-                path, line_no, f"duplicate query_id {topic.query_id!r}"
-            )
-        seen.add(topic.query_id)
-        topics.append(topic)
-    return topics
+    return _load_records(path, Topic, "query_id", dict.fromkeys(
+        ("title", "description", "narrative", "concepts", "field"), ""))
 
 
 def load_stopwords(path, mode: str) -> frozenset[str]:

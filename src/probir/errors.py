@@ -16,7 +16,7 @@ class ParseError(ProbirError):
 
 
 class DuplicateDocIdError(ParseError):
-    """Two records in one collection share a doc_id."""
+    """Two records of one input file share an id (a doc_id or a query_id)."""
 
 
 class EmptyCollectionError(ProbirError):

@@ -167,12 +167,13 @@ def selected_vocabulary_size(bag: TopDocBag, theta: float) -> int:
 def _auto_r_core(size_of, limit: int) -> int:
     """Stop at the first R >= 3 where vocabulary growth accelerates.
 
-    size_of(i) is |W(F(D¹_i))| with size_of(0) = 0; returns the breaking R,
-    or limit when growth never accelerates."""
+    size_of(i) is |W(F(D¹_i))|, asked once for each i in 1, 2, 3, ...;
+    returns the breaking R, or limit when growth never accelerates."""
     if limit < 3:
         return limit
-    prev_diff = size_of(2) - size_of(1)
+    size_1 = size_of(1)
     prev_size = size_of(2)
+    prev_diff = prev_size - size_1
     for r in range(3, limit + 1):
         size = size_of(r)
         diff = size - prev_size
@@ -186,15 +187,9 @@ def _auto_r_core(size_of, limit: int) -> int:
 def auto_r(prefixes: PrefixBags, theta: float, r_cap: int = 20) -> int:
     """R for the ranking of ``prefixes`` (see ``_auto_r_core``), read from
     its prefix bags."""
-    limit = min(len(prefixes.ranking), r_cap)
-    cache: dict[int, int] = {0: 0}
-
-    def size_of(i: int) -> int:
-        if i not in cache:
-            cache[i] = selected_vocabulary_size(prefixes.bag(i), theta)
-        return cache[i]
-
-    return _auto_r_core(size_of, limit)
+    return _auto_r_core(
+        lambda i: selected_vocabulary_size(prefixes.bag(i), theta),
+        min(len(prefixes.ranking), r_cap))
 
 
 def alpha(n_query_words: int, n_selected_words: int) -> float:

@@ -16,7 +16,8 @@ separately (a match never spans the two), and body positions are 1-based.
 table once, as a doc_id-keyed column in collection order: the streams,
 ``lengths`` (units, title and body together) and ``categories`` (None for
 none), with the category counts, ``avg_len`` and ``doc_ids()``.  It
-refuses a collection in which no document holds a unit, so no index is
+refuses a repeated doc_id, which would merge two documents' columns, and
+a collection in which no document holds a unit, so no index is
 half-built or has an ``avg_len`` of 0.  System B's ranking reads
 ``lengths`` once per posting, System A reads both columns directly, and
 what a scorer derives from a length (the k_t norm, the length bonus)
@@ -57,7 +58,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .corpus import (
     CHARACTER_MODE,
     TOKEN_MODE,
-    DocumentCollection,
+    Document,
     TokenizerConfig,
     is_run_id,
     tokenize,
@@ -116,8 +117,8 @@ def _sequence_starts(haystack: Sequence[str], needle: Sequence[str]
 class Index:
     """Statistics store that does not change once built, from (doc_id,
     title units, body units, category) records in collection order; see
-    the module docstring.  Raises EmptyCollectionError when no document
-    holds a unit."""
+    the module docstring.  Raises ValueError naming a repeated doc_id, and
+    EmptyCollectionError when no document holds a unit."""
 
     def __init__(self, mode: str,
                  docs: Iterable[tuple[str, Iterable[str], Iterable[str], str | None]]):
@@ -127,13 +128,14 @@ class Index:
         self._streams: dict[str, tuple[Sequence[str], Sequence[str]]] = {}
         # doc_id -> category (None for a document without one)
         self.categories: dict[str, str | None] = {}
-        for doc_id, title, body, category in docs:
-            self._streams[doc_id] = stream(title), stream(body)
-            self.categories[doc_id] = category
         # doc_id -> length (title + body units)
-        self.lengths: dict[str, int] = {
-            doc_id: len(title) + len(body)
-            for doc_id, (title, body) in self._streams.items()}
+        self.lengths: dict[str, int] = {}
+        for doc_id, title, body, category in docs:
+            if doc_id in self._streams:
+                raise ValueError(f"repeated doc_id {doc_id!r}")
+            title, body = self._streams[doc_id] = stream(title), stream(body)
+            self.categories[doc_id] = category
+            self.lengths[doc_id] = len(title) + len(body)
         self.n_docs = len(self._streams)
         self.total_len = sum(self.lengths.values())
         if not self.total_len:
@@ -345,14 +347,13 @@ class Index:
         )
 
 
-def build_index(collection: DocumentCollection, config: TokenizerConfig) -> Index:
-    """Index every document in the collection under the config's mode; a
-    collection in which no document holds a unit is refused
-    (EmptyCollectionError).  The postings are counted on the index's first
-    lookup."""
+def build_index(docs: Iterable[Document], config: TokenizerConfig) -> Index:
+    """Index every document, in order, under the config's mode; ``Index``
+    refuses a repeated doc_id and a collection in which no document holds
+    a unit.  The postings are counted on the index's first lookup."""
     return Index(config.mode, ((doc.doc_id, tokenize(doc.title, config),
                                 tokenize(doc.body, config), doc.category)
-                               for doc in collection))
+                               for doc in docs))
 
 
 def _load_json(path: Path, name: str, expected_checksum: str | None):
@@ -394,20 +395,22 @@ def _load_meta(path: Path, expected_mode: str | None) -> dict:
 
 def load_index(path, expected_mode: str | None = None) -> Index:
     """Load a saved index; verifies version, checksum, mode and the type of
-    every stored field, that some unit is stored and none is empty or holds
-    whitespace, and counts the postings before it returns."""
+    every stored field, that no doc_id repeats, that some unit is stored
+    and none is empty or holds whitespace, and counts the postings before
+    it returns."""
     path = Path(path)
     meta = _load_meta(path, expected_mode)
     documents = _load_json(path, DOCUMENTS_FILE, meta["checksums"][DOCUMENTS_FILE])
     mode = meta["mode"]
     stream_type, kind = (str, "strings") if mode == CHARACTER_MODE else (list, "lists")
-    records: dict[str, tuple] = {}
+    records = []
     try:
         for record in documents["docs"]:
             doc_id, category = record["doc_id"], record["category"]
             title, body = record["title"], record["body"]
-            if not isinstance(doc_id, str) or not is_run_id(doc_id) or doc_id in records:
-                raise IndexLoadError(f"{path}: bad or repeated doc_id {doc_id!r}")
+            if not (isinstance(doc_id, str) and is_run_id(doc_id)):
+                raise IndexLoadError(f"{path}: doc_id {doc_id!r} is not a "
+                                     "non-empty string without whitespace")
             if category is not None and not isinstance(category, str):
                 raise IndexLoadError(f"{path}: document {doc_id!r}: category is not a string")
             if not (isinstance(title, stream_type) and isinstance(body, stream_type)):
@@ -415,11 +418,11 @@ def load_index(path, expected_mode: str | None = None) -> Index:
                     f"{path}: document {doc_id!r}: title and body must be "
                     f"{kind} in {mode} mode"
                 )
-            records[doc_id] = doc_id, title, body, category
+            records.append((doc_id, title, body, category))
     except (KeyError, TypeError) as exc:
         raise IndexLoadError(f"{path}: malformed index payload ({exc!r})") from exc
     try:
-        index = Index(mode, records.values())
+        index = Index(mode, records)
         index._table()
     except (EmptyCollectionError, TypeError, ValueError) as exc:
         raise IndexLoadError(f"{path}: malformed index payload: {exc}") from None

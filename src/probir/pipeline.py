@@ -25,6 +25,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .clir import BilingualDictionary, document_expansion, translate
@@ -284,12 +285,12 @@ def search_system_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
     return _usable(topics, search)
 
 
-def _usable(topics: Iterable, search: Callable[..., Ranking | None]
-            ) -> tuple[list[Ranking], list[str]]:
-    """Each topic's ``search(topic)``, in topic order: the rankings of the
-    topics that had one, and a warning for each other, whether it ranked
-    nothing (None) or its query came out empty (``EmptyQueryError``).
-    A topic is anything with a ``query_id``."""
+def _usable(topics: Iterable, search: Callable[..., object]
+            ) -> tuple[list, list[str]]:
+    """Each topic's ``search(topic)``, in topic order: the results (a
+    ranking, or a sweep's first retrieval) of the topics that had one, and
+    a warning for each other, whether it gave None or its query came out
+    empty (``EmptyQueryError``).  A topic is anything with a ``query_id``."""
     rankings = []
     warnings = []
     for topic in topics:
@@ -346,8 +347,12 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """The grid's rows and means (what ``format`` writes), and a warning
+    for each topic that no cell ranks or evaluates."""
+
     rows: tuple[SweepRow, ...]
     averages: dict[str, dict[str, float | None]]
+    warnings: tuple[str, ...] = ()
 
     def format(self) -> str:
         def cell(value):
@@ -364,6 +369,16 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
+def feedback_b_params(p_level: float, r: int | str, alpha: float | str,
+                      **settings) -> FeedbackBParams:
+    """System B's feedback params of one sweep grid cell or search: an R
+    or alpha is ``AUTO`` (chosen per topic) or a number, and ``settings``
+    are other fields.  Raises ValueError for a setting out of range."""
+    return FeedbackBParams(p_level=p_level, r=None if r == AUTO else int(r),
+                           alpha=None if alpha == AUTO else float(alpha),
+                           **settings)
+
+
 def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
             analyzer: Analyzer, qrels: Mapping[str, Mapping[str, int]],
             p_values: Sequence[float], r_values: Sequence,
@@ -371,34 +386,34 @@ def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
     """Evaluate the feedback grid.
 
     Each topic's first retrieval and its prefix bags (with their relevance
-    values, which depend on neither θ, α nor R) are shared by every cell."""
+    values, which depend on neither θ, α nor R) are shared by every cell.
+    Every cell ranks the same topics, so the topics left out, unranked or
+    unjudged, are the same in each and warned of once."""
     from .evaluation import evaluate_run, macro_mean
 
-    prepared = []
-    for topic in topics:
+    def prepare(topic: Topic) -> tuple[dict[str, int], PrefixBags] | None:
         _, bag = compile_bag(topic, qtype, analyzer)
         first = bm11_retrieval(index, bag, cutoff, topic.query_id)
-        if first is not None:
-            pruned, ranking = first
-            prepared.append((pruned, PrefixBags(index, ranking)))
+        if first is None:
+            return None
+        pruned, ranking = first
+        return pruned, PrefixBags(index, ranking)
 
+    prepared, warnings = _usable(topics, prepare)
+    unjudged: tuple[str, ...] = ()
     rows = []
-    for p_level in p_values:
-        for r_value in r_values:
-            for alpha_value in alpha_values:
-                params = FeedbackBParams(
-                    p_level=p_level,
-                    r=None if r_value == AUTO else int(r_value),
-                    alpha=None if alpha_value == AUTO else float(alpha_value),
-                )
-                run = {}
-                for bag, prefixes in prepared:
-                    ranking = run_feedback_b(bag, prefixes, params, cutoff)
-                    run[ranking.query_id] = list(ranking.doc_ids())
-                report = evaluate_run(run, qrels)
-                rows.append(SweepRow(p_level, r_value, alpha_value,
-                                     report.macro["ap_rigid"],
-                                     report.macro["ap_relax"]))
+    for p_level, r_value, alpha_value in product(p_values, r_values,
+                                                 alpha_values):
+        params = feedback_b_params(p_level, r_value, alpha_value)
+        run = {}
+        for bag, prefixes in prepared:
+            ranking = run_feedback_b(bag, prefixes, params, cutoff)
+            run[ranking.query_id] = list(ranking.doc_ids())
+        report = evaluate_run(run, qrels)
+        unjudged = report.warnings
+        rows.append(SweepRow(p_level, r_value, alpha_value,
+                             report.macro["ap_rigid"],
+                             report.macro["ap_relax"]))
 
     def group_mean(key):
         groups: dict[str, list[float | None]] = {}
@@ -411,7 +426,7 @@ def sweep_b(index: Index, topics: Sequence[Topic], qtype: QueryType,
         "R": group_mean(lambda r: r.r),
         "alpha": group_mean(lambda r: r.alpha),
     }
-    return SweepReport(tuple(rows), averages)
+    return SweepReport(tuple(rows), averages, (*warnings, *unjudged))
 
 
 def run_tag(config: Mapping) -> str:

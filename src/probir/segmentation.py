@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import DocumentCollection, TokenizerConfig, split_sentences
+from .corpus import Document, TokenizerConfig, split_sentences
 from .errors import CalibrationError, EmptyCollectionError
 
 DEFAULT_RATIO = (7, 3)
@@ -72,14 +72,14 @@ def build_mi_table(sentences: Iterable[str]) -> MiTable:
                    sum(unigrams.values()), sum(bigrams.values()))
 
 
-def collection_sentences(corpus: DocumentCollection,
+def collection_sentences(docs: Iterable[Document],
                          config: TokenizerConfig) -> list[str]:
     """Every document's title and body sentences under ``config``'s
     character rule: what ``build_mi_table`` counts, and a sample for
     ``calibrate_kcmi``.  Raises EmptyCollectionError when there is none:
     no document, or only punctuation and space, gives no statistics."""
     sentences = []
-    for doc in corpus:
+    for doc in docs:
         sentences.extend(split_sentences(doc.title, config))
         sentences.extend(split_sentences(doc.body, config))
     if not sentences:

@@ -7,20 +7,29 @@ name that every directory of tests may have.
 import random
 import string
 
-from probir.corpus import Document, DocumentCollection, TokenizerConfig
+from probir.corpus import Document, TokenizerConfig
 from probir.feedback_b import PrefixBags
 from probir.index import build_index
 from probir.scoring import Ranking
 
 
+# the rows of the ``toy_index`` and ``char_index`` fixtures
+TOY_ROWS = [
+    ("d1", "enterprise amalgamation", "the enterprise amalgamation was materialized", "business"),
+    ("d2", "weather report", "rain and wind with enterprise mentioned", "news"),
+    ("d3", "board meeting", "amalgamation plans for the enterprise board", "business"),
+    ("d4", "cooking pasta", "boil water add salt", "life"),
+]
+CHAR_ROWS = [
+    ("c1", "abcd", "abab cdcd. abcd efef"),
+    ("c2", "efgh", "efef ghgh, efgh abab"),
+    ("c3", "xyzw", "xyxy zwzw. xyzw abab"),
+]
+
+
 def make_collection(rows):
     """rows: (doc_id, title, body) or (doc_id, title, body, category)."""
-    docs = []
-    for row in rows:
-        doc_id, title, body = row[:3]
-        category = row[3] if len(row) > 3 else None
-        docs.append(Document(doc_id, title, body, category))
-    return DocumentCollection(docs)
+    return [Document(*row) for row in rows]
 
 
 def make_index(rows, mode="token", **config_kwargs):

@@ -861,6 +861,33 @@ class TestPathErrors:
         assert capsys.readouterr().err == message.format(out=out) + "\n"
         assert not (workspace / "missing").exists()
 
+    # a setting out of range is refused before the index loads; the sweep
+    # checks every cell of its grid, not only the first ones it would run
+    @pytest.mark.parametrize("argv,message", [
+        (["search", "--system", "a", "--kt", "-1"], "k_t"),
+        (["search", "--system", "a", "--max-span", "0"], "max_span"),
+        (["search", "--system", "a", "--kr", "0", "--feedback"], "k_r"),
+        (["search", "--p", "0.3", "--feedback"], "p_level"),
+        (["sweep", "--p", "0.10,0.2"], "p_level"),
+        (["sweep", "--R", "1,3,0"], "fixed R must be >= 1"),
+    ], ids=["kt", "max-span", "kr", "p", "sweep-p", "sweep-R"])
+    def test_bad_setting_exits_2_before_the_index_loads(
+            self, workspace, capsys, monkeypatch, argv, message):
+        from probir import cli
+
+        build(workspace)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "load_index", lambda *args: pytest.fail(
+            "the index was loaded"))
+        argv = argv + ["--index", str(workspace / "idx"),
+                       "--topics", str(workspace / "topics.jsonl")]
+        if argv[0] == "sweep":
+            argv += ["--qrels", str(workspace / "qrels.txt")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
 
 class TestSweepCommand:
     def test_grid_rows_and_sections(self, workspace):
@@ -878,6 +905,29 @@ class TestSweepCommand:
                 and "=" not in l]
         assert len(data) == 1 * 2 * 2
         assert "# mean ap_relax by alpha" in lines
+
+    def test_topics_left_out_are_warned_of_once(self, workspace, capsys):
+        # q3 has no word of the index, and q2 no judgment: search and eval
+        # warn of them, and the sweep, whose averages leave both out, warns
+        # of each once on stderr, not once per cell
+        write_jsonl(workspace / "topics.jsonl", TOPICS + [
+            {"query_id": "q3", "title": "quasar", "description": "quasars pulsars"}])
+        (workspace / "qrels.txt").write_text("q1 0 d1 2\nq1 0 d6 1\n",
+                                             encoding="utf-8")
+        build(workspace)
+        run = search(workspace, "run.txt")
+        assert main(["eval", "--run", str(run),
+                     "--qrels", str(workspace / "qrels.txt")]) == 0
+        skipped = "warning: query q3: no usable terms; skipped\n"
+        unjudged = "warning: query q2 has no judgments; skipped\n"
+        assert capsys.readouterr().err == skipped + unjudged
+        assert main(["sweep", "--index", str(workspace / "idx"),
+                     "--topics", str(workspace / "topics.jsonl"),
+                     "--qrels", str(workspace / "qrels.txt"),
+                     "--out", str(workspace / "sweep.tsv"),
+                     "--p", "0.10", "--R", "1,2", "--alpha", "1.0,auto"]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", skipped + unjudged)
 
     def test_collector_is_off_while_sweeping(self, workspace, monkeypatch):
         import gc

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probir.clir import (
-    KeywordPairRecord,
     build_dictionary,
     document_expansion,
     load_dictionary,
@@ -18,51 +17,46 @@ from corpus_builders import make_index
 from oracles import pair_dictionary
 
 
-def record(rid, sources, targets):
-    return KeywordPairRecord(rid, tuple(sources), tuple(targets))
-
-
 class TestBuildDictionary:
     def test_most_frequent_target_wins(self):
-        records = [
-            record("1", ["hund"], ["dog"]),
-            record("2", ["hund"], ["dog"]),
-            record("3", ["hund"], ["dog"]),
-            record("4", ["hund"], ["hound"]),
+        pairs = [
+            (["hund"], ["dog"]),
+            (["hund"], ["dog"]),
+            (["hund"], ["dog"]),
+            (["hund"], ["hound"]),
         ]
-        dictionary = build_dictionary(records)
+        dictionary = build_dictionary(pairs)
         assert dictionary.head(["hund"]) == "dog"
         assert dictionary.targets(["hund"]) == [("dog", 3), ("hound", 1)]
 
     def test_tie_breaks_lexicographically(self):
-        records = [
-            record("1", ["katze"], ["cat"]),
-            record("2", ["katze"], ["kitty"]),
-            record("3", ["katze"], ["kitty"]),
-            record("4", ["katze"], ["cat"]),
+        pairs = [
+            (["katze"], ["cat"]),
+            (["katze"], ["kitty"]),
+            (["katze"], ["kitty"]),
+            (["katze"], ["cat"]),
         ]
-        assert build_dictionary(records).head(["katze"]) == "cat"
+        assert build_dictionary(pairs).head(["katze"]) == "cat"
 
     def test_cross_product_counting(self):
-        records = [record("1", ["a", "b"], ["x", "y"])]
-        dictionary = build_dictionary(records)
+        pairs = [(["a", "b"], ["x", "y"])]
+        dictionary = build_dictionary(pairs)
         assert dictionary.targets(["a"]) == [("x", 1), ("y", 1)]
         assert dictionary.targets(["b"]) == [("x", 1), ("y", 1)]
 
     def test_single_pair(self):
-        dictionary = build_dictionary([record("1", ["rot"], ["red"])])
+        dictionary = build_dictionary([(["rot"], ["red"])])
         assert len(dictionary) == 1
         assert dictionary.head(["rot"]) == "red"
 
     def test_permutation_invariance(self):
         rng = random.Random(48)
-        records = [
-            record(str(i), [rng.choice(["a", "b", "c d"])],
-                   [rng.choice(["X", "Y", "Z"])])
-            for i in range(30)
+        pairs = [
+            ([rng.choice(["a", "b", "c d"])], [rng.choice(["X", "Y", "Z"])])
+            for _ in range(30)
         ]
-        base = build_dictionary(records)
-        shuffled = records[:]
+        base = build_dictionary(pairs)
+        shuffled = pairs[:]
         rng.shuffle(shuffled)
         other = build_dictionary(shuffled)
         assert list(base.entries()) == list(other.entries())
@@ -79,13 +73,12 @@ class TestBuildDictionary:
         # source or an empty target adds nothing
         rng = random.Random(seed)
         keywords = ["a", "b", "c d", "a b c", "", " ", "X", "Y Z"]
-        records = [record(str(i), rng.choices(keywords, k=rng.randint(0, 3)),
-                          rng.choices(keywords, k=rng.randint(0, 3)))
-                   for i in range(rng.randint(0, 12))]
-        want = pair_dictionary((source, target) for rec in records
-                               for source in rec.source_keywords
-                               for target in rec.target_keywords)
-        got = build_dictionary(records)
+        pairs = [(rng.choices(keywords, k=rng.randint(0, 3)),
+                    rng.choices(keywords, k=rng.randint(0, 3)))
+                   for _ in range(rng.randint(0, 12))]
+        want = pair_dictionary((source, target) for sources, targets in pairs
+                               for source in sources for target in targets)
+        got = build_dictionary(pairs)
         assert list(got.entries()) == list(want.entries())
         assert (len(got), got.max_source_len) == (len(want), want.max_source_len)
         # a repeated line adds its count; a blank source or an empty target

@@ -96,10 +96,8 @@ class TestLoaders:
             {"doc_id": "b", "title": "U", "body": "C"},
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        collection = load_documents(path)
-        assert len(collection) == 2
-        assert collection["a"].category == "x"
-        assert collection["b"].category is None
+        assert load_documents(path) == [Document("a", "T", "B", "x"),
+                                        Document("b", "U", "C")]
 
     def test_duplicate_doc_id_names_line(self, tmp_path):
         path = tmp_path / "docs.jsonl"
@@ -173,9 +171,8 @@ class TestLoaders:
         dpath.write_text(json.dumps({"doc_id": "a", "title": None, "body": "B",
                                      "category": None}) + "\n"
                          + json.dumps({"doc_id": "b", "title": "T"}) + "\n")
-        docs = load_documents(dpath)
-        assert (docs["a"].title, docs["a"].category) == ("", None)
-        assert (docs["b"].body, docs["b"].category) == ("", None)
+        assert load_documents(dpath) == [Document("a", "", "B"),
+                                         Document("b", "T", "")]
         tpath = tmp_path / "topics.jsonl"
         tpath.write_text(json.dumps({"query_id": "q1", "title": "T",
                                      "description": None}) + "\n")
@@ -184,7 +181,7 @@ class TestLoaders:
     def test_integer_ids_are_read_as_their_digits(self, tmp_path):
         dpath = tmp_path / "docs.jsonl"
         dpath.write_text(json.dumps({"doc_id": 7, "title": "T"}) + "\n")
-        assert "7" in load_documents(dpath)
+        assert load_documents(dpath)[0].doc_id == "7"
         tpath = tmp_path / "topics.jsonl"
         tpath.write_text(json.dumps({"query_id": 12, "title": "T"}) + "\n")
         assert load_topics(tpath)[0].query_id == "12"

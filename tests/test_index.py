@@ -10,6 +10,7 @@ from probir.corpus import CHARACTER_MODE, TOKEN_MODE, TokenizerConfig
 from probir.errors import DocumentNotFoundError, EmptyCollectionError, IndexLoadError
 from probir.index import (
     IN_TITLE,
+    Index,
     TermStats,
     build_index,
     count_nonoverlapping,
@@ -318,6 +319,16 @@ class TestBuildIndex:
         with pytest.raises(EmptyCollectionError, match="no document holds a unit"):
             make_index([("d1", text, ""), ("d2", "", text)], mode=mode)
 
+    # two records under one doc_id would merge into one document's columns
+    @pytest.mark.parametrize("mode", [TOKEN_MODE, CHARACTER_MODE])
+    def test_repeated_doc_id_is_refused(self, mode):
+        docs = [("d1", ["a"], ["b"], "x"), ("d2", ["a"], [], None),
+                ("d1", ["c"], ["d", "e"], None)]
+        with pytest.raises(ValueError, match="repeated doc_id 'd1'"):
+            Index(mode, docs)
+        with pytest.raises(ValueError, match="repeated doc_id 'd1'"):
+            make_index([("d1", "a", "b"), ("d1", "c", "d")], mode=mode)
+
     def test_length_zero_doc_allowed(self):
         # a title of pure punctuation tokenizes to nothing
         index = make_index([("d1", "...", "alpha")])
@@ -415,9 +426,11 @@ class TestSaveLoad:
         ("char_index", "body", ["a", "b"], "must be strings"),
         ("toy_index", "category", ["x"], "category is not a string"),
         ("char_index", "category", 7, "category is not a string"),
-        ("toy_index", "doc_id", "d2", "repeated doc_id"),
-        ("toy_index", "doc_id", None, "bad or repeated doc_id"),
-        ("toy_index", "doc_id", "d 9", "bad or repeated doc_id"),
+        ("toy_index", "doc_id", "d2", "repeated doc_id 'd2'"),
+        ("toy_index", "doc_id", None,
+         "doc_id None is not a non-empty string without whitespace"),
+        ("toy_index", "doc_id", "d 9",
+         "doc_id 'd 9' is not a non-empty string without whitespace"),
         # a unit that is empty or holds whitespace could equal a longer term
         ("toy_index", "body", ["beta", ""], "'d1': unit '' is empty or holds"),
         ("toy_index", "title", ["beta gamma"], "unit 'beta gamma' is empty or holds"),

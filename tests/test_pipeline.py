@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from probir.clir import KeywordPairRecord, build_dictionary
+from probir.clir import build_dictionary
 from probir.corpus import (
     CHARACTER_MODE,
     QueryType,
@@ -333,9 +333,7 @@ class TestCompiledSystemA:
 
 
 def dictionary_from(pairs):
-    records = [KeywordPairRecord(str(i), (src,), (dst,))
-               for i, (src, dst) in enumerate(pairs)]
-    return build_dictionary(records)
+    return build_dictionary(([src], [dst]) for src, dst in pairs)
 
 
 class TestClirTopic:

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from probir.corpus import CHARACTER_MODE, Document, DocumentCollection, TokenizerConfig
+from probir.corpus import CHARACTER_MODE, Document, TokenizerConfig
 from probir.errors import CalibrationError, EmptyCollectionError
 from probir.segmentation import (
     MiTable,
@@ -51,14 +51,14 @@ class TestBuildMiTable:
         assert table.total_bigrams == 0
 
     def test_from_collection_splits_on_punctuation(self):
-        corpus = DocumentCollection([Document("d1", "ab", "ab. ba")])
+        corpus = [Document("d1", "ab", "ab. ba")]
         table = build_mi_table(collection_sentences(
             corpus, TokenizerConfig(mode=CHARACTER_MODE)))
         assert table.bigrams == {"ab": 2, "ba": 1}
 
     def test_empty_collection_raises(self):
         with pytest.raises(EmptyCollectionError):
-            collection_sentences(DocumentCollection([]),
+            collection_sentences([],
                                  TokenizerConfig(mode=CHARACTER_MODE))
 
 

@@ -37,9 +37,12 @@ No document keeps first positions, since only System A's location factor
 reads them, and the posting table keeps none either.  ``first_position``
 scans a document's streams; the ``SystemATables`` of a run with location
 on read every document's streams once (``streams``) for the units' first
-positions, and scan with ``first_position`` for a longer term.  No unit is
-empty or holds whitespace (``load_index`` refuses one), so no unit equals
-a longer term.
+positions, and scan with ``first_position`` for a longer term.  Saved,
+each title and body is one string, its units joined by ``TERM_SEP`` in
+token mode and by nothing in character mode, and ``load_index`` refuses
+one that does not round-trip (split at whitespace and joined so, it is
+unchanged).  So no unit is empty or holds whitespace, and none equals a
+longer term.
 
 An Index does not change once built, apart from what it counts on first
 use, and is safe to share across readers: a table or map is stored only
@@ -66,7 +69,7 @@ from .corpus import (
 from .errors import DocumentNotFoundError, EmptyCollectionError, IndexLoadError
 
 FORMAT_NAME = "probir-index"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DOCUMENTS_FILE = "documents.json"
 
 # Sentinel returned by first_position for a term that occurs in the title.
@@ -153,34 +156,19 @@ class Index:
         """The posting table, counted from the streams in one pass on first
         use and kept.  Each unit's map lists its documents in collection
         order, and the units come in order of first occurrence; a longer
-        term joins the table later (``postings``).  Raises TypeError naming
-        the document whose stream holds a unit that is not a string, and
-        ValueError naming the one whose stream holds a unit that is empty
-        or holds whitespace."""
+        term joins the table later (``postings``)."""
         if self._postings is not None:
             return self._postings
         table: dict[str, dict[str, int]] = {}
         get = table.get
         for doc_id, streams in self._streams.items():
-            try:
-                for stream in streams:
-                    for unit in stream:
-                        posting = get(unit)
-                        if posting is None:
-                            # checked once per distinct unit: an unhashable
-                            # unit fails at get, and no other type equals a str
-                            if type(unit) is not str:
-                                raise TypeError
-                            if unit.split() != [unit]:
-                                raise ValueError(
-                                    f"document {doc_id!r}: unit {unit!r} is "
-                                    "empty or holds whitespace")
-                            table[unit] = {doc_id: 1}
-                        else:
-                            posting[doc_id] = posting.get(doc_id, 0) + 1
-            except TypeError:
-                raise TypeError(f"document {doc_id!r}: a token is not a "
-                                "string") from None
+            for stream in streams:
+                for unit in stream:
+                    posting = get(unit)
+                    if posting is None:
+                        table[unit] = {doc_id: 1}
+                    else:
+                        posting[doc_id] = posting.get(doc_id, 0) + 1
         self._postings = table  # stored only once complete
         return table
 
@@ -321,14 +309,15 @@ class Index:
     def save(self, path) -> None:
         """Write the index as a directory: meta.json + documents.json.
 
-        documents.json holds every document's streams; the postings are
-        counted from them on load.
+        documents.json holds each title and body as one string; the
+        postings are counted from them on load.
         """
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
+        sep = TERM_SEP if self.mode == TOKEN_MODE else ""
         docs = [
             {"doc_id": doc_id, "category": self.categories[doc_id],
-             "title": title, "body": body}
+             "title": sep.join(title), "body": sep.join(body)}
             for doc_id, (title, body) in self._streams.items()
         ]
         data = json.dumps({"docs": docs}, sort_keys=True,
@@ -394,37 +383,44 @@ def _load_meta(path: Path, expected_mode: str | None) -> dict:
 
 
 def load_index(path, expected_mode: str | None = None) -> Index:
-    """Load a saved index; verifies version, checksum, mode and the type of
-    every stored field, that no doc_id repeats, that some unit is stored
-    and none is empty or holds whitespace, and counts the postings before
-    it returns."""
+    """Load a saved index; verifies version, checksum, mode, every doc_id
+    and category, that each title and body is a string that round-trips,
+    that no doc_id repeats and that some unit is stored, and counts the
+    postings before it returns.  Equal token units share one object."""
     path = Path(path)
     meta = _load_meta(path, expected_mode)
     documents = _load_json(path, DOCUMENTS_FILE, meta["checksums"][DOCUMENTS_FILE])
     mode = meta["mode"]
-    stream_type, kind = (str, "strings") if mode == CHARACTER_MODE else (list, "lists")
+    sep = TERM_SEP if mode == TOKEN_MODE else ""
+    shared = {}.setdefault
     records = []
     try:
         for record in documents["docs"]:
             doc_id, category = record["doc_id"], record["category"]
-            title, body = record["title"], record["body"]
             if not (isinstance(doc_id, str) and is_run_id(doc_id)):
                 raise IndexLoadError(f"{path}: doc_id {doc_id!r} is not a "
                                      "non-empty string without whitespace")
             if category is not None and not isinstance(category, str):
                 raise IndexLoadError(f"{path}: document {doc_id!r}: category is not a string")
-            if not (isinstance(title, stream_type) and isinstance(body, stream_type)):
-                raise IndexLoadError(
-                    f"{path}: document {doc_id!r}: title and body must be "
-                    f"{kind} in {mode} mode"
-                )
-            records.append((doc_id, title, body, category))
+            streams = []
+            for name in ("title", "body"):
+                field = record[name]
+                if not isinstance(field, str):
+                    raise IndexLoadError(
+                        f"{path}: document {doc_id!r}: {name} is not a string")
+                units = field.split()
+                if sep.join(units) != field:
+                    raise IndexLoadError(
+                        f"{path}: document {doc_id!r}: {name} changes when split "
+                        f"at whitespace and joined by {sep!r}")
+                streams.append(tuple(map(shared, units, units)) if sep else field)
+            records.append((doc_id, *streams, category))
     except (KeyError, TypeError) as exc:
         raise IndexLoadError(f"{path}: malformed index payload ({exc!r})") from exc
     try:
         index = Index(mode, records)
         index._table()
-    except (EmptyCollectionError, TypeError, ValueError) as exc:
+    except (EmptyCollectionError, ValueError) as exc:
         raise IndexLoadError(f"{path}: malformed index payload: {exc}") from None
     if index.n_docs != meta.get("n_docs"):
         raise IndexLoadError(

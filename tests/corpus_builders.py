@@ -4,6 +4,8 @@ Test modules import them from here rather than from ``conftest``, a module
 name that every directory of tests may have.
 """
 
+import hashlib
+import json
 import random
 import string
 
@@ -66,3 +68,22 @@ def top_view(index, doc_ids):
 def top_bag(index, doc_ids):
     """The bag of all of ``doc_ids``, from their top-document view."""
     return top_view(index, doc_ids).bag(len(doc_ids))
+
+
+def write_older_version(path, version):
+    """Rewrite a saved token index in the shape ``version`` wrote: each
+    title and body a list of units, with postings.json beside them at
+    version 1."""
+    payload = json.loads((path / "documents.json").read_text(encoding="utf-8"))
+    for record in payload["docs"]:
+        record["title"] = record["title"].split()
+        record["body"] = record["body"].split()
+    data = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    (path / "documents.json").write_bytes(data)
+    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+    meta["version"] = version
+    meta["checksums"]["documents.json"] = hashlib.sha256(data).hexdigest()
+    (path / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n",
+                                    encoding="utf-8")
+    if version == 1:
+        (path / "postings.json").write_text('{"terms": {}}', encoding="utf-8")

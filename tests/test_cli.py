@@ -24,6 +24,8 @@ from probir.cli import (
 from probir.errors import ParseError
 from probir.evaluation import parse_run_file
 
+from corpus_builders import write_older_version
+
 DOCS = [
     {"doc_id": "d1", "title": "solar power", "body": "solar panels convert light", "category": "energy"},
     {"doc_id": "d2", "title": "wind power", "body": "wind turbines convert motion", "category": "energy"},
@@ -498,52 +500,55 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "mi.json: missing" in err
 
-    def test_stream_of_the_wrong_type_exits_2(self, workspace, capsys):
+    # a list of tokens is the version 2 shape of a token field
+    @pytest.mark.parametrize("field", [["coal", "plant"], 7, None],
+                             ids=["list", "integer", "null"])
+    def test_stream_of_the_wrong_type_exits_2(self, workspace, capsys, field):
         index = build(workspace)
         payload = json.loads((index / "documents.json").read_text(encoding="utf-8"))
-        payload["docs"][0]["body"] = "solar panels"
-        rewrite_documents(index, payload)
-        code = main(["search", "--index", str(index),
-                     "--topics", str(workspace / "topics.jsonl")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "must be lists in token mode" in err
-
-    @pytest.mark.parametrize("token", [7, ["coal"]], ids=["integer", "nested-list"])
-    def test_token_that_is_not_a_string_exits_2_naming_the_document(
-            self, workspace, capsys, token):
-        index = build(workspace)
-        payload = json.loads((index / "documents.json").read_text(encoding="utf-8"))
-        payload["docs"][2]["body"] = ["burning", token, "smoke"]
+        payload["docs"][2]["title"] = field
         rewrite_documents(index, payload)
         code = main(["search", "--index", str(index),
                      "--topics", str(workspace / "topics.jsonl")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        assert "document 'd3': a token is not a string" in err
+        assert "document 'd3': title is not a string" in err
 
-    @pytest.mark.parametrize("token", ["", "solar panels"],
+    # a version 2 body of ["beta", token], joined: an empty token leaves a
+    # trailing separator, and one that holds whitespace splits differently
+    @pytest.mark.parametrize("token", ["", "solar\tpanels"],
                              ids=["empty", "whitespace"])
     def test_token_that_is_empty_or_holds_whitespace_exits_2(
             self, workspace, capsys, token):
         index = build(workspace)
         payload = json.loads((index / "documents.json").read_text(encoding="utf-8"))
-        payload["docs"][0]["body"] = ["beta", token]
+        payload["docs"][0]["body"] = " ".join(["beta", token])
         rewrite_documents(index, payload)
         code = main(["search", "--index", str(index),
                      "--topics", str(workspace / "topics.jsonl")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        assert f"document 'd1': unit {token!r} is empty or holds whitespace" in err
+        assert ("document 'd1': body changes when split at whitespace and "
+                "joined by ' '") in err
+
+    def test_version_2_index_exits_2_with_the_rebuild_hint(self, workspace, capsys):
+        index = build(workspace)
+        write_older_version(index, 2)
+        code = main(["search", "--index", str(index),
+                     "--topics", str(workspace / "topics.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "unsupported index version 2 (expected 3)" in err
+        assert "re-run `probir index`" in err
 
     def test_stored_collection_with_no_unit_exits_2(self, workspace, capsys):
         index = build(workspace)
         payload = json.loads((index / "documents.json").read_text(encoding="utf-8"))
         for record in payload["docs"]:
-            record["title"] = record["body"] = []
+            record["title"] = record["body"] = ""
         rewrite_documents(index, payload)
         code = main(["search", "--index", str(index), "--system", "a",
                      "--topics", str(workspace / "topics.jsonl")])

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,13 @@ from probir.index import (
     load_index,
 )
 
-from corpus_builders import make_collection, make_index
+from corpus_builders import (
+    make_collection,
+    make_index,
+    random_token_rows,
+    random_vocab,
+    write_older_version,
+)
 import oracles
 
 
@@ -367,7 +375,7 @@ class TestSaveLoad:
         toy_index.save(tmp_path)
         payload = json.loads((tmp_path / "documents.json").read_text(encoding="utf-8"))
         for record in payload["docs"]:
-            record["title"] = record["body"] = []
+            record["title"] = record["body"] = ""
         rewrite_documents(tmp_path, json.dumps(payload))
         with pytest.raises(IndexLoadError, match="no document holds a unit"):
             load_index(tmp_path)
@@ -394,7 +402,7 @@ class TestSaveLoad:
         toy_index.save(tmp_path)
         path = tmp_path / "documents.json"
         payload = json.loads(path.read_text())
-        payload["docs"][0]["title"] = ["tampered"]
+        payload["docs"][0]["title"] = "tampered"
         path.write_text(json.dumps(payload))
         with pytest.raises(IndexLoadError, match="checksum mismatch"):
             load_index(tmp_path)
@@ -408,22 +416,20 @@ class TestSaveLoad:
         with pytest.raises(IndexLoadError, match="no checksum"):
             load_index(tmp_path)
 
-    def test_version_1_is_refused_with_a_hint(self, tmp_path, toy_index):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_is_refused_with_a_hint(self, tmp_path, toy_index, version):
         toy_index.save(tmp_path)
-        meta_path = tmp_path / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["version"] = 1
-        meta_path.write_text(json.dumps(meta))
-        (tmp_path / "postings.json").write_text('{"terms": {}}')
+        write_older_version(tmp_path, version)
         with pytest.raises(IndexLoadError, match="re-run `probir index`"):
             load_index(tmp_path)
 
     @pytest.mark.parametrize("index_name,field,value,message", [
-        # tuple() would split a string into characters without complaint
-        ("toy_index", "title", "enterprise amalgamation", "must be lists"),
-        ("toy_index", "body", [1, 2], "not a string"),
-        ("toy_index", "body", [["nested"]], "malformed"),
-        ("char_index", "body", ["a", "b"], "must be strings"),
+        # a list of units is the version 2 shape of a token field
+        ("toy_index", "title", ["enterprise", "amalgamation"],
+         "document 'd1': title is not a string"),
+        ("toy_index", "body", [1, 2], "document 'd1': body is not a string"),
+        ("toy_index", "body", None, "document 'd1': body is not a string"),
+        ("char_index", "body", ["a", "b"], "document 'c1': body is not a string"),
         ("toy_index", "category", ["x"], "category is not a string"),
         ("char_index", "category", 7, "category is not a string"),
         ("toy_index", "doc_id", "d2", "repeated doc_id 'd2'"),
@@ -431,11 +437,12 @@ class TestSaveLoad:
          "doc_id None is not a non-empty string without whitespace"),
         ("toy_index", "doc_id", "d 9",
          "doc_id 'd 9' is not a non-empty string without whitespace"),
-        # a unit that is empty or holds whitespace could equal a longer term
-        ("toy_index", "body", ["beta", ""], "'d1': unit '' is empty or holds"),
-        ("toy_index", "title", ["beta gamma"], "unit 'beta gamma' is empty or holds"),
-        ("toy_index", "body", ["a\tb"], "empty or holds whitespace"),
-        ("char_index", "body", "ab cd", "unit ' ' is empty or holds whitespace"),
+        # a field that does not round-trip would not save to the same bytes
+        ("toy_index", "body", "a  b", "document 'd1': body changes when split"),
+        ("toy_index", "title", " a", "document 'd1': title changes when split"),
+        ("toy_index", "body", "a\tb", "joined by ' '"),
+        ("char_index", "body", "ab cd", "document 'c1': body changes when split"),
+        ("char_index", "title", "ab\u3000cd", "joined by ''"),
     ])
     def test_field_of_the_wrong_type_is_refused(self, request, tmp_path, index_name,
                                                 field, value, message):
@@ -469,6 +476,46 @@ class TestSaveLoad:
         rewrite_documents(tmp_path, "{not json")
         with pytest.raises(IndexLoadError, match="unreadable JSON"):
             load_index(tmp_path)
+
+    def test_equal_units_are_one_object_after_load(self, tmp_path):
+        # four units over 30 documents, each recurring across documents and
+        # in titles and bodies; a JSON decoder makes a new string for each
+        # occurrence of a stored string
+        rows = random_token_rows(random.Random(7), 30, ["alpha", "beta", "gamma", "delta"])
+        make_index(rows).save(tmp_path)
+        loaded = load_index(tmp_path)
+        first, occurrences = {}, 0
+        for _, title, body in loaded.streams():
+            for unit in title + body:
+                assert first.setdefault(unit, unit) is unit
+                occurrences += 1
+        assert len(first) == 4 and occurrences > 30
+
+
+def units_of(index):
+    return {unit for _, title, body in index.streams() for unit in (*title, *body)}
+
+
+@pytest.mark.parametrize("mode", [TOKEN_MODE, CHARACTER_MODE])
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_loaded_index_saves_to_the_same_bytes(mode, seed):
+    rng = random.Random(seed)
+    rows = random_token_rows(rng, rng.randint(1, 8), random_vocab(rng, rng.randint(2, 6)),
+                             max_len=12, categories=[None, "x", "y"])
+    built = make_index(rows, mode=mode)
+    with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as again:
+        built.save(first)
+        loaded = load_index(first, expected_mode=mode)
+        loaded.save(again)
+        for name in ("documents.json", "meta.json"):
+            assert (Path(again) / name).read_bytes() == (Path(first) / name).read_bytes()
+    assert loaded.doc_ids() == built.doc_ids()
+    assert loaded.lengths == built.lengths
+    assert loaded.categories == built.categories
+    assert units_of(loaded) == units_of(built)
+    for unit in units_of(built):
+        assert list(loaded.postings(unit).items()) == list(built.postings(unit).items())
 
 
 def rewrite_documents(path, text):

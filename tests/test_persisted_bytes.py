@@ -32,14 +32,17 @@ PAIRS = [
     (["hund"], ["hound"]),
 ]
 
+# index format 3 (each title and body one string) changed the token
+# index's documents.json and both meta.json files; the character index's
+# documents.json was already one string per field
 TOKEN_INDEX = {
-    "documents.json": "3c680002be0418d153b7d665818af35479c346fd1088d963e56c01d7ae6af2d1",
-    "meta.json": "5b8badb11ca9662a3fa893760704ad242c7fd49c8ea3551e18ed1b94e0b8ff38",
+    "documents.json": "e3efbf27d3c9da41059457bd0939ae117fc82f234a79017ad1c387012ac84ec4",
+    "meta.json": "a9e492a56287422c596ad8bcf45b9ff21d27c42144de7728b7d6bb1f41c1f91d",
     "tokenizer.json": "fbf7048b6ce0ce88964fe6d1bd83b8462bb8fdfe5b79f5e967267e2e0d666725",
 }
 CHARACTER_INDEX = {
     "documents.json": "bce9884f0ffbb758c1e9ce36d4ab63aff8dc60d773fa4b34005ecab82c94b75e",
-    "meta.json": "2814f30fe3d91612e165e705825914e7b32bbb37ff490497026b1b161fe16eb4",
+    "meta.json": "7a3c8289896b58b806672172c322e7b494666742b618fb9809de6821e2dc2996",
     "tokenizer.json": "d816c03dbc0b3b06998aa8a4c95c050b48c876b163938e3aa4ee5a5f428e394a",
     "mi.json": "a62079377f1e7a638e1f2e4c4a03017481c52e84d93b6076a03056dd2e80b714",
 }
